@@ -2,7 +2,8 @@
 text or JSON reports.
 
 Exit codes: 0 verified / success, 1 verification failed (a mathematical
-counterexample), 2 usage or input error.
+counterexample), 2 usage or input error, 3 internal invariant failure (a
+bug in projrep, not a counterexample).
 """
 
 import argparse
@@ -129,10 +130,10 @@ def cmd_sym_verify(args):
         report = modsym.verify_theorem1(n, args.p)
         all_ok = all_ok and report.verdict
         reports.append(report.to_dict())
-        lines.append("n=%-2d verdict=%-5s rank=%d/%d lattice=%s monomials=%s"
+        lines.append("n=%-2d verdict=%-5s rank=%d/%d lattice=%s monomials=%s method=%s"
                      % (n, report.verdict, report.rank, report.expected_rank,
                         matrix_digest(report.lattice_hnf),
-                        matrix_digest(report.monomial_hnf)))
+                        matrix_digest(report.monomial_hnf), report.method))
     lines.append("theorem 1 %s for p=%d up to degree %d"
                  % ("VERIFIED" if all_ok else "FAILED", args.p, args.max_degree))
     emit(args, {"command": "sym-verify", "p": args.p, "max_degree": args.max_degree,
@@ -203,10 +204,11 @@ def cmd_wreath_verify(args):
         entry = report.to_dict()
         entry["generator_exchange"] = exchange
         reports.append(entry)
-        lines.append("n=%-2d verdict=%-5s exchange=%-5s rank=%d/%d lattice=%s monomials=%s"
+        lines.append("n=%-2d verdict=%-5s exchange=%-5s rank=%d/%d lattice=%s monomials=%s "
+                     "method=%s"
                      % (n, report.verdict, exchange, report.rank, report.expected_rank,
                         matrix_digest(report.lattice_hnf),
-                        matrix_digest(report.monomial_hnf)))
+                        matrix_digest(report.monomial_hnf), report.method))
     lines.append("theorem 2 %s for %s, p=%d up to degree %d"
                  % ("VERIFIED" if all_ok else "FAILED", table.name, args.p,
                     args.max_degree))
@@ -288,6 +290,9 @@ def main(argv=None):
     except wreath.TableError as err:
         print("table error: %s" % err, file=sys.stderr)
         return 2
+    except AssertionError as err:
+        print("internal invariant failure: %s" % err, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -411,33 +411,93 @@ def integer_kernel(matrix):
     return hnf_basis(IntMatrix(kernel_rows, matrix.ncols))
 
 
-def rational_kernel(rows, ncols):
-    """Z-basis of the integer solutions of exact linear constraints.
+def rational_constraints(rows, ncols):
+    """Integer matrix E whose integer solutions are those of exact linear constraints.
 
     Each constraint row may mix ints, Fractions and Cyclotomics; cyclotomic
     rows are first expanded into phi(m) rational rows over the power basis,
-    then denominators are cleared.  The returned lattice is saturated.
+    then denominators are cleared.  Zero rows are dropped.
     """
     expanded = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError("constraint width mismatch")
-        entries = [Cyclotomic._coerce(v) for v in row]
-        if any(e is NotImplemented for e in entries):
-            raise TypeError("unsupported scalar in constraint row")
-        m = 1
-        for e in entries:
-            m = lcm(m, e.conductor)
-        coords = [e.lift(m).rational_coords() for e in entries]
-        for t in range(euler_phi(m)):
-            rational_row = [c[t] for c in coords]
-            if not any(rational_row):
-                continue
-            denom = 1
-            for q in rational_row:
-                denom = lcm(denom, q.denominator)
-            expanded.append([int(q * denom) for q in rational_row])
-    return integer_kernel(IntMatrix(expanded, ncols))
+        if all(isinstance(v, (int, Fraction)) for v in row):
+            rational_rows = [row]
+        else:
+            entries = [Cyclotomic._coerce(v) for v in row]
+            if any(e is NotImplemented for e in entries):
+                raise TypeError("unsupported scalar in constraint row")
+            m = lcm(*(e.conductor for e in entries))
+            coords = [e.lift(m).rational_coords() for e in entries]
+            rational_rows = [[c[t] for c in coords] for t in range(euler_phi(m))]
+        for rational_row in rational_rows:
+            if any(rational_row):
+                denom = lcm(*(q.denominator for q in rational_row))
+                expanded.append([int(q * denom) for q in rational_row])
+    return IntMatrix(expanded, ncols)
+
+
+def rational_kernel(rows, ncols):
+    """Z-basis (HNF-canonical) of the integer solutions of exact linear
+    constraints, as rational_constraints reads them; saturated."""
+    return integer_kernel(rational_constraints(rows, ncols))
+
+
+RANK_PRIME = (1 << 61) - 1
+
+
+def rank_mod(matrix):
+    """Rank of an integer matrix modulo RANK_PRIME: a lower bound on its rank over Q."""
+    prime = RANK_PRIME
+    rows = [[v % prime for v in row] for row in matrix.rows]
+    rank = 0
+    for c in range(matrix.ncols):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inverse = pow(rows[rank][c], -1, prime)
+        pivot_tail = [v * inverse % prime for v in rows[rank][c:]]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i][c:] = [(a - f * b) % prime for a, b in zip(rows[i][c:], pivot_tail)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def certify_kernel_basis(basis, constraints, expected):
+    """True only if the rows of basis are provably a Z-basis of
+    L = {v in Z^ncols : constraints @ v = 0} with `expected` elements.
+
+    Three checks prove it, with no kernel computation:
+      (a) containment: constraints @ row = 0 for every row, so span(basis) <= L;
+      (b) saturation: basis is in echelon form with every pivot 1, so its
+          pivot minor is unitriangular and Q*span(basis) meets Z^ncols in
+          span(basis) alone;
+      (c) rank: basis has `expected` rows and ncols - rank_mod(constraints)
+          equals `expected`.  The rank modulo a prime is at most the rank
+          over Q, so rank L <= expected = rank span(basis).
+    By (a) and (c), Q*L = Q*span(basis); by (b), L <= Q*span(basis) meets
+    Z^ncols in span(basis), hence L = span(basis).  False means only that
+    the certificate does not apply, never that the lattices differ.
+    """
+    if basis.nrows != expected or basis.ncols != constraints.ncols:
+        return False
+    last_pivot = -1
+    for row in basis.rows:
+        pivot = next((j for j, v in enumerate(row) if v), None)
+        if pivot is None or pivot <= last_pivot or row[pivot] != 1:
+            return False
+        last_pivot = pivot
+    for row in basis.rows:
+        support = [(j, v) for j, v in enumerate(row) if v]
+        if any(sum(v * c[j] for j, v in support) for c in constraints.rows):
+            return False
+    return basis.ncols - rank_mod(constraints) == expected
 
 
 def snf(matrix):

@@ -9,8 +9,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactlin import (Cyclotomic, IntMatrix, conj, det, hnf_basis, rational_kernel,
-                       unimodular_complete)
+from .exactlin import (Cyclotomic, IntMatrix, conj, det, hnf_basis, rational_constraints,
+                       rational_kernel, unimodular_complete)
 from .modsym import VerificationReport
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
 from .series import GradedSeries, exp, int_power, quotient_y
@@ -65,6 +65,10 @@ class CharTable:
         for c in self.classes:
             if c.size < 1 or c.element_order < 1:
                 raise TableError("class %s has invalid size or element order" % (c.label,))
+            if self.order % c.size or self.order % c.element_order:
+                raise TableError("class %s: size %d and element order %d must divide "
+                                 "the group order %d"
+                                 % (c.label, c.size, c.element_order, self.order))
         for irr in self.irreducibles:
             if len(irr.values) != self.N:
                 raise TableError("irreducible %s has %d values, expected %d"
@@ -431,6 +435,21 @@ def element_int_coordinates(element, index):
     return coords
 
 
+def singular_index_rows(table, p, n):
+    """One constraint row per p-singular xi index of degree n: its coefficient
+    in the xi-expansion of each PHI monomial, columns in multipartitions(N, n)
+    order.  Their integer solutions are the vanishing lattice."""
+    n_comp = table.N
+    phi_index = multipartitions(n_comp, n)
+    is_regular = regular_multipartition_flags(table, p, n)
+    expansions = [xi_from_phi(
+        WreathElement(PHI, n, n_comp, {mp: Cyclotomic.from_rational(1)}), table)
+        for mp in phi_index]
+    zero = Cyclotomic.from_rational(0)
+    return [[exp_col.coeffs.get(smp, zero) for exp_col in expansions]
+            for smp in phi_index if not is_regular(smp)]
+
+
 def verify_theorem2(table, p, n, lattice=None):
     """Check that the degree-n Y-monomials span exactly the lattice of integer
     PHI combinations whose xi-expansion is supported on p-regular indices."""
@@ -439,16 +458,7 @@ def verify_theorem2(table, p, n, lattice=None):
         lattice = e_lattice(table, p)
     n_comp = table.N
     phi_index = multipartitions(n_comp, n)
-    is_regular = regular_multipartition_flags(table, p, n)
-    singular = [mp for mp in multipartitions(n_comp, n) if not is_regular(mp)]
-
-    expansions = [xi_from_phi(
-        WreathElement(PHI, n, n_comp, {mp: Cyclotomic.from_rational(1)}), table)
-        for mp in phi_index]
-    zero = Cyclotomic.from_rational(0)
-    constraints = [[exp_col.coeffs.get(smp, zero) for exp_col in expansions]
-                   for smp in singular]
-    vanishing = rational_kernel(constraints, len(phi_index))
+    constraints = rational_constraints(singular_index_rows(table, p, n), len(phi_index))
 
     generators = {k: yk_generators(table, lattice, k, n)
                   for k in range(1, lattice.M + 1)}
@@ -460,14 +470,9 @@ def verify_theorem2(table, p, n, lattice=None):
             for part in lam.parts:
                 product = product * generators[k0 + 1][part]
         rows.append(element_int_coordinates(product, phi_index))
-    monomials = IntMatrix(rows, len(phi_index))
-
-    lattice_h = hnf_basis(vanishing)
-    monomial_h = hnf_basis(monomials)
-    expected = count_regular_classes(table, p, n)
-    verdict = (lattice_h == monomial_h and vanishing.nrows == expected)
-    return VerificationReport(n, p, vanishing.nrows, expected, lattice_h, monomial_h,
-                              verdict, time.perf_counter() - start)
+    return VerificationReport.decide(n, p, constraints,
+                                     hnf_basis(IntMatrix(rows, len(phi_index))),
+                                     count_regular_classes(table, p, n), start)
 
 
 def generator_exchange_check(table, lattice, n, order=None):

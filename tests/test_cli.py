@@ -128,6 +128,45 @@ def test_corrupted_table_exits_2(tmp_path, capsys):
     assert "orthogonality" in err
 
 
+def test_table_of_no_group_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "name": "bad", "order": 2, "conductor": 1,
+        "classes": [{"label": "1a", "size": 1, "element_order": 1},
+                    {"label": "2a", "size": 1, "element_order": 3}],
+        "irreducibles": [{"label": "triv", "values": [1, 1]},
+                         {"label": "sgn", "values": [1, -1]}]}))
+    code, out, err = run(capsys, "wreath", "verify", "--table", str(bad),
+                         "--p", "3", "--max-degree", "2")
+    assert code == 2
+    assert "VERIFIED" not in out
+    assert "divide" in err
+
+
+def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
+    from projrep import modsym
+
+    def broken(n, p):
+        raise AssertionError("non-integral coordinate")
+
+    monkeypatch.setattr(modsym, "verify_theorem1", broken)
+    code, out, err = run(capsys, "sym", "verify", "--p", "2", "--max-degree", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal invariant failure: non-integral coordinate\n"
+
+
+def test_verify_reports_the_method(capsys):
+    code, out, _ = run(capsys, "sym", "verify", "--p", "3", "--max-degree", "4")
+    assert code == 0
+    assert all(line.endswith("method=certificate")
+               for line in out.strip().splitlines()[:-1])
+    code, out, _ = run(capsys, "wreath", "verify", "--table", "c3", "--p", "2",
+                       "--max-degree", "2", "--format", "json")
+    assert code == 0
+    assert [entry["method"] for entry in json.loads(out)["reports"]] == ["certificate"] * 3
+
+
 def test_missing_table_exits_2(capsys):
     code, _, err = run(capsys, "wreath", "verify", "--table", "/no/such/file.json",
                        "--p", "2", "--max-degree", "2")

@@ -75,6 +75,20 @@ def test_load_rejects_size_mismatch(tmp_path):
         load_table(str(bad))
 
 
+def test_load_rejects_a_table_of_no_group(tmp_path):
+    payload = _table_payload()
+    payload["classes"][1]["element_order"] = 3
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(TableError, match="must divide the group order 2"):
+        load_table(str(bad))
+    from projrep.wreath import ClassInfo
+    with pytest.raises(TableError, match="class 2a: size 4"):
+        CharTable("x", 6, 1, [ClassInfo("1a", 1, 1), ClassInfo("3a", 1, 3),
+                              ClassInfo("2a", 4, 2)],
+                  [None, None, None])
+
+
 def test_load_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
