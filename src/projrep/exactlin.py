@@ -185,13 +185,17 @@ class Cyclotomic:
             exponent >>= 1
         return result
 
-    def conjugate(self):
-        """Complex conjugation, zeta_m -> zeta_m^(m-1)."""
+    def galois(self, k):
+        """The automorphism zeta_m -> zeta_m^k, for k coprime to the conductor m."""
         m = self.conductor
         out = [Fraction(0)] * m
         for i, c in enumerate(self.coeffs):
-            out[(m - i) % m] += c
+            out[i * k % m] += c
         return Cyclotomic(m, out)
+
+    def conjugate(self):
+        """Complex conjugation, zeta_m -> zeta_m^(m-1)."""
+        return self.galois(-1)
 
     def __eq__(self, other):
         pair = self._matched(other)
@@ -448,21 +452,27 @@ RANK_PRIME = (1 << 61) - 1
 
 
 def rank_mod(matrix):
-    """Rank of an integer matrix modulo RANK_PRIME: a lower bound on its rank over Q."""
+    """Rank of an integer matrix modulo RANK_PRIME: a lower bound on its rank over Q.
+
+    Columns are eliminated from last to first.  The rank does not depend on
+    the order, but rows whose last nonzero entries lie in distinct columns
+    (the triangular tables of modsym) then need no row operation at all.
+    """
     prime = RANK_PRIME
     rows = [[v % prime for v in row] for row in matrix.rows]
     rank = 0
-    for c in range(matrix.ncols):
+    for c in reversed(range(matrix.ncols)):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inverse = pow(rows[rank][c], -1, prime)
-        pivot_tail = [v * inverse % prime for v in rows[rank][c:]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c]
-            if f:
-                rows[i][c:] = [(a - f * b) % prime for a, b in zip(rows[i][c:], pivot_tail)]
+        below = [row for row in rows[rank + 1:] if row[c]]
+        if below:
+            inverse = pow(rows[rank][c], -1, prime)
+            pivot_head = [v * inverse % prime for v in rows[rank][:c + 1]]
+            for row in below:
+                f = row[c]
+                row[:c + 1] = [(a - f * b) % prime for a, b in zip(row, pivot_head)]
         rank += 1
         if rank == len(rows):
             break

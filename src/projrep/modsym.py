@@ -16,22 +16,43 @@ from .series import y_explicit, y_monomial
 from .symfunc import SymElement, X, class_values, schur_in_x
 
 
+def _remove_from_part(parts, v, r):
+    """The parts with one part v replaced by v - r (dropped if 0), re-sorted."""
+    at = parts.index(v)
+    return tuple(sorted(parts[:at] + parts[at + 1:] + ((v - r,) if v > r else ()),
+                        reverse=True))
+
+
 @lru_cache(maxsize=None)
 def x_class_value_matrix(n):
     """Integer class values of the x-monomial basis: entry [i][j] is the value
-    of x_{lambda_i} on class mu_j, both indexed by partitions(n)."""
+    of x_{lambda_i} on class mu_j, both indexed by partitions(n).
+
+    x_lambda is the permutation character induced from the Young subgroup
+    S_lambda, so its value on mu counts the ways to share the cycles of mu
+    among the parts of lambda.  The largest cycle, of length r = mu_1, lies
+    in one part v >= r, which leaves v - r for the other cycles:
+        x_lambda(mu) = sum over part values v >= r of lambda of
+                       m_lambda(v) * x_{lambda - r@v}(mu minus mu_1),
+    where lambda - r@v replaces one part v by v - r (dropped if 0) and
+    m_lambda(v) is the multiplicity of v.  Degree n reads only the tables
+    of degrees below n; x_empty(empty) = 1."""
+    if n == 0:
+        return ((1,),)
     classes = partitions(n)
-    rows = []
-    for lam in classes:
-        values = class_values(SymElement.monomial(X, lam))
-        row = []
-        for mu in classes:
-            v = values[mu]
-            if v.denominator != 1:
-                raise AssertionError("non-integral permutation character value")
-            row.append(int(v))
-        rows.append(tuple(row))
-    return tuple(rows)
+    index = {k: {lam.parts: i for i, lam in enumerate(partitions(k))} for k in range(n)}
+    # removals[r][i]: (m_lambda(v), row of lambda - r@v in degree n - r) for lambda_i
+    removals = {r: [[(m, index[n - r][_remove_from_part(lam.parts, v, r)])
+                     for v, m in lam.multiplicities().items() if v >= r]
+                    for lam in classes]
+                for r in range(1, n + 1)}
+    columns = []
+    for mu in classes:
+        r = mu.parts[0]
+        sub = x_class_value_matrix(n - r)
+        j = index[n - r][mu.parts[1:]]
+        columns.append([sum(m * sub[i][j] for m, i in terms) for terms in removals[r]])
+    return tuple(zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -223,8 +223,8 @@ def y_from_quotient(max_degree, p, basis=symfunc.X):
 
 @lru_cache(maxsize=None)
 def y_monomial(lam, p):
-    """Product of generators y_{lam_1} * ... * y_{lam_k} in the x-basis."""
-    result = SymElement.one(symfunc.X)
-    for part in lam.parts:
-        result = result * y_explicit(part, p)
-    return result
+    """Product of generators y_{lam_1} * ... * y_{lam_k} in the x-basis, as
+    y_{lam_1} times the cached product over the remaining parts."""
+    if not lam.parts:
+        return SymElement.one(symfunc.X)
+    return y_explicit(lam.parts[0], p) * y_monomial(Partition(lam.parts[1:]), p)

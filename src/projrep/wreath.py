@@ -8,6 +8,7 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .exactlin import (Cyclotomic, IntMatrix, conj, det, hnf_basis, rational_constraints,
                        rational_kernel, unimodular_complete)
@@ -78,6 +79,18 @@ class CharTable:
                     raise TableError(
                         "value of %s is not an algebraic integer in the power basis"
                         % (irr.label,))
+        # A value on a class of element order e lies in Q(zeta_e), which meets
+        # Q(zeta_m) in Q(zeta_d), d = gcd(e, m): the field fixed by every
+        # zeta_m -> zeta_m^k with k a unit modulo m and k = 1 modulo d.
+        m = self.conductor
+        for j, c in enumerate(self.classes):
+            d = gcd(c.element_order, m)
+            fixing = [k for k in range(1, m + 1) if gcd(k, m) == 1 and (k - 1) % d == 0]
+            for irr in self.irreducibles:
+                if any(irr.values[j].galois(k) != irr.values[j] for k in fixing):
+                    raise TableError(
+                        "value of %s on class %s (element order %d) does not lie "
+                        "in Q(zeta_%d)" % (irr.label, c.label, c.element_order, d))
         for i, a in enumerate(self.irreducibles):
             for j, b in enumerate(self.irreducibles):
                 total = Cyclotomic.from_rational(0)

@@ -1,3 +1,4 @@
+import json
 from importlib import resources
 
 import pytest
@@ -32,3 +33,18 @@ def s3_table():
 @pytest.fixture(scope="session")
 def c4_table():
     return load_table(table_path("c4"))
+
+
+@pytest.fixture
+def c4_misplaced_zeta4(tmp_path):
+    """Path of the C4 table with the value columns of 4a and 2a swapped: it
+    still passes row orthogonality, but its order-2 class carries zeta_4."""
+    with open(table_path("c4")) as handle:
+        data = json.load(handle)
+    assert [c["element_order"] for c in data["classes"]] == [1, 4, 2, 4]
+    for irr in data["irreducibles"]:
+        values = irr["values"]
+        values[1], values[2] = values[2], values[1]
+    path = tmp_path / "c4_misplaced.json"
+    path.write_text(json.dumps(data))
+    return str(path)

@@ -144,6 +144,22 @@ def test_rank_mod_bounds_rank_over_q(matrix, scale):
                               matrix.ncols)) == 0
 
 
+@settings(deadline=None, max_examples=100)
+@given(small_matrices, st.data())
+def test_rank_mod_ignores_column_order(matrix, data):
+    order = data.draw(st.permutations(range(matrix.ncols)))
+    permuted = IntMatrix([[row[c] for c in order] for row in matrix.rows], matrix.ncols)
+    assert rank_mod(permuted) == rank_mod(matrix)
+
+
+def test_singular_class_rows_have_full_rank_mod():
+    # the rows are independent: each has its last nonzero entry at its own class
+    for p in (2, 3, 5):
+        for n in range(15):
+            rows = singular_class_rows(n, p)
+            assert rank_mod(rational_constraints(rows, len(partitions(n)))) == len(rows)
+
+
 scalars = st.one_of(
     st.integers(-3, 3),
     st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),

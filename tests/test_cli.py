@@ -143,6 +143,14 @@ def test_table_of_no_group_exits_2(tmp_path, capsys):
     assert "divide" in err
 
 
+def test_table_value_outside_its_field_exits_2(c4_misplaced_zeta4, capsys):
+    code, out, err = run(capsys, "wreath", "verify", "--table", c4_misplaced_zeta4,
+                         "--p", "2", "--max-degree", "2")
+    assert code == 2
+    assert "VERIFIED" not in out
+    assert "does not lie in Q(zeta_2)" in err
+
+
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     from projrep import modsym
 

@@ -4,7 +4,7 @@ from projrep.exactlin import IntMatrix, det, in_row_lattice, same_row_lattice
 from projrep.modsym import (worked_examples_check, reg_lattice, verify_theorem1,
                             x_class_value_matrix, y_monomials)
 from projrep.partitions import Partition, p_regular_partitions, partitions
-from projrep.symfunc import class_values, mn_character
+from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
 
 
 def test_reg_lattice_examples():
@@ -108,3 +108,15 @@ def test_minus_y3_is_the_standard_character():
     values = class_values(minus_y3)
     for mu in partitions(3):
         assert values[mu] == mn_character(Partition((2, 1)), mu)
+
+
+def test_x_class_value_matrix_matches_both_oracles():
+    # the integer recursion against the counting oracle and the power-sum expansion
+    for n in range(13):
+        classes = partitions(n)
+        values = x_class_value_matrix(n)
+        assert len(values) == len(classes)
+        for lam, row in zip(classes, values):
+            expanded = class_values(SymElement.monomial(X, lam))
+            assert row == tuple(perm_char_value(lam, mu) for mu in classes)
+            assert row == tuple(expanded[mu] for mu in classes)

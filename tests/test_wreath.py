@@ -89,6 +89,12 @@ def test_load_rejects_a_table_of_no_group(tmp_path):
                   [None, None, None])
 
 
+def test_load_rejects_a_value_outside_its_classes_field(c4_misplaced_zeta4):
+    with pytest.raises(TableError, match=r"chi_i on class 2a \(element order 2\) does "
+                                         r"not lie in Q\(zeta_2\)"):
+        load_table(c4_misplaced_zeta4)
+
+
 def test_load_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
