@@ -113,6 +113,8 @@ class Cyclotomic:
 
     def lift(self, conductor):
         """Rewrite over Q(zeta_M) for a multiple M of the conductor."""
+        if conductor == self.conductor:
+            return self
         if conductor % self.conductor != 0:
             raise ValueError("can only lift to a multiple of the conductor")
         step = conductor // self.conductor
@@ -126,7 +128,8 @@ class Cyclotomic:
         if other is NotImplemented:
             return None
         m = lcm(self.conductor, other.conductor)
-        return self.lift(m), other.lift(m)
+        return (self if self.conductor == m else self.lift(m),
+                other if other.conductor == m else other.lift(m))
 
     def __add__(self, other):
         pair = self._matched(other)

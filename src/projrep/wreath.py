@@ -1,18 +1,20 @@
 """Wreath-product engine: character-table ingestion, the graded algebra of the
-wreath products G wr S_n in the xi- and Phi-monomial bases, the vanishing
-lattice of G with unimodular completion, the X_k/Y_k generator series, and
-per-degree verification of the polynomial-ring statement."""
+wreath products G wr S_n in the xi- and Phi-monomial bases, the class values
+of the Phi monomials, the vanishing lattice of G with unimodular completion,
+the X_k/Y_k generator series, and per-degree verification of the
+polynomial-ring statement."""
 
 import json
 import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from .exactlin import (Cyclotomic, IntMatrix, conj, det, hnf_basis, rational_constraints,
+from .exactlin import (Cyclotomic, IntMatrix, conj, det, euler_phi, hnf_basis,
                        rational_kernel, unimodular_complete)
-from .modsym import VerificationReport
+from .modsym import VerificationReport, _remove_from_part
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
 from .series import GradedSeries, exp, int_power, quotient_y
 
@@ -41,7 +43,12 @@ class CharTable:
         self.irreducibles = tuple(irreducibles)
         self._phi_series = {}
         self._phi_monomial = {}
+        self._class_values = {}
         self._validate()
+        # _multipliers[c][j]: chi_j(C_c) as a matrix acting on power-basis coordinates
+        self._multipliers = tuple(tuple(_multiplier(irr.values[c], conductor)
+                                        for irr in self.irreducibles)
+                                  for c in range(self.N))
 
     @property
     def N(self):
@@ -105,11 +112,29 @@ class CharTable:
         return "CharTable(%r, order=%d, N=%d)" % (self.name, self.order, self.N)
 
 
+def _multiplier(value, m):
+    """The integer matrix of multiplication by an algebraic integer of Q(zeta_m)
+    on the power-basis coordinates of Z[zeta_m]: column k holds value * zeta_m^k."""
+    columns = [(value * Cyclotomic.zeta(m, k)).lift(m).coeffs for k in range(euler_phi(m))]
+    return tuple(tuple(int(column[t]) for column in columns) for t in range(len(columns)))
+
+
+def _is_integer(raw):
+    """True for a JSON integer; JSON true and false load as bools, which are ints."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
+def _integer(raw, where):
+    if not _is_integer(raw):
+        raise TableError("%s must be an integer, not %r" % (where, raw))
+    return raw
+
+
 def _parse_value(raw, conductor, where):
-    if isinstance(raw, int):
+    if _is_integer(raw):
         return Cyclotomic.from_rational(raw)
     if isinstance(raw, list):
-        if len(raw) != conductor or not all(isinstance(v, int) for v in raw):
+        if len(raw) != conductor or not all(_is_integer(v) for v in raw):
             raise TableError("%s: a cyclotomic value must be a list of %d integers"
                              % (where, conductor))
         return Cyclotomic(conductor, raw)
@@ -127,9 +152,12 @@ def load_table(path):
         raise TableError("%s is not valid JSON: %s" % (path, err))
     try:
         name = data["name"]
-        order = int(data["order"])
-        conductor = int(data["conductor"])
-        classes = tuple(ClassInfo(str(c["label"]), int(c["size"]), int(c["element_order"]))
+        order = _integer(data["order"], "order")
+        conductor = _integer(data["conductor"], "conductor")
+        classes = tuple(ClassInfo(str(c["label"]),
+                                  _integer(c["size"], "size of class %s" % c["label"]),
+                                  _integer(c["element_order"],
+                                           "element order of class %s" % c["label"]))
                         for c in data["classes"])
         irreducibles = tuple(
             Irreducible(str(r["label"]),
@@ -448,19 +476,93 @@ def element_int_coordinates(element, index):
     return coords
 
 
-def singular_index_rows(table, p, n):
-    """One constraint row per p-singular xi index of degree n: its coefficient
-    in the xi-expansion of each PHI monomial, columns in multipartitions(N, n)
-    order.  Their integer solutions are the vanishing lattice."""
-    n_comp = table.N
-    phi_index = multipartitions(n_comp, n)
+@lru_cache(maxsize=None)
+def _removals(ncomp, n, r):
+    """For each rho in multipartitions(ncomp, n): the pairs (j, terms), one per
+    component rho_j with a part v >= r, where terms lists (m_{rho_j}(v), index of
+    rho - r@(j, v) in multipartitions(ncomp, n - r)) over those part values v."""
+    lower = {mp: i for i, mp in enumerate(multipartitions(ncomp, n - r))}
+    out = []
+    for rho in multipartitions(ncomp, n):
+        entry = []
+        for j, lam in enumerate(rho):
+            terms = []
+            for v, mult in lam.multiplicities().items():
+                if v >= r:
+                    comps = list(rho.components)
+                    comps[j] = Partition(_remove_from_part(lam.parts, v, r))
+                    terms.append((mult, lower[MultiPartition(comps)]))
+            if terms:
+                entry.append((j, tuple(terms)))
+        out.append(tuple(entry))
+    return tuple(out)
+
+
+def class_values(table, nu):
+    """Values X_rho(nu) of the PHI monomials, as characters of G wr S_n, on the
+    class nu (a multipartition of n over the classes of G), for every rho in
+    multipartitions(N, n) order.  The values lie in Z[zeta_m], m the conductor;
+    the result is phi(m) integer rows, row t holding the zeta_m^t coordinates.
+
+    X_rho is induced from the product of the G wr S_v over the parts v of every
+    rho_j, each carrying chi_j on every factor G.  The largest cycle of nu, of
+    length r and in the first class C that has a part r, lies in one part
+    v >= r of some rho_j, which contributes chi_j(C) and leaves v - r:
+        X_rho(nu) = sum over j and part values v >= r of rho_j of
+                    m_{rho_j}(v) * chi_j(C) * X_{rho - r@(j,v)}(nu minus that cycle),
+    where rho - r@(j,v) replaces one part v of rho_j by v - r and X_empty(empty)
+    = 1.  X_rho(nu) = Z_nu times the xi_nu coefficient of xi_from_phi(rho), with
+    Z_nu = prod over C of z(nu_C) * (|G|/|C|)^len(nu_C) the centralizer order
+    of nu.  Memoized on the table, so each degree reads those below it."""
+    rows = table._class_values.get(nu)
+    if rows is not None:
+        return rows
+    d = euler_phi(table.conductor)
+    if nu.size == 0:
+        rows = ((1,),) + ((0,),) * (d - 1)
+    else:
+        r = max(lam.parts[0] for lam in nu if lam.parts)
+        c = next(i for i, lam in enumerate(nu) if lam.parts and lam.parts[0] == r)
+        rest = list(nu.components)
+        rest[c] = Partition(nu[c].parts[1:])
+        sub = class_values(table, MultiPartition(rest))
+        multipliers = table._multipliers[c]
+        values = []
+        for entry in _removals(table.N, nu.size, r):
+            acc = [0] * d
+            for j, terms in entry:
+                shared = [sum(mult * row[i] for mult, i in terms) for row in sub]
+                for t, coords in enumerate(multipliers[j]):
+                    acc[t] += sum(a * b for a, b in zip(coords, shared))
+            values.append(acc)
+        rows = tuple(zip(*values))
+    table._class_values[nu] = rows
+    return rows
+
+
+def _singular_indices(table, p, n):
     is_regular = regular_multipartition_flags(table, p, n)
-    expansions = [xi_from_phi(
-        WreathElement(PHI, n, n_comp, {mp: Cyclotomic.from_rational(1)}), table)
-        for mp in phi_index]
-    zero = Cyclotomic.from_rational(0)
-    return [[exp_col.coeffs.get(smp, zero) for exp_col in expansions]
-            for smp in phi_index if not is_regular(smp)]
+    return [nu for nu in multipartitions(table.N, n) if not is_regular(nu)]
+
+
+def singular_index_rows(table, p, n):
+    """One constraint row per p-singular xi index nu of degree n: the values
+    X_rho(nu) of class_values as Cyclotomics of the table's conductor, columns
+    in multipartitions(N, n) order.  Each row is a positive multiple of the xi_nu
+    coefficients of the PHI monomials, so their integer solutions are the
+    vanishing lattice."""
+    m = table.conductor
+    return [[Cyclotomic(m, coords) for coords in zip(*class_values(table, nu))]
+            for nu in _singular_indices(table, p, n)]
+
+
+def singular_constraints(table, p, n):
+    """rational_constraints(singular_index_rows(table, p, n)), read off the
+    integer coordinates of class_values with no rational arithmetic: the
+    nonzero coordinate rows of each p-singular index, in order."""
+    return IntMatrix([row for nu in _singular_indices(table, p, n)
+                      for row in class_values(table, nu) if any(row)],
+                     len(multipartitions(table.N, n)))
 
 
 def verify_theorem2(table, p, n, lattice=None):
@@ -471,7 +573,7 @@ def verify_theorem2(table, p, n, lattice=None):
         lattice = e_lattice(table, p)
     n_comp = table.N
     phi_index = multipartitions(n_comp, n)
-    constraints = rational_constraints(singular_index_rows(table, p, n), len(phi_index))
+    constraints = singular_constraints(table, p, n)
 
     generators = {k: yk_generators(table, lattice, k, n)
                   for k in range(1, lattice.M + 1)}

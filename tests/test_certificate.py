@@ -36,7 +36,8 @@ def test_sym_certificate_agrees_with_kernel():
 
 
 @pytest.mark.parametrize("name, p, max_n", [("c2_table", 2, 5), ("c2_table", 3, 4),
-                                            ("c3_table", 2, 3), ("s3_table", 2, 3)])
+                                            ("c3_table", 2, 3), ("s3_table", 2, 3),
+                                            ("c4_table", 2, 3), ("c4_table", 3, 3)])
 def test_wreath_certificate_agrees_with_kernel(request, name, p, max_n):
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)

@@ -143,6 +143,26 @@ def test_table_of_no_group_exits_2(tmp_path, capsys):
     assert "divide" in err
 
 
+@pytest.mark.parametrize("edit", [lambda t: t.update(order=2.5),
+                                  lambda t: t["classes"][1].update(size=1.9),
+                                  lambda t: t["irreducibles"][0].update(values=[True, True])])
+def test_table_with_a_non_integer_or_boolean_exits_2(tmp_path, capsys, edit):
+    table = {
+        "name": "C2", "order": 2, "conductor": 1,
+        "classes": [{"label": "1a", "size": 1, "element_order": 1},
+                    {"label": "2a", "size": 1, "element_order": 2}],
+        "irreducibles": [{"label": "triv", "values": [1, 1]},
+                         {"label": "sgn", "values": [1, -1]}]}
+    edit(table)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(table))
+    code, out, err = run(capsys, "wreath", "verify", "--table", str(bad),
+                         "--p", "2", "--max-degree", "2")
+    assert code == 2
+    assert "VERIFIED" not in out
+    assert "malformed table file" in err
+
+
 def test_table_value_outside_its_field_exits_2(c4_misplaced_zeta4, capsys):
     code, out, err = run(capsys, "wreath", "verify", "--table", c4_misplaced_zeta4,
                          "--p", "2", "--max-degree", "2")

@@ -63,6 +63,26 @@ def test_cross_conductor_equality_and_rationality():
     assert not Cyclotomic.zeta(5).is_rational()
 
 
+def test_lift_to_the_own_conductor_is_the_element_itself(monkeypatch):
+    z4 = Cyclotomic(4, [1, 2, 0, 0])
+    assert z4.lift(4) is z4
+    assert z4.lift(8) == z4 and z4.lift(8).conductor == 8
+    lifts = []
+    original = Cyclotomic.lift
+
+    def counted(self, conductor):
+        lifts.append((self.conductor, conductor))
+        return original(self, conductor)
+
+    monkeypatch.setattr(Cyclotomic, "lift", counted)
+    # only the operand whose conductor differs from the common one is lifted
+    assert z4 + Cyclotomic.zeta(4) == Cyclotomic(4, [1, 3])
+    assert z4 * 3 == Cyclotomic(4, [3, 6])
+    assert (z4 == Cyclotomic.zeta(2)) is False
+    assert Cyclotomic.zeta(4) * Cyclotomic.zeta(3) == Cyclotomic.zeta(12, 7)
+    assert lifts == [(2, 4), (4, 12), (3, 12)]
+
+
 # ---------------------------------------------------------------------------
 # HNF
 

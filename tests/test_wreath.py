@@ -1,19 +1,23 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from projrep.exactlin import Cyclotomic, IntMatrix, det, same_row_lattice
+from projrep.exactlin import (Cyclotomic, IntMatrix, det, rational_constraints,
+                              same_row_lattice)
 from projrep.modsym import verify_theorem1
-from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions
+from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, x_to_c
-from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, TableError,
+from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, TableError,
                             WreathElement, count_regular_classes, e_lattice,
                             generator_exchange_check, xk_exp_identity_check, load_table,
                             p_regular_classes, phi_c_in_xi, phi_x_in_xi,
-                            verify_theorem2, xi_from_phi, xk_series, yk_generators)
+                            regular_multipartition_flags, singular_constraints,
+                            singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
+                            yk_generators)
 
 def xi_mono(ncomp, placements, coeff=1):
     comps = [EMPTY] * ncomp
@@ -93,6 +97,28 @@ def test_load_rejects_a_value_outside_its_classes_field(c4_misplaced_zeta4):
     with pytest.raises(TableError, match=r"chi_i on class 2a \(element order 2\) does "
                                          r"not lie in Q\(zeta_2\)"):
         load_table(c4_misplaced_zeta4)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t.update(order=2.5), "order must be an integer, not 2.5"),
+    (lambda t: t.update(conductor=True), "conductor must be an integer, not True"),
+    (lambda t: t.update(order="2"), "order must be an integer, not '2'"),
+    (lambda t: t["classes"][1].update(size=1.9), "size of class 2a must be an integer"),
+    (lambda t: t["classes"][1].update(element_order=2.0),
+     "element order of class 2a must be an integer"),
+    (lambda t: t["classes"][0].update(size=True), "size of class 1a must be an integer"),
+    (lambda t: t["irreducibles"][0].update(values=[True, True]), "unsupported value True"),
+    (lambda t: t["irreducibles"][0].update(values=[[True], 1]),
+     "a cyclotomic value must be a list of 1 integers"),
+])
+def test_load_rejects_non_integers_and_booleans(tmp_path, edit, message):
+    # int() would truncate 2.5 to 2 and read true as 1; both must be refused
+    payload = _table_payload()
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    with pytest.raises(TableError, match=re.escape(message)):
+        load_table(str(bad))
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -207,6 +233,72 @@ def test_xi_from_phi_is_a_ring_morphism(c2_table):
                           {mp: rng.randint(-3, 3) for mp in mps})
         assert xi_from_phi(a * b, c2_table) == \
             xi_from_phi(a, c2_table) * xi_from_phi(b, c2_table)
+
+
+def centralizer_order(table, nu):
+    """Z_nu = prod over classes C of z(nu_C) * (|G|/|C|)^len(nu_C)."""
+    result = 1
+    for cls, lam in zip(table.classes, nu):
+        result *= z(lam) * (table.order // cls.size) ** len(lam)
+    return result
+
+
+def singular_indices(table, p, n):
+    is_regular = regular_multipartition_flags(table, p, n)
+    return [nu for nu in multipartitions(table.N, n) if not is_regular(nu)]
+
+
+@pytest.mark.parametrize("name", ["trivial_table", "c2_table", "c3_table", "s3_table",
+                                  "c4_table"])
+def test_singular_index_rows_are_scaled_xi_coefficients(request, name):
+    # the class-value recursion against the xi expansion it replaces
+    table = request.getfixturevalue(name)
+    zero = Cyclotomic.from_rational(0)
+    for n in range(5):
+        phi_index = multipartitions(table.N, n)
+        expansions = [xi_from_phi(WreathElement(PHI, n, table.N, {rho: 1}), table)
+                      for rho in phi_index]
+        for p in (2, 3):
+            rows = singular_index_rows(table, p, n)
+            nus = singular_indices(table, p, n)
+            assert len(rows) == len(nus)
+            for nu, row in zip(nus, rows):
+                scale = centralizer_order(table, nu)
+                assert len(row) == len(phi_index)
+                for value, expansion in zip(row, expansions):
+                    assert value.conductor == table.conductor
+                    assert value == scale * expansion.coeffs.get(nu, zero), (p, n, nu)
+            assert singular_constraints(table, p, n) == \
+                rational_constraints(rows, len(phi_index))
+
+
+def test_singular_index_rows_follow_a_relabelled_table(c4_table):
+    # relabel the irreducibles and the non-identity classes of C4: the rows
+    # follow the classes and the columns follow the irreducibles
+    class_order = (0, 3, 1, 2)
+    irr_order = (2, 0, 3, 1)
+    relabelled = CharTable(
+        "C4'", c4_table.order, c4_table.conductor,
+        [c4_table.classes[c] for c in class_order],
+        [Irreducible(c4_table.irreducibles[j].label,
+                     tuple(c4_table.irreducibles[j].values[c] for c in class_order))
+         for j in irr_order])
+
+    def move(mp, order):
+        return MultiPartition([mp[i] for i in order])
+
+    for p in (2, 3):
+        for n in range(5):
+            phi_index = multipartitions(4, n)
+            column = {rho: i for i, rho in enumerate(phi_index)}
+            new_rows = dict(zip(singular_indices(relabelled, p, n),
+                                singular_index_rows(relabelled, p, n)))
+            old_rows = singular_index_rows(c4_table, p, n)
+            assert len(new_rows) == len(old_rows)
+            for nu, row in zip(singular_indices(c4_table, p, n), old_rows):
+                new_row = new_rows[move(nu, class_order)]
+                for rho, value in zip(phi_index, row):
+                    assert new_row[column[move(rho, irr_order)]] == value
 
 
 def test_monomial_multiplication_is_union():
