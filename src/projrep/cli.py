@@ -11,10 +11,11 @@ import hashlib
 import json
 import sys
 from importlib import resources
+from itertools import islice
 
 from . import modsym, series, wreath
 from .partitions import count_multipartitions, partitions
-from .symfunc import mn_character
+from .symfunc import generator_powers, mn_character, render_terms
 
 DEFAULT_GUARD_LIMIT = 20000
 
@@ -51,46 +52,30 @@ def matrix_digest(matrix):
 
 def emit(args, payload, text_lines):
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # written in batches: a report can be megabytes of indented JSON, and
+        # building it whole would set the peak memory of a verify run
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+        while batch := "".join(islice(chunks, 8192)):
+            sys.stdout.write(batch)
+        print()
     else:
         for line in text_lines:
             print(line)
 
 
-def sym_element_dict(element):
-    return {str(lam): str(coeff) for lam, coeff in
-            sorted(element.coeffs.items(), reverse=True)}
-
-
-def wreath_element_dict(element):
-    return {str(mp): str(coeff) for mp, coeff in element.sorted_terms()}
+def element_dict(element):
+    return {str(index): str(coeff) for index, coeff in element.sorted_terms()}
 
 
 def render_phi_element(element, table):
     """Generator-product form with irreducible labels, e.g. Phi[triv](x2)*Phi[sgn](x1)."""
-    if not element.coeffs:
-        return "0"
-    pieces = []
+    terms = []
     for mp, coeff in element.sorted_terms():
         factors = []
-        for j, lam in enumerate(mp):
-            mults = lam.multiplicities()
-            for value in sorted(mults, reverse=True):
-                base = "Phi[%s](x%d)" % (table.irreducibles[j].label, value)
-                factors.append(base if mults[value] == 1
-                               else "%s^%d" % (base, mults[value]))
-        mono = "*".join(factors) if factors else "1"
-        value = coeff.rational_value()
-        sign = "-" if value < 0 else "+"
-        mag = abs(value)
-        body = mono if mag == 1 and factors else \
-            str(mag) if not factors else "%s*%s" % (mag, mono)
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        text += " %s %s" % (sign, body)
-    return text
+        for irr, lam in zip(table.irreducibles, mp):
+            factors += generator_powers(lam, lambda v: "Phi[%s](x%d)" % (irr.label, v))
+        terms.append((coeff.rational_value(), "*".join(factors)))
+    return render_terms(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +97,7 @@ def cmd_sym_generators(args):
         if not agree:
             lines.append("  MISMATCH: series quotient gives %s" % quotient[n])
         entries.append({"n": n, "text": str(explicit),
-                        "x_basis": sym_element_dict(explicit),
+                        "x_basis": element_dict(explicit),
                         "paths_agree": agree})
     lines.append("explicit formula and series quotient %s for p=%d up to degree %d"
                  % ("agree" if all_agree else "DISAGREE", args.p, args.max_degree))
@@ -181,7 +166,7 @@ def cmd_wreath_generators(args):
             text = render_phi_element(generators[n], table)
             lines.append("y_{%d,%d} = %s" % (k, n, text))
             entries.append({"k": k, "n": n, "text": text,
-                            "phi_basis": wreath_element_dict(generators[n])})
+                            "phi_basis": element_dict(generators[n])})
     emit(args, {"command": "wreath-generators", "table": table.name, "p": args.p,
                 "max_degree": args.max_degree, "M": lattice.M,
                 "generators": entries}, lines)

@@ -13,55 +13,22 @@ from .partitions import Partition
 from .symfunc import SymElement
 
 
-class ScalarRing:
-    """Plain rationals, with the grading ignored: the scalar oracle ring."""
-
-    def zero(self, degree):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def is_zero(self, value):
-        return value == 0
-
-
-class SymRing:
-    """The graded symmetric-function ring in a fixed basis."""
-
-    def __init__(self, basis):
-        self.basis = basis
-
-    def zero(self, degree):
-        return SymElement.zero(self.basis, degree)
-
-    def one(self):
-        return SymElement.one(self.basis)
-
-    def is_zero(self, value):
-        return value.is_zero()
-
-
-SCALARS = ScalarRing()
-
-
 class GradedSeries:
-    """A series sum_{i=0}^{D} a_i t^i with a_i homogeneous of degree i."""
+    """A series sum_{i=0}^{D} a_i t^i with a_i homogeneous of degree i.
 
-    __slots__ = ("ring", "coeffs")
+    The coefficients are Fractions, Cyclotomics or graded elements; the zero
+    and the one a series needs come from its own coefficients, as c * 0 (of
+    the degree of c) and c ** 0."""
 
-    def __init__(self, ring, coeffs):
-        object.__setattr__(self, "ring", ring)
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
         object.__setattr__(self, "coeffs", tuple(coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the constant coefficient")
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedSeries is immutable")
-
-    @classmethod
-    def build(cls, ring, order, coefficient_at):
-        return cls(ring, [coefficient_at(i) for i in range(order + 1)])
 
     @property
     def order(self):
@@ -81,47 +48,54 @@ class GradedSeries:
 
     def __add__(self, other):
         self._check_order(other)
-        return GradedSeries(self.ring, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return GradedSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_order(other)
-        return GradedSeries(self.ring, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return GradedSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return GradedSeries(self.ring, [-a for a in self.coeffs])
+        return GradedSeries([-a for a in self.coeffs])
 
     def __mul__(self, other):
         self._check_order(other)
         out = []
         for i in range(self.order + 1):
-            acc = self.ring.zero(i)
-            for k in range(i + 1):
+            acc = self.coeffs[0] * other.coeffs[i]
+            for k in range(1, i + 1):
                 acc = acc + self.coeffs[k] * other.coeffs[i - k]
             out.append(acc)
-        return GradedSeries(self.ring, out)
+        return GradedSeries(out)
+
+    def one(self):
+        """The series 1, with the coefficient types and degrees of this one."""
+        return GradedSeries([self.coeffs[0] ** 0] + [c * 0 for c in self.coeffs[1:]])
 
     def is_one(self):
-        return (self.coeffs[0] == self.ring.one()
-                and all(self.ring.is_zero(c) for c in self.coeffs[1:]))
+        return self == self.one()
 
     def __repr__(self):
         return "GradedSeries(order=%d, %r)" % (self.order, list(self.coeffs))
 
 
-def one_series(ring, order):
-    return GradedSeries(ring, [ring.one()] + [ring.zero(i) for i in range(1, order + 1)])
+def one_series(order):
+    """The series 1 over the rationals."""
+    return GradedSeries([Fraction(1)] + [Fraction(0)] * order)
+
+
+def _require_unit_constant(series, operation):
+    if series.coeffs[0] != series.coeffs[0] ** 0:
+        raise ValueError("%s needs constant term 1" % operation)
 
 
 def exp(series):
     """exp of a series with zero constant term: sum_k series^k / k!."""
-    ring = series.ring
-    if not ring.is_zero(series.coeffs[0]):
+    if series.coeffs[0]:
         raise ValueError("exp needs a zero constant term")
-    result = one_series(ring, series.order)
-    term = result
+    result = term = series.one()
     for k in range(1, series.order + 1):
         term = term * series
-        term = GradedSeries(ring, [c * Fraction(1, k) for c in term.coeffs])
+        term = GradedSeries([c * Fraction(1, k) for c in term.coeffs])
         result = result + term
     return result
 
@@ -130,33 +104,29 @@ def p_split(series, p):
     """Split into the p-singular part (indices divisible by p, index 0 included)
     and the p-regular part (indices coprime to p); the two parts sum back to
     the series."""
-    ring = series.ring
-    singular = [c if i % p == 0 else ring.zero(i) for i, c in enumerate(series.coeffs)]
-    regular = [c if i % p != 0 else ring.zero(i) for i, c in enumerate(series.coeffs)]
-    return GradedSeries(ring, singular), GradedSeries(ring, regular)
+    singular = [c if i % p == 0 else c * 0 for i, c in enumerate(series.coeffs)]
+    regular = [c if i % p != 0 else c * 0 for i, c in enumerate(series.coeffs)]
+    return GradedSeries(singular), GradedSeries(regular)
 
 
 def inverse(series):
     """Multiplicative inverse of a series with constant term 1."""
-    ring = series.ring
-    if series.coeffs[0] != ring.one():
-        raise ValueError("inverse needs constant term 1")
-    out = [ring.one()]
+    _require_unit_constant(series, "inverse")
+    out = [series.coeffs[0]]
     for i in range(1, series.order + 1):
-        acc = ring.zero(i)
-        for k in range(1, i + 1):
+        acc = series.coeffs[1] * out[i - 1]
+        for k in range(2, i + 1):
             acc = acc + series.coeffs[k] * out[i - k]
         out.append(-acc)
-    return GradedSeries(ring, out)
+    return GradedSeries(out)
 
 
 def int_power(series, exponent):
     """Integer power; negative exponents use the series inverse."""
-    if series.coeffs[0] != series.ring.one():
-        raise ValueError("int_power needs constant term 1")
+    _require_unit_constant(series, "int_power")
     base = series if exponent >= 0 else inverse(series)
     exponent = abs(exponent)
-    result = one_series(series.ring, series.order)
+    result = series.one()
     while exponent:
         if exponent & 1:
             result = result * base
@@ -170,8 +140,7 @@ def quotient_y(series, p):
 
     Its coefficients vanish at every index divisible by p.
     """
-    if series.coeffs[0] != series.ring.one():
-        raise ValueError("quotient needs constant term 1")
+    _require_unit_constant(series, "quotient")
     singular, regular = p_split(series, p)
     return regular * inverse(singular)
 
@@ -182,11 +151,10 @@ def quotient_y(series, p):
 
 def x_generator_series(order, basis=symfunc.X):
     """sum_n x_n t^n (converted to the requested basis) up to the given order."""
-    ring = SymRing(basis)
     gens = [SymElement.generator(symfunc.X, i) for i in range(order + 1)]
     if basis == symfunc.C:
         gens = [symfunc.x_to_c(g) for g in gens]
-    return GradedSeries(ring, gens)
+    return GradedSeries(gens)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
-"""The graded ring of symmetric functions in the x-basis (complete homogeneous
+"""The sparse graded algebra both engines compute in, and its first instance:
+the graded ring of symmetric functions in the x-basis (complete homogeneous
 generators) and c-basis (power-sum generators), with exact base change,
 class-function values, and two independent character oracles."""
 
@@ -14,130 +15,160 @@ X = "x"
 C = "c"
 
 
-class SymElement:
-    """A homogeneous element, as a sparse map from partitions to rational coefficients."""
+class GradedElement:
+    """A homogeneous element of a graded algebra with a monomial basis: a sparse
+    map from the indices of one degree to nonzero coefficients, multiplied by
+    merging indices.  A subclass fixes its bases (BASES), the index type
+    (INDEX, with .size and .merge), how a coefficient is coerced (scalar), and
+    how elements are built in the same algebra (_like, _space, _unit)."""
 
     __slots__ = ("basis", "degree", "coeffs")
 
     def __init__(self, basis, degree, coeffs):
-        if basis not in (X, C):
+        if basis not in self.BASES:
             raise ValueError("unknown basis %r" % (basis,))
         clean = {}
-        for lam, coeff in coeffs.items():
-            if not isinstance(lam, Partition):
-                lam = Partition(lam)
-            if lam.size != degree:
-                raise ValueError("partition %s does not have degree %d" % (lam, degree))
-            coeff = Fraction(coeff)
+        for index, coeff in coeffs.items():
+            index = self._index(index)
+            if index.size != degree:
+                raise ValueError("index %s does not have degree %d" % (index, degree))
+            coeff = self.scalar(coeff)
             if coeff:
-                clean[lam] = coeff
+                clean[index] = coeff
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SymElement is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _index(self, index):
+        return index if isinstance(index, self.INDEX) else self.INDEX(index)
 
     @classmethod
-    def zero(cls, basis, degree):
-        return cls(basis, degree, {})
+    def zero(cls, *args):
+        """The zero element; args are the constructor's, without coeffs."""
+        return cls(*args, {})
 
     @classmethod
-    def one(cls, basis):
-        return cls(basis, 0, {EMPTY: Fraction(1)})
+    def one(cls, basis, *args):
+        """The unit; args are the constructor's, without degree and coeffs."""
+        return cls.zero(basis, 0, *args) ** 0
 
-    @classmethod
-    def generator(cls, basis, n):
-        """The degree-n generator: x_n or c_n."""
-        if n == 0:
-            return cls.one(basis)
-        return cls(basis, n, {Partition((n,)): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, basis, lam, coeff=1):
-        if not isinstance(lam, Partition):
-            lam = Partition(lam)
-        return cls(basis, lam.size, {lam: Fraction(coeff)})
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def is_zero(self):
         return not self.coeffs
 
     def __eq__(self, other):
-        return (isinstance(other, SymElement) and self.basis == other.basis
+        return (type(other) is type(self) and self._space() == other._space()
                 and self.degree == other.degree and self.coeffs == other.coeffs)
 
     __hash__ = None
 
     def _check_compatible(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mixed bases: %s vs %s" % (self.basis, other.basis))
+        if self._space() != other._space():
+            raise ValueError("incompatible elements: %s vs %s"
+                             % (self._space(), other._space()))
 
     def __add__(self, other):
         self._check_compatible(other)
         if self.degree != other.degree:
             raise ValueError("mixed degrees: %d vs %d" % (self.degree, other.degree))
         coeffs = dict(self.coeffs)
-        for lam, coeff in other.coeffs.items():
-            coeffs[lam] = coeffs.get(lam, Fraction(0)) + coeff
-        return SymElement(self.basis, self.degree, coeffs)
+        for index, coeff in other.coeffs.items():
+            coeffs[index] = coeffs[index] + coeff if index in coeffs else coeff
+        return self._like(self.degree, coeffs)
 
     def __neg__(self):
-        return SymElement(self.basis, self.degree,
-                          {lam: -c for lam, c in self.coeffs.items()})
+        return self._like(self.degree, {index: -c for index, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return SymElement(self.basis, self.degree,
-                              {lam: c * other for lam, c in self.coeffs.items()})
+        if not isinstance(other, GradedElement):
+            return self._like(self.degree,
+                              {index: c * other for index, c in self.coeffs.items()})
         self._check_compatible(other)
         coeffs = {}
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                key = lam.merge(mu)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + a * b
-        return SymElement(self.basis, self.degree + other.degree, coeffs)
+        for index, a in self.coeffs.items():
+            for other_index, b in other.coeffs.items():
+                key = index.merge(other_index)
+                coeffs[key] = coeffs[key] + a * b if key in coeffs else a * b
+        return self._like(self.degree + other.degree, coeffs)
 
     __rmul__ = __mul__
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for lam in sorted(self.coeffs, reverse=True):
-            coeff = self.coeffs[lam]
-            mono = monomial_str(self.basis, lam)
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            if mono == "1":
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = "%s*%s" % (mag, mono)
-            pieces.append((sign, body))
-        first_sign, first_body = pieces[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in pieces[1:]:
-            text += " %s %s" % (sign, body)
-        return text
+    def __pow__(self, exponent):
+        result = self._like(0, {self._unit(): 1})
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def sorted_terms(self):
+        """The (index, coefficient) pairs, indices in decreasing order."""
+        return [(index, self.coeffs[index]) for index in sorted(self.coeffs, reverse=True)]
 
     def __repr__(self):
-        return "SymElement(%r, %d, %s)" % (self.basis, self.degree, str(self))
+        return "%s(%r, %d, %s)" % (type(self).__name__, self.basis, self.degree, self)
 
 
-def monomial_str(basis, lam):
-    """Generator-product form of a monomial, e.g. x3*x2^2."""
-    if not lam.parts:
-        return "1"
+class SymElement(GradedElement):
+    """A homogeneous symmetric function: rational coefficients on partitions."""
+
+    __slots__ = ()
+    BASES = (X, C)
+    INDEX = Partition
+    scalar = Fraction
+
+    def _space(self):
+        return self.basis
+
+    def _like(self, degree, coeffs):
+        return SymElement(self.basis, degree, coeffs)
+
+    def _unit(self):
+        return EMPTY
+
+    @classmethod
+    def generator(cls, basis, n):
+        """The degree-n generator: x_n or c_n."""
+        return cls.monomial(basis, (n,) if n else ())
+
+    @classmethod
+    def monomial(cls, basis, lam, coeff=1):
+        lam = Partition(lam)
+        return cls(basis, lam.size, {lam: coeff})
+
+    def __str__(self):
+        def name(v):
+            return "%s%d" % (self.basis, v)
+        return render_terms([(coeff, "*".join(generator_powers(lam, name)))
+                             for lam, coeff in self.sorted_terms()])
+
+
+def generator_powers(lam, name):
+    """The factors of the monomial lam, largest generator first, e.g. x3, x2^2;
+    name(v) is the text of the degree-v generator."""
     mults = lam.multiplicities()
+    return [name(v) if mults[v] == 1 else "%s^%d" % (name(v), mults[v])
+            for v in sorted(mults, reverse=True)]
+
+
+def render_terms(terms):
+    """A sum of rational multiples of monomials as text, e.g. x3 - 2*x2*x1 + 1/2,
+    from (coefficient, monomial text) pairs, "" for the unit monomial."""
     pieces = []
-    for value in sorted(mults, reverse=True):
-        pieces.append("%s%d" % (basis, value) if mults[value] == 1
-                      else "%s%d^%d" % (basis, value, mults[value]))
-    return "*".join(pieces)
+    for coeff, mono in terms:
+        mag = abs(coeff)
+        body = str(mag) if not mono else mono if mag == 1 else "%s*%s" % (mag, mono)
+        pieces.append(("- " if coeff < 0 else "+ ") + body)
+    if not pieces:
+        return "0"
+    text = " ".join(pieces)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 # ---------------------------------------------------------------------------

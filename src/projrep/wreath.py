@@ -9,14 +9,16 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
+from operator import add, mul
 
 from .exactlin import (Cyclotomic, IntMatrix, conj, det, euler_phi, hnf_basis,
                        rational_kernel, unimodular_complete)
 from .modsym import VerificationReport, _remove_from_part
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
 from .series import GradedSeries, exp, int_power, quotient_y
+from .symfunc import GradedElement
 
 XI = "xi"
 PHI = "phi"
@@ -206,43 +208,37 @@ def e_lattice(table, p):
 # the graded wreath algebra in its two monomial bases
 
 
-class WreathElement:
-    """Homogeneous element of the wreath algebra: a sparse cyclotomic-coefficient
-    combination of monomials indexed by multipartitions."""
+class WreathElement(GradedElement):
+    """A homogeneous element of the wreath algebra: cyclotomic coefficients on
+    multipartitions with ncomp components."""
 
-    __slots__ = ("basis", "degree", "ncomp", "coeffs")
+    __slots__ = ("ncomp",)
+    BASES = (XI, PHI)
+    INDEX = MultiPartition
 
     def __init__(self, basis, degree, ncomp, coeffs):
-        if basis not in (XI, PHI):
-            raise ValueError("unknown basis %r" % (basis,))
-        clean = {}
-        for mp, coeff in coeffs.items():
-            if not isinstance(mp, MultiPartition):
-                mp = MultiPartition(mp)
-            if len(mp) != ncomp:
-                raise ValueError("index %s has %d components, expected %d"
-                                 % (mp, len(mp), ncomp))
-            if mp.size != degree:
-                raise ValueError("index %s does not have degree %d" % (mp, degree))
-            if not isinstance(coeff, Cyclotomic):
-                coeff = Cyclotomic.from_rational(coeff)
-            if coeff:
-                clean[mp] = coeff
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "ncomp", ncomp)
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__(basis, degree, coeffs)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("WreathElement is immutable")
+    @staticmethod
+    def scalar(coeff):
+        return coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.from_rational(coeff)
 
-    @classmethod
-    def zero(cls, basis, degree, ncomp):
-        return cls(basis, degree, ncomp, {})
+    def _index(self, mp):
+        mp = super()._index(mp)
+        if len(mp) != self.ncomp:
+            raise ValueError("index %s has %d components, expected %d"
+                             % (mp, len(mp), self.ncomp))
+        return mp
 
-    @classmethod
-    def one(cls, basis, ncomp):
-        return cls(basis, 0, ncomp, {MultiPartition((EMPTY,) * ncomp): 1})
+    def _space(self):
+        return self.basis, self.ncomp
+
+    def _like(self, degree, coeffs):
+        return WreathElement(self.basis, degree, self.ncomp, coeffs)
+
+    def _unit(self):
+        return MultiPartition((EMPTY,) * self.ncomp)
 
     @classmethod
     def generator(cls, basis, component, n, ncomp, coeff=1):
@@ -251,82 +247,8 @@ class WreathElement:
         comps[component] = Partition((n,))
         return cls(basis, n, ncomp, {MultiPartition(comps): coeff})
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return (isinstance(other, WreathElement) and self.basis == other.basis
-                and self.degree == other.degree and self.ncomp == other.ncomp
-                and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    def _check_compatible(self, other):
-        if self.basis != other.basis or self.ncomp != other.ncomp:
-            raise ValueError("incompatible wreath elements")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        if self.degree != other.degree:
-            raise ValueError("mixed degrees: %d vs %d" % (self.degree, other.degree))
-        coeffs = dict(self.coeffs)
-        for mp, coeff in other.coeffs.items():
-            coeffs[mp] = coeffs.get(mp, Cyclotomic.from_rational(0)) + coeff
-        return WreathElement(self.basis, self.degree, self.ncomp, coeffs)
-
-    def __neg__(self):
-        return WreathElement(self.basis, self.degree, self.ncomp,
-                             {mp: -c for mp, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyclotomic)):
-            return WreathElement(self.basis, self.degree, self.ncomp,
-                                 {mp: c * other for mp, c in self.coeffs.items()})
-        self._check_compatible(other)
-        coeffs = {}
-        for mp, a in self.coeffs.items():
-            for mq, b in other.coeffs.items():
-                key = mp.merge(mq)
-                prod = a * b
-                if key in coeffs:
-                    coeffs[key] = coeffs[key] + prod
-                else:
-                    coeffs[key] = prod
-        return WreathElement(self.basis, self.degree + other.degree, self.ncomp, coeffs)
-
-    __rmul__ = __mul__
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(),
-                      key=lambda item: tuple(c.parts for c in item[0]), reverse=True)
-
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join("(%s)*%s" % (c, mp) for mp, c in self.sorted_terms())
-
-    def __repr__(self):
-        return "WreathElement(%r, %d, %s)" % (self.basis, self.degree, str(self))
-
-
-class WreathRing:
-    """Coefficient ring adapter for graded series over the wreath algebra."""
-
-    def __init__(self, basis, ncomp):
-        self.basis = basis
-        self.ncomp = ncomp
-
-    def zero(self, degree):
-        return WreathElement.zero(self.basis, degree, self.ncomp)
-
-    def one(self):
-        return WreathElement.one(self.basis, self.ncomp)
-
-    def is_zero(self, value):
-        return value.is_zero()
+        return " + ".join("(%s)*%s" % (c, mp) for mp, c in self.sorted_terms()) or "0"
 
 
 def phi_c_in_xi(table, j, n):
@@ -348,8 +270,7 @@ def phi_x_in_xi(table, j, n):
     key = (j, n)
     series = table._phi_series.get(key)
     if series is None:
-        ring = WreathRing(XI, table.N)
-        log_series = GradedSeries(ring, [ring.zero(0)] + [
+        log_series = GradedSeries([WreathElement.zero(XI, 0, table.N)] + [
             phi_c_in_xi(table, j, i) * Fraction(1, i) for i in range(1, n + 1)])
         series = exp(log_series)
         table._phi_series[key] = series
@@ -379,10 +300,9 @@ def xi_from_phi(element, table):
 
 def _phi_x_generator_series(table, j, order):
     """sum_i Phi_j(x_i) t^i over the PHI algebra."""
-    ring = WreathRing(PHI, table.N)
-    coeffs = [ring.one()] + [WreathElement.generator(PHI, j, i, table.N)
-                             for i in range(1, order + 1)]
-    return GradedSeries(ring, coeffs)
+    return GradedSeries([WreathElement.one(PHI, table.N)]
+                        + [WreathElement.generator(PHI, j, i, table.N)
+                           for i in range(1, order + 1)])
 
 
 def xk_series(table, lattice, k, order):
@@ -392,29 +312,14 @@ def xk_series(table, lattice, k, order):
     series raised to the integer exponent phi_{j,k}; for k > M it is the
     plain linear combination with those coefficients.
     """
-    n_irr = table.N
-    if not 1 <= k <= n_irr:
+    if not 1 <= k <= table.N:
         raise ValueError("k out of range")
-    exponents = lattice.phi.rows[k - 1]
-    ring = WreathRing(PHI, n_irr)
+    terms = [(e, _phi_x_generator_series(table, j, order))
+             for j, e in enumerate(lattice.phi.rows[k - 1]) if e]
     if k <= lattice.M:
-        result = GradedSeries(ring, [ring.one()] + [ring.zero(i)
-                                                    for i in range(1, order + 1)])
-        for j in range(n_irr):
-            if exponents[j]:
-                result = result * int_power(_phi_x_generator_series(table, j, order),
-                                            exponents[j])
-        return result
-    coeffs = []
-    for i in range(order + 1):
-        acc = ring.zero(i)
-        for j in range(n_irr):
-            if exponents[j]:
-                term = (ring.one() if i == 0
-                        else WreathElement.generator(PHI, j, i, n_irr))
-                acc = acc + exponents[j] * term
-        coeffs.append(acc)
-    return GradedSeries(ring, coeffs)
+        return reduce(mul, [int_power(series, e) for e, series in terms])
+    return GradedSeries([reduce(add, [e * series[i] for e, series in terms])
+                         for i in range(order + 1)])
 
 
 def _assert_integral(element, where):
@@ -621,12 +526,11 @@ def xk_exp_identity_check(table, lattice, k, order):
         raise ValueError("k must index a lattice row (1..M)")
     p = lattice.p
     n_comp = table.N
-    ring = WreathRing(XI, n_comp)
     exponents = lattice.phi.rows[k - 1]
 
-    log_coeffs = [ring.zero(0)]
+    log_coeffs = [WreathElement.zero(XI, 0, n_comp)]
     for i in range(1, order + 1):
-        acc = ring.zero(i)
+        acc = WreathElement.zero(XI, i, n_comp)
         for c_index, cls in enumerate(table.classes):
             scalar = Cyclotomic.from_rational(0)
             for j in range(n_comp):
@@ -643,7 +547,7 @@ def xk_exp_identity_check(table, lattice, k, order):
                                       {MultiPartition(comps): scalar * Fraction(1, i)})
         log_coeffs.append(acc)
 
-    rhs = exp(GradedSeries(ring, log_coeffs))
+    rhs = exp(GradedSeries(log_coeffs))
     xk = xk_series(table, lattice, k, order)
-    lhs = GradedSeries(ring, [xi_from_phi(c, table) for c in xk.coeffs])
+    lhs = GradedSeries([xi_from_phi(c, table) for c in xk.coeffs])
     return lhs == rhs

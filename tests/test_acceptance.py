@@ -7,7 +7,7 @@ from fractions import Fraction
 from projrep import cli
 from projrep.modsym import worked_examples_check, verify_theorem1
 from projrep.partitions import p_regular_partitions, partitions
-from projrep.series import (GradedSeries, SCALARS, exp, quotient_y, y_explicit,
+from projrep.series import (GradedSeries, exp, quotient_y, y_explicit,
                             y_from_quotient, y_monomial)
 from projrep.symfunc import SymElement, X, class_values
 from projrep.wreath import (e_lattice, generator_exchange_check, xk_exp_identity_check,
@@ -171,8 +171,7 @@ def test_criterion_7_structural_identities(capsys):
 
 
 def test_criterion_8_scalar_sanity(capsys):
-    series = exp(GradedSeries(SCALARS, [Fraction(1 if i == 1 else 0)
-                                        for i in range(7)]))
+    series = exp(GradedSeries([Fraction(1 if i == 1 else 0) for i in range(7)]))
     quotient = quotient_y(series, 2)
     ok = (quotient[1] == 1 and quotient[3] == Fraction(-1, 3)
           and quotient[5] == Fraction(2, 15))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -228,3 +229,43 @@ def test_examples_json(capsys):
     payload = json.loads(out)
     assert payload["all_passed"] is True
     assert payload["notes"]
+
+
+# sha256 of the text and of the --format json output, recorded before the
+# two element classes shared one algebra: pins rendering and term order.
+GOLDEN = {
+    ("sym", "generators", "--p", "2", "--max-degree", "9"): (
+        "057b5704ad36ebc91bc5c6549706d46077ee3e3e705da06d44acfe85ed522e18",
+        "4c4991deb5dd0e3296abce8f84ee9407ab085b64be7ba6d387674705c1df583d"),
+    ("sym", "generators", "--p", "3", "--max-degree", "8"): (
+        "5d18fa62e9b03bf407a27c07a44d80ed78e2e5957b797725fec3e86164c527aa",
+        "de75bea25a0a09861f6a19340764a6b4e7917eac66c34d3e3949317ad2acda55"),
+    ("wreath", "generators", "--p", "2", "--max-degree", "4", "--table", "trivial"): (
+        "71e416331712d2805187345c77070f1409431d1f44d7ea499855e59240001f93",
+        "8404d86fab8c3b94e3bc6b04404200d9e685c54fe5727744acb12284364e58e0"),
+    ("wreath", "generators", "--p", "2", "--max-degree", "4", "--table", "c2"): (
+        "09f5d7142b45e013b7926b212b2dd650e90fd168ecbd56f8271ada7bf7476fa0",
+        "d838600e0bec9c5912c2fee8bf1ba17eccf49d2eb9a9921c829823c7e5b58e92"),
+    ("wreath", "generators", "--p", "2", "--max-degree", "4", "--table", "c3"): (
+        "6910cf29f42046a65fb22a4abbacc8891ee8a49c61a2af19b0d376c61c2019a7",
+        "a963cd9feabdd77c75e69d3078f7955ccc1b4fcd4da274b32c6f48e1b27f98f6"),
+    ("wreath", "generators", "--p", "2", "--max-degree", "4", "--table", "c4"): (
+        "c49169f5c26d3878ad073e690b3785d4db652f4198a57952ad5fdf0411452a83",
+        "f21d760daca4fd0b6273de304123b87bf1d1ab086491962016627ae0e95772c5"),
+    ("wreath", "generators", "--p", "2", "--max-degree", "4", "--table", "s3"): (
+        "eb98e9ef7a9b87113f525b123fe9f9ac265f201b11694b5f7696280244c5c455",
+        "ba9638acf67370f5f58f8be4b445642e1f7a20579458635a7e162dc21b9d5d2a"),
+    ("examples",): (
+        "24ea6330bef2a820685e4e17d8ef3b1cbc6d1da9344cb79f8b016b949662d76b",
+        "0b786011a49c43b5bec13fb5d86ab28318d3fb085a1739acf4bf26c196ae5a0b"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=" ".join)
+def test_golden_output(capsys, argv):
+    digests = []
+    for fmt in ("text", "json"):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN[argv]

@@ -5,7 +5,7 @@ import pytest
 
 from projrep.partitions import (EMPTY, MultiPartition, Partition, count_multipartitions,
                                 multipartitions, p_regular_partitions, partitions, z)
-from projrep.series import GradedSeries, SCALARS, int_power
+from projrep.series import GradedSeries, int_power
 
 
 def test_enumerate_base_cases():
@@ -83,12 +83,11 @@ def test_generator_monomial_count_identity():
     for p in (2, 3):
         for m_comp in (1, 2, 3):
             for n in range(9):
-                series = GradedSeries(SCALARS,
-                                      [Fraction(1)] + [Fraction(0)] * 8)
+                series = GradedSeries([Fraction(1)] + [Fraction(0)] * 8)
                 for step in range(1, 9):
                     if step % p == 0:
                         continue
-                    factor = GradedSeries(SCALARS, [
+                    factor = GradedSeries([
                         Fraction(1 if i == 0 else (-1 if i == step else 0))
                         for i in range(9)])
                     series = series * int_power(factor, -m_comp)

@@ -4,20 +4,54 @@ from math import factorial
 
 import pytest
 
-from projrep.partitions import partitions
-from projrep.series import (GradedSeries, SCALARS, SymRing, exp, int_power, inverse,
+from projrep.exactlin import Cyclotomic
+from projrep.partitions import MultiPartition, multipartitions, partitions
+from projrep.series import (GradedSeries, exp, int_power, inverse,
                             one_series, p_split, quotient_y, x_generator_series,
                             y_explicit, y_from_quotient, y_monomial)
 from projrep.symfunc import C, SymElement, X, x_to_c
+from projrep.wreath import XI, WreathElement
 
 
 def scalar_series(*values):
-    return GradedSeries(SCALARS, [Fraction(v) for v in values])
+    return GradedSeries([Fraction(v) for v in values])
 
 
 def exp_t(order):
-    return exp(GradedSeries(SCALARS, [Fraction(1 if i == 1 else 0)
-                                      for i in range(order + 1)]))
+    return exp(GradedSeries([Fraction(1 if i == 1 else 0) for i in range(order + 1)]))
+
+
+def sym_series(rng, constant, order=5):
+    """Random c-basis coefficients: degree i on every partition of i."""
+    return GradedSeries([SymElement(C, 0, {(): constant})] + [
+        SymElement(C, i, {lam: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for lam in partitions(i)}) for i in range(1, order + 1)])
+
+
+def wreath_series(rng, constant, order=4):
+    """Random conductor-4 cyclotomic coefficients over two-component xi indices."""
+    return GradedSeries([WreathElement(XI, 0, 2, {((), ()): constant})] + [
+        WreathElement(XI, i, 2, {mp: Cyclotomic(4, [rng.randint(-2, 2),
+                                                     rng.randint(-2, 2)])
+                                 for mp in multipartitions(2, i)})
+        for i in range(1, order + 1)])
+
+
+def element_series(seed, constant):
+    rng = random.Random(seed)
+    return sym_series(rng, constant), wreath_series(rng, constant)
+
+
+def assert_round_trips(s):
+    """The one a series builds from its own coefficients is the unit of every
+    round trip: inverse, a power against its negative, and the p-split."""
+    assert (s * inverse(s)).is_one()
+    assert s * s.one() == s
+    for k in (1, 2, 3):
+        assert (int_power(s, -k) * int_power(s, k)).is_one()
+    for p in (2, 3):
+        u, v = p_split(s, p)
+        assert u + v == s
 
 
 # ---------------------------------------------------------------------------
@@ -33,37 +67,62 @@ def test_scalar_exp_coefficients():
 def test_exp_rejects_nonzero_constant_term():
     with pytest.raises(ValueError):
         exp(scalar_series(1, 1))
+    for s in element_series(5, 1):
+        with pytest.raises(ValueError):
+            exp(s)
 
 
 def test_exp_single_generator():
     # exp(c_1 t) has coefficients c_1^n / n!
-    ring = SymRing(C)
-    series = GradedSeries(ring, [SymElement.zero(C, 0)] + [
+    series = GradedSeries([SymElement.zero(C, 0)] + [
         SymElement.generator(C, 1) if i == 1 else SymElement.zero(C, i)
         for i in range(1, 7)])
     e = exp(series)
     for n in range(7):
         assert e[n] == Fraction(1, factorial(n)) * SymElement.monomial(C, (1,) * n)
+    assert_round_trips(e)
+    # exp(zeta_4 * xi_{1,2} t) over two components has coefficients
+    # (zeta_4 * xi_{1,2})^n / n!
+    gen = Cyclotomic.zeta(4) * WreathElement.generator(XI, 1, 1, 2)
+    series = GradedSeries([WreathElement.zero(XI, 0, 2), gen]
+                          + [WreathElement.zero(XI, i, 2) for i in range(2, 7)])
+    e = exp(series)
+    for n in range(7):
+        assert e[n] == Fraction(1, factorial(n)) * gen ** n
+    assert_round_trips(e)
 
 
 def test_exp_of_power_sums_gives_x_generators():
-    ring = SymRing(C)
-    series = GradedSeries(ring, [SymElement.zero(C, 0)] + [
+    series = GradedSeries([SymElement.zero(C, 0)] + [
         Fraction(1, i) * SymElement.generator(C, i) for i in range(1, 9)])
     e = exp(series)
     for n in range(9):
         assert e[n] == x_to_c(SymElement.generator(X, n))
+    assert_round_trips(e)
+    # the same over one-component xi indices: the trivial-group wreath algebra
+    series = GradedSeries([WreathElement.zero(XI, 0, 1)] + [
+        Fraction(1, i) * WreathElement.generator(XI, 0, i, 1) for i in range(1, 9)])
+    e = exp(series)
+    for n in range(9):
+        expected = x_to_c(SymElement.generator(X, n))
+        assert e[n] == WreathElement(XI, n, 1, {MultiPartition((lam,)): c
+                                                for lam, c in expected.coeffs.items()})
+    assert_round_trips(e)
 
 
 def test_exp_is_multiplicative():
     rng = random.Random(3)
     for _ in range(10):
         order = 6
-        a = GradedSeries(SCALARS, [Fraction(0)] + [
+        a = GradedSeries([Fraction(0)] + [
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
-        b = GradedSeries(SCALARS, [Fraction(0)] + [
+        b = GradedSeries([Fraction(0)] + [
             Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(order)])
         assert exp(a + b) == exp(a) * exp(b)
+    for seed in range(2):
+        for a, b in zip(element_series(seed, 0), element_series(seed + 10, 0)):
+            assert exp(a + b) == exp(a) * exp(b)
+            assert_round_trips(exp(a))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +151,7 @@ def test_p_split_parts_sum_back():
     rng = random.Random(77)
     for p in (2, 3, 5):
         for _ in range(10):
-            x = GradedSeries(SCALARS, [Fraction(rng.randint(-5, 5)) for _ in range(9)])
+            x = GradedSeries([Fraction(rng.randint(-5, 5)) for _ in range(9)])
             u, v = p_split(x, p)
             assert u + v == x
 
@@ -116,15 +175,21 @@ def test_quotient_requires_unit_constant_term():
 
 def test_int_power_examples():
     x = scalar_series(1, 1, 0, 0, 0)
-    assert int_power(x, 0) == one_series(SCALARS, 4)
+    assert int_power(x, 0) == one_series(4)
     assert int_power(x, -1) == scalar_series(1, -1, 1, -1, 1)
     rng = random.Random(11)
     for _ in range(10):
-        s = GradedSeries(SCALARS, [Fraction(1)] + [
+        s = GradedSeries([Fraction(1)] + [
             Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)])
         assert (s * int_power(s, -1)).is_one()
         assert int_power(s, 3) == s * s * s
         assert int_power(s, -2) == inverse(s) * inverse(s)
+    for seed in range(2):
+        for s in element_series(seed, 1):
+            assert int_power(s, 0) == s.one()
+            assert int_power(s, 3) == s * s * s
+            assert int_power(s, -2) == inverse(s) * inverse(s)
+            assert_round_trips(s)
 
 
 def test_int_power_requires_unit_constant_term():

@@ -235,6 +235,17 @@ def test_xi_from_phi_is_a_ring_morphism(c2_table):
             xi_from_phi(a, c2_table) * xi_from_phi(b, c2_table)
 
 
+def test_wreath_elements_of_different_algebras_do_not_mix():
+    xi = WreathElement.generator(XI, 0, 1, 2)
+    for other in (WreathElement.generator(PHI, 0, 1, 2),
+                  WreathElement.generator(XI, 0, 1, 3)):
+        with pytest.raises(ValueError):
+            xi + other
+        with pytest.raises(ValueError):
+            xi * other
+        assert xi != other
+
+
 def centralizer_order(table, nu):
     """Z_nu = prod over classes C of z(nu_C) * (|G|/|C|)^len(nu_C)."""
     result = 1
