@@ -260,7 +260,7 @@ class IntMatrix:
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if rows:
             widths = {len(row) for row in rows}
             if len(widths) != 1:
@@ -344,11 +344,14 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def hnf_with_transform(matrix):
-    """Row-style Hermite normal form H with a unimodular U such that U @ matrix = H."""
+def _hermite(matrix, transform):
+    """Row-style Hermite normal form of matrix as a list of rows, and, if
+    transform, the rows of a unimodular U with U @ matrix = H (else None).
+    Every row operation acts on each tracked matrix alike."""
     a = [list(row) for row in matrix.rows]
     nr, nc = matrix.nrows, matrix.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if transform else None
+    tracked = (a, u) if transform else (a,)
     pr = 0
     for c in range(nc):
         piv = next((i for i in range(pr, nr) if a[i][c]), None)
@@ -359,35 +362,40 @@ def hnf_with_transform(matrix):
                 continue
             g, x, y = _xgcd(a[piv][c], a[i][c])
             p, q = a[piv][c] // g, a[i][c] // g
-            a[piv], a[i] = ([x * rp + y * ri for rp, ri in zip(a[piv], a[i])],
-                            [-q * rp + p * ri for rp, ri in zip(a[piv], a[i])])
-            u[piv], u[i] = ([x * rp + y * ri for rp, ri in zip(u[piv], u[i])],
-                            [-q * rp + p * ri for rp, ri in zip(u[piv], u[i])])
-        a[pr], a[piv] = a[piv], a[pr]
-        u[pr], u[piv] = u[piv], u[pr]
+            for m in tracked:
+                m[piv], m[i] = ([x * rp + y * ri for rp, ri in zip(m[piv], m[i])],
+                                [-q * rp + p * ri for rp, ri in zip(m[piv], m[i])])
+        for m in tracked:
+            m[pr], m[piv] = m[piv], m[pr]
         if a[pr][c] < 0:
-            a[pr] = [-v for v in a[pr]]
-            u[pr] = [-v for v in u[pr]]
+            for m in tracked:
+                m[pr] = [-v for v in m[pr]]
         for r in range(pr):
             q = a[r][c] // a[pr][c]
             if q:
-                a[r] = [v - q * w for v, w in zip(a[r], a[pr])]
-                u[r] = [v - q * w for v, w in zip(u[r], u[pr])]
+                for m in tracked:
+                    m[r] = [v - q * w for v, w in zip(m[r], m[pr])]
         pr += 1
         if pr == nr:
             break
-    return IntMatrix(a, nc), IntMatrix(u, nr)
+    return a, u
+
+
+def hnf_with_transform(matrix):
+    """Row-style Hermite normal form H with a unimodular U such that U @ matrix = H."""
+    h, u = _hermite(matrix, True)
+    return IntMatrix(h, matrix.ncols), IntMatrix(u, matrix.nrows)
 
 
 def hnf(matrix):
-    """Row-style HNF: upper echelon, positive pivots, entries above a pivot in [0, pivot)."""
-    return hnf_with_transform(matrix)[0]
+    """Row-style HNF: upper echelon, positive pivots, entries above a pivot in
+    [0, pivot).  Builds no transform."""
+    return IntMatrix(_hermite(matrix, False)[0], matrix.ncols)
 
 
 def hnf_basis(matrix):
     """HNF with zero rows dropped: the canonical basis of the row-span lattice."""
-    h = hnf(matrix)
-    return IntMatrix(tuple(row for row in h.rows if any(row)), h.ncols)
+    return IntMatrix([row for row in _hermite(matrix, False)[0] if any(row)], matrix.ncols)
 
 
 def same_row_lattice(a, b):
@@ -459,7 +467,7 @@ def rank_mod(matrix):
 
     Columns are eliminated from last to first.  The rank does not depend on
     the order, but rows whose last nonzero entries lie in distinct columns
-    (the triangular tables of modsym) then need no row operation at all.
+    (such as modsym.singular_class_rows) then need no row operation at all.
     """
     prime = RANK_PRIME
     rows = [[v % prime for v in row] for row in matrix.rows]
@@ -482,6 +490,19 @@ def rank_mod(matrix):
     return rank
 
 
+def is_unit_echelon(basis):
+    """True iff basis is in echelon form with every pivot 1 and no zero row.
+    Its pivot minor is then unitriangular, so Q*span(basis) meets Z^ncols in
+    span(basis) alone: the row lattice is saturated."""
+    last_pivot = -1
+    for row in basis.rows:
+        pivot = next((j for j, v in enumerate(row) if v), None)
+        if pivot is None or pivot <= last_pivot or row[pivot] != 1:
+            return False
+        last_pivot = pivot
+    return True
+
+
 def certify_kernel_basis(basis, constraints, expected):
     """True only if the rows of basis are provably a Z-basis of
     L = {v in Z^ncols : constraints @ v = 0} with `expected` elements.
@@ -498,14 +519,9 @@ def certify_kernel_basis(basis, constraints, expected):
     Z^ncols in span(basis), hence L = span(basis).  False means only that
     the certificate does not apply, never that the lattices differ.
     """
-    if basis.nrows != expected or basis.ncols != constraints.ncols:
+    if (basis.nrows != expected or basis.ncols != constraints.ncols
+            or not is_unit_echelon(basis)):
         return False
-    last_pivot = -1
-    for row in basis.rows:
-        pivot = next((j for j, v in enumerate(row) if v), None)
-        if pivot is None or pivot <= last_pivot or row[pivot] != 1:
-            return False
-        last_pivot = pivot
     for row in basis.rows:
         support = [(j, v) for j, v in enumerate(row) if v]
         if any(sum(v * c[j] for j, v in support) for c in constraints.rows):

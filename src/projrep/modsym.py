@@ -1,18 +1,20 @@
 """Symmetric-group engine: the lattice of virtual characters vanishing on
-p-singular classes, the polynomial generators y_n, and per-degree verification
-that the generator monomials span exactly that lattice (by certificate, or by
-Hermite normal form equality with the computed kernel)."""
+p-singular classes, the polynomial generators y_n and their class values,
+and per-degree verification that the generator monomials span exactly that
+lattice (structurally, by certificate, or by Hermite normal form equality
+with the computed kernel)."""
 
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from functools import lru_cache
 
-from .exactlin import (IntMatrix, certify_kernel_basis, hnf_basis, integer_kernel,
-                       rational_kernel)
+from .exactlin import (IntMatrix, certify_kernel_basis, cyclotomic_polynomial, hnf_basis,
+                       integer_kernel, is_unit_echelon, rational_kernel)
 from .partitions import Partition, p_regular_partitions, partitions
-from .series import y_explicit, y_monomial
+from .series import y_explicit, y_monomial, y_satisfies_quotient
 from .symfunc import SymElement, X, class_values, schur_in_x
 
 
@@ -80,22 +82,154 @@ def reg_lattice(n, p):
     return RegLattice(n, p, rational_kernel(singular_class_rows(n, p), len(partitions(n))))
 
 
-def element_coordinates(element, n):
-    """Integer x-basis coordinate vector of a degree-n element, in partitions(n) order."""
-    coords = []
-    for lam in partitions(n):
-        c = element.coeffs.get(lam, 0)
-        if c.denominator != 1:
-            raise AssertionError("non-integral coordinate at %s" % lam)
-        coords.append(int(c))
+def element_coordinates(element, positions):
+    """Integer coordinate vector of an element whose coefficients are integral
+    rationals or cyclotomics; positions maps each index of its degree to a
+    column, and is built once per degree."""
+    coords = [0] * len(positions)
+    for index, coeff in element.coeffs.items():
+        value = coeff if isinstance(coeff, Fraction) else coeff.rational_value()
+        if value.denominator != 1:
+            raise AssertionError("non-integral coordinate at %s" % (index,))
+        coords[positions[index]] = int(value)
     return coords
 
 
 def y_monomials(n, p):
     """Rows: x-basis coordinates of y_lambda over the p-regular partitions of n."""
-    rows = [element_coordinates(y_monomial(lam, p), n)
+    positions = {lam: i for i, lam in enumerate(partitions(n))}
+    rows = [element_coordinates(y_monomial(lam, p), positions)
             for lam in p_regular_partitions(n, p)]
-    return IntMatrix(rows, len(partitions(n)))
+    return IntMatrix(rows, len(positions))
+
+
+# ---------------------------------------------------------------------------
+# class values of the generators, with no table of class values
+
+
+CycleWeight = namedtuple("CycleWeight", "values element_orders conductor")
+CycleWeight.__doc__ = """A class function psi of a finite group G, the weight of one cycle.
+
+values[c] holds the integer power-basis coordinates of psi(C_c) over
+Z[zeta_conductor], and element_orders[c] the order of the elements of C_c.
+A class of G wr S_n is a multiset of cycles, each with a length r and the
+class C_c of its cycle product; it is written as the sorted tuple of the
+labels r * N + c, N the number of classes of G.  S_n is the case G = 1:
+SYM_WEIGHT, one class and psi = 1, where a class is its sorted cycle
+lengths."""
+
+SYM_WEIGHT = CycleWeight(((1,),), (1,), 1)
+
+
+def _times(a, b, conductor):
+    """Product in Z[zeta_m] of two power-basis coordinate tuples."""
+    d = len(a)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    if d > 1:
+        poly = cyclotomic_polynomial(conductor)
+        for i in range(2 * d - 2, d - 1, -1):
+            if prod[i]:
+                for t in range(d):
+                    prod[i - d + t] -= prod[i] * poly[t]
+    return tuple(prod[:d])
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(cls):
+    """prod over the distinct labels of a class of (multiplicity)!."""
+    result = run = 1
+    for i in range(1, len(cls)):
+        run = run + 1 if cls[i] == cls[i - 1] else 1
+        result *= run
+    return result
+
+
+def convolve(f, g, conductor):
+    """The induction product of two class functions of wreath products, each
+    a dict {class: value} (see CycleWeight) holding its nonzero values:
+        (f * g)(mu) = sum over sub-multisets nu of the cycles of mu of
+                      prod over labels l of C(m_l(mu), m_l(nu)) * f(nu) * g(mu - nu)
+    (Macdonald I.7 and I App. B).  The binomial product is
+    aut(mu) / (aut(nu) * aut(mu - nu)), aut the product of multiplicity
+    factorials."""
+    out = {}
+    for nu, a in f.items():
+        aut_nu = _automorphisms(nu)
+        for rho, b in g.items():
+            mu = tuple(sorted(nu + rho))
+            mult = _automorphisms(mu) // (aut_nu * _automorphisms(rho))
+            value = _times(a, b, conductor)
+            entry = out.get(mu)
+            if entry is None:
+                out[mu] = [mult * v for v in value]
+            else:
+                for t, v in enumerate(value):
+                    entry[t] += mult * v
+    return {mu: tuple(v) for mu, v in out.items() if any(v)}
+
+
+@lru_cache(maxsize=None)
+def cycle_products(weight, n):
+    """The values of X_n, the character whose value on a class of G wr S_n is
+    the product of psi(C) over its cycles, as {class: value} on the classes
+    where it is nonzero.  X_n is x_n (value 1) for SYM_WEIGHT, and X_{k,n}
+    for the weight psi_k of wreath.cycle_weight."""
+    ncls = len(weight.values)
+    support = [c for c in range(ncls) if any(weight.values[c])]
+    out = {}
+
+    def descend(remaining, low, prefix, value):
+        if not remaining:
+            out[prefix] = value
+            return
+        for r in range(max(low // ncls, 1), remaining + 1):
+            for c in support:
+                label = r * ncls + c
+                if label >= low:
+                    descend(remaining - r, label, prefix + (label,),
+                            _times(value, weight.values[c], weight.conductor))
+
+    descend(n, 0, (), (1,) + (0,) * (len(weight.values[0]) - 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def generator_values(weight, p, n):
+    """The nonzero values of the generator y_n as {class: value}, from
+    X(t) = S(t) * (1 + Y(t)) with X_j = cycle_products(weight, j) and S the
+    part of X in degrees divisible by p:
+        y_n = [p does not divide n] * X_n - sum over p | j, 0 < j < n of X_j * y_{n-j},
+    the product being the induction product (convolve).  Needs no table of
+    class values: degree n reads only the generators below it."""
+    acc = {}
+    if n % p:
+        acc = {mu: list(v) for mu, v in cycle_products(weight, n).items()}
+    for j in range(p, n, p):
+        for mu, value in convolve(cycle_products(weight, j),
+                                  generator_values(weight, p, n - j),
+                                  weight.conductor).items():
+            entry = acc.setdefault(mu, [0] * len(value))
+            for t, v in enumerate(value):
+                entry[t] -= v
+    return {mu: tuple(v) for mu, v in acc.items() if any(v)}
+
+
+@lru_cache(maxsize=None)
+def _vanishes_on_singular(weight, p, n):
+    ncls = len(weight.values)
+    return all(label // ncls % p and weight.element_orders[label % ncls] % p
+               for mu in generator_values(weight, p, n) for label in mu)
+
+
+def generators_vanish(weight, p, n):
+    """Check (a') of the structural certificate: every generator y_k, k <= n,
+    vanishes on the p-singular classes (those with a cycle of length divisible
+    by p, or in a p-singular class of G)."""
+    return all(_vanishes_on_singular(weight, p, k) for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -124,28 +258,52 @@ class VerificationReport:
         }
 
     @classmethod
-    def decide(cls, degree, p, constraints, monomial_hnf, expected, start):
+    def decide(cls, degree, p, constraints, monomial_hnf, expected, start, generators=None):
         """The report on whether monomial_hnf is a basis of the vanishing
-        lattice {v : constraints @ v = 0} of rank `expected`: proved by
-        certify_kernel_basis where it applies, else decided by computing
-        that kernel and comparing HNFs.  start is the perf_counter() reading
-        the verification began at."""
-        if certify_kernel_basis(monomial_hnf, constraints, expected):
-            method, lattice_hnf = "certificate", monomial_hnf
+        lattice L = {v : constraints @ v = 0}, whose rank is `expected`, the
+        number of p-regular classes.  constraints is that integer matrix, or
+        a function building it, called only off the structural path.
+        generators is the outcome of the structural generator checks: None
+        if they were not run or the coordinates of the generators fail
+        X = S * (1 + Y), True if every generator of degree <= n vanishes on
+        the p-singular classes (a'), False if one does not.
+
+        Structural: (a'), with monomial_hnf in echelon form with unit pivots
+        (b) and `expected` rows (c').  Otherwise certify_kernel_basis, and
+        where that does not apply the kernel and a comparison of HNFs.  A
+        failed (a') makes the verdict false; the kernel still fills
+        lattice_hnf.  start is the perf_counter() reading the verification
+        began at."""
+        if generators and monomial_hnf.nrows == expected and is_unit_echelon(monomial_hnf):
+            method = "structural"
         else:
-            method, lattice_hnf = "kernel", integer_kernel(constraints)
-        verdict = lattice_hnf == monomial_hnf and lattice_hnf.nrows == expected
+            if callable(constraints):
+                constraints = constraints()
+            method = ("certificate" if generators is not False
+                      and certify_kernel_basis(monomial_hnf, constraints, expected)
+                      else "kernel")
+        lattice_hnf = integer_kernel(constraints) if method == "kernel" else monomial_hnf
+        verdict = (generators is not False and lattice_hnf == monomial_hnf
+                   and lattice_hnf.nrows == expected)
         return cls(degree, p, lattice_hnf.nrows, expected, lattice_hnf, monomial_hnf,
                    verdict, method, time.perf_counter() - start)
+
+
+def sym_constraints(n, p):
+    """The integer constraint matrix E of degree n: the nonzero
+    singular_class_rows."""
+    return IntMatrix([row for row in singular_class_rows(n, p) if any(row)],
+                     len(partitions(n)))
 
 
 def verify_theorem1(n, p):
     """Check that the y-monomials span exactly the vanishing lattice in degree n."""
     start = time.perf_counter()
-    constraints = IntMatrix([row for row in singular_class_rows(n, p) if any(row)],
-                            len(partitions(n)))
-    return VerificationReport.decide(n, p, constraints, hnf_basis(y_monomials(n, p)),
-                                     len(p_regular_partitions(n, p)), start)
+    monomial_hnf = hnf_basis(y_monomials(n, p))
+    generators = (generators_vanish(SYM_WEIGHT, p, n)
+                  if all(y_satisfies_quotient(k, p) for k in range(1, n + 1)) else None)
+    return VerificationReport.decide(n, p, lambda: sym_constraints(n, p), monomial_hnf,
+                                     len(p_regular_partitions(n, p)), start, generators)
 
 
 # ---------------------------------------------------------------------------

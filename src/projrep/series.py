@@ -184,6 +184,22 @@ def y_explicit(n, p):
     return SymElement(symfunc.X, n, {k: Fraction(v) for k, v in coeffs.items()})
 
 
+@lru_cache(maxsize=None)
+def y_satisfies_quotient(n, p):
+    """True iff the generators y_explicit satisfy the degree-n part of
+    X(t) = S(t) * (1 + Y(t)) in the x-basis, S the part of X in degrees
+    divisible by p:
+        x_n = sum over p | j, 0 <= j <= n of x_j * y_{n-j},  x_0 = y_0 = 1.
+    These n >= 1 determine Y, so they tie the coordinates of the y_explicit
+    to the generators that modsym.generator_values evaluates."""
+    total = SymElement.zero(symfunc.X, n)
+    for j in range(0, n, p):
+        total = total + SymElement.generator(symfunc.X, j) * y_explicit(n - j, p)
+    if n % p == 0:
+        total = total + SymElement.generator(symfunc.X, n)
+    return total == SymElement.generator(symfunc.X, n)
+
+
 def y_from_quotient(max_degree, p, basis=symfunc.X):
     """Generators via the series quotient: coefficients 0..max_degree of Y."""
     return quotient_y(x_generator_series(max_degree, basis), p)

@@ -10,14 +10,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import factorial, gcd, prod
 from operator import add, mul
 
 from .exactlin import (Cyclotomic, IntMatrix, conj, det, euler_phi, hnf_basis,
                        rational_kernel, unimodular_complete)
-from .modsym import VerificationReport, _remove_from_part
+from .modsym import (CycleWeight, VerificationReport, _remove_from_part, element_coordinates,
+                     generators_vanish)
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
-from .series import GradedSeries, exp, int_power, quotient_y
+from .series import GradedSeries, exp, int_power, p_split, quotient_y
 from .symfunc import GradedElement
 
 XI = "xi"
@@ -366,19 +367,46 @@ def count_regular_classes(table, p, n):
                                component_filter=lambda idx: flags[idx]))
 
 
-def element_int_coordinates(element, index):
-    """Integer coordinate vector of a PHI element over an ordered monomial index."""
-    coords = []
-    for mp in index:
-        coeff = element.coeffs.get(mp)
-        if coeff is None:
-            coords.append(0)
-            continue
-        value = coeff.rational_value()
-        if value.denominator != 1:
-            raise AssertionError("non-integer coordinate at %s" % (mp,))
-        coords.append(int(value))
-    return coords
+def cycle_weight(table, lattice, k):
+    """psi_k = sum_j phi_{kj} chi_j, the k-th lattice row as a virtual
+    character of G, as a CycleWeight: the value of X_{k,n} on a class of
+    G wr S_n is the product of psi_k(C) over its cycles, because the series
+    of the Phi_j(x_i) is multiplicative in the character chi_j."""
+    row = lattice.phi.rows[k - 1]
+    values = tuple(tuple(sum(e * matrix[t][0] for e, matrix in zip(row, multipliers))
+                         for t in range(euler_phi(table.conductor)))
+                   for multipliers in table._multipliers)
+    return CycleWeight(values, tuple(c.element_order for c in table.classes), table.conductor)
+
+
+def xk_closed_form(table, lattice, k, n):
+    """X_{k,n} for a lattice row k <= M, with no series arithmetic.  X_k is the
+    product over j of H_j^{e_j}, H_j = sum_i Phi_j(x_i) t^i and e_j = phi_{kj},
+    and (1 + u)^e = sum_l (e)_l u^l / l! with (e)_l the falling factorial, so
+    the coefficient of the Phi monomial rho is
+        prod over j of (e_j)_{l(rho_j)} / prod over part values v of m_v(rho_j)!,
+    an integer (a generalized binomial times a multinomial)."""
+    exponents = lattice.phi.rows[k - 1]
+    coeffs = {}
+    for rho in multipartitions(table.N, n, component_filter=lambda j: exponents[j] != 0):
+        coeff = 1
+        for e, lam in zip(exponents, rho):
+            coeff *= (prod(range(e, e - len(lam), -1))
+                      // prod(map(factorial, lam.multiplicities().values())))
+        coeffs[rho] = coeff
+    return WreathElement(PHI, n, table.N, coeffs)
+
+
+def satisfies_quotient(table, lattice, k, generators):
+    """True iff the generator coordinates y_{k,0..n} (generators, as
+    yk_generators returns them) satisfy X_k = S_k * (1 + Y_k) in every degree
+    <= n, S_k the part of X_k in degrees divisible by p, with X_k in the
+    closed form of xk_closed_form: independent of the series arithmetic
+    that computed the generators, and with the value prod psi_k(C) over
+    the cycles that modsym.generator_values evaluates."""
+    xk = GradedSeries([xk_closed_form(table, lattice, k, i) for i in range(len(generators))])
+    singular, _ = p_split(xk, lattice.p)
+    return singular * GradedSeries((xk[0],) + tuple(generators[1:])) == xk
 
 
 @lru_cache(maxsize=None)
@@ -476,23 +504,24 @@ def verify_theorem2(table, p, n, lattice=None):
     start = time.perf_counter()
     if lattice is None:
         lattice = e_lattice(table, p)
-    n_comp = table.N
-    phi_index = multipartitions(n_comp, n)
-    constraints = singular_constraints(table, p, n)
-
+    positions = {mp: i for i, mp in enumerate(multipartitions(table.N, n))}
     generators = {k: yk_generators(table, lattice, k, n)
                   for k in range(1, lattice.M + 1)}
     rows = []
     for assignment in multipartitions(lattice.M, n,
                                       part_filter=lambda v: v % p != 0):
-        product = WreathElement.one(PHI, n_comp)
+        product = WreathElement.one(PHI, table.N)
         for k0, lam in enumerate(assignment):
             for part in lam.parts:
                 product = product * generators[k0 + 1][part]
-        rows.append(element_int_coordinates(product, phi_index))
-    return VerificationReport.decide(n, p, constraints,
-                                     hnf_basis(IntMatrix(rows, len(phi_index))),
-                                     count_regular_classes(table, p, n), start)
+        rows.append(element_coordinates(product, positions))
+    vanish = None
+    if all(satisfies_quotient(table, lattice, k, y) for k, y in generators.items()):
+        vanish = all(generators_vanish(cycle_weight(table, lattice, k), p, n)
+                     for k in generators)
+    return VerificationReport.decide(n, p, lambda: singular_constraints(table, p, n),
+                                     hnf_basis(IntMatrix(rows, len(positions))),
+                                     count_regular_classes(table, p, n), start, vanish)
 
 
 def generator_exchange_check(table, lattice, n, order=None):

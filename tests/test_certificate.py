@@ -1,5 +1,5 @@
-"""The certificate that proves a degree's lattice equality without computing
-the kernel, cross-checked against the kernel path it replaces."""
+"""The certificates that prove a degree's lattice equality without computing
+the kernel, cross-checked against the kernel path they replace."""
 
 from fractions import Fraction
 
@@ -26,36 +26,49 @@ def decide(basis, constraints, expected):
 
 
 def test_sym_certificate_agrees_with_kernel():
+    # structural = certificate = kernel
     for p in (2, 3, 5):
         for n in range(11):
             report = verify_theorem1(n, p)
-            assert report.method == "certificate", (n, p)
+            assert report.method == "structural", (n, p)
             constraints = rational_constraints(singular_class_rows(n, p), len(partitions(n)))
+            assert certify_kernel_basis(report.monomial_hnf, constraints, report.expected_rank)
             assert hnf_basis(integer_kernel(constraints)) == report.monomial_hnf
             assert report.lattice_hnf == report.monomial_hnf
 
 
 @pytest.mark.parametrize("name, p, max_n", [("c2_table", 2, 5), ("c2_table", 3, 4),
                                             ("c3_table", 2, 3), ("s3_table", 2, 3),
-                                            ("c4_table", 2, 3), ("c4_table", 3, 3)])
+                                            ("c4_table", 2, 3), ("c4_table", 3, 3),
+                                            ("trivial_table", 2, 6), ("trivial_table", 3, 6),
+                                            ("c3_table", 3, 3), ("s3_table", 3, 3)])
 def test_wreath_certificate_agrees_with_kernel(request, name, p, max_n):
+    # structural = certificate = kernel
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)
     for n in range(max_n + 1):
         report = verify_theorem2(table, p, n, lattice=lattice)
-        assert report.method == "certificate", (table.name, p, n)
+        assert report.method == "structural", (table.name, p, n)
         constraints = rational_constraints(singular_index_rows(table, p, n),
                                            len(multipartitions(table.N, n)))
+        assert certify_kernel_basis(report.monomial_hnf, constraints, report.expected_rank)
         assert hnf_basis(integer_kernel(constraints)) == report.monomial_hnf
         assert report.lattice_hnf == report.monomial_hnf
 
 
-def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_table):
+def _fallback_cases(c2_table, s3_table):
     cases = [(verify_theorem1, (n, p)) for p in (2, 3) for n in range(9)]
     for table, p, max_n in ((c2_table, 2, 4), (s3_table, 2, 2)):
         lattice = e_lattice(table, p)
         cases += [(verify_theorem2, (table, p, n, lattice)) for n in range(max_n + 1)]
+    return cases
+
+
+def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_table):
+    cases = _fallback_cases(c2_table, s3_table)
     certified = [verify(*args) for verify, args in cases]
+    # (b) of the structural certificate fails, and then the certificate
+    monkeypatch.setattr(modsym, "is_unit_echelon", lambda basis: False)
     monkeypatch.setattr(modsym, "certify_kernel_basis", lambda *args: False)
     for (verify, args), expected in zip(cases, certified):
         report = verify(*args)
@@ -64,6 +77,17 @@ def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_tab
         assert report.rank == expected.rank
         assert report.lattice_hnf == expected.lattice_hnf
         assert report.monomial_hnf == expected.monomial_hnf
+
+
+def test_structural_fallback_runs_the_certificate(monkeypatch, c2_table, s3_table):
+    cases = _fallback_cases(c2_table, s3_table)
+    structural = [verify(*args) for verify, args in cases]
+    monkeypatch.setattr(modsym, "is_unit_echelon", lambda basis: False)
+    for (verify, args), expected in zip(cases, structural):
+        report = verify(*args)
+        assert report.method == "certificate"
+        assert (report.verdict, report.rank, report.lattice_hnf, report.monomial_hnf) \
+            == (expected.verdict, expected.rank, expected.lattice_hnf, expected.monomial_hnf)
 
 
 # ---------------------------------------------------------------------------

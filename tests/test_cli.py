@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from projrep import cli
-from projrep.exactlin import IntMatrix
-from projrep.modsym import verify_theorem1
-from projrep.partitions import Partition, partitions
+from projrep.exactlin import IntMatrix, certify_kernel_basis
+from projrep.modsym import sym_constraints, verify_theorem1
+from projrep.partitions import Partition, count_multipartitions, partitions
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, mn_character
+from projrep.wreath import singular_constraints
 
 from conftest import table_path
 
@@ -188,12 +189,21 @@ def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
 def test_verify_reports_the_method(capsys):
     code, out, _ = run(capsys, "sym", "verify", "--p", "3", "--max-degree", "4")
     assert code == 0
-    assert all(line.endswith("method=certificate")
+    assert all(line.endswith("method=structural")
                for line in out.strip().splitlines()[:-1])
+    for n in range(5):
+        report = verify_theorem1(n, 3)
+        assert certify_kernel_basis(report.monomial_hnf, sym_constraints(n, 3),
+                                    report.expected_rank)
     code, out, _ = run(capsys, "wreath", "verify", "--table", "c3", "--p", "2",
                        "--max-degree", "2", "--format", "json")
     assert code == 0
-    assert [entry["method"] for entry in json.loads(out)["reports"]] == ["certificate"] * 3
+    reports = json.loads(out)["reports"]
+    assert [entry["method"] for entry in reports] == ["structural"] * 3
+    table = cli.resolve_table("c3")
+    for n, entry in enumerate(reports):
+        assert certify_kernel_basis(IntMatrix(entry["monomial_hnf"], count_multipartitions(3, n)),
+                                    singular_constraints(table, 2, n), entry["expected_rank"])
 
 
 def test_missing_table_exits_2(capsys):
