@@ -344,14 +344,11 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
-def _hermite(matrix, transform):
-    """Row-style Hermite normal form of matrix as a list of rows, and, if
-    transform, the rows of a unimodular U with U @ matrix = H (else None).
-    Every row operation acts on each tracked matrix alike."""
+def hnf_with_transform(matrix):
+    """Row-style Hermite normal form H with a unimodular U such that U @ matrix = H."""
     a = [list(row) for row in matrix.rows]
     nr, nc = matrix.nrows, matrix.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)] if transform else None
-    tracked = (a, u) if transform else (a,)
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     pr = 0
     for c in range(nc):
         piv = next((i for i in range(pr, nr) if a[i][c]), None)
@@ -362,40 +359,35 @@ def _hermite(matrix, transform):
                 continue
             g, x, y = _xgcd(a[piv][c], a[i][c])
             p, q = a[piv][c] // g, a[i][c] // g
-            for m in tracked:
-                m[piv], m[i] = ([x * rp + y * ri for rp, ri in zip(m[piv], m[i])],
-                                [-q * rp + p * ri for rp, ri in zip(m[piv], m[i])])
-        for m in tracked:
-            m[pr], m[piv] = m[piv], m[pr]
+            a[piv], a[i] = ([x * rp + y * ri for rp, ri in zip(a[piv], a[i])],
+                            [-q * rp + p * ri for rp, ri in zip(a[piv], a[i])])
+            u[piv], u[i] = ([x * rp + y * ri for rp, ri in zip(u[piv], u[i])],
+                            [-q * rp + p * ri for rp, ri in zip(u[piv], u[i])])
+        a[pr], a[piv] = a[piv], a[pr]
+        u[pr], u[piv] = u[piv], u[pr]
         if a[pr][c] < 0:
-            for m in tracked:
-                m[pr] = [-v for v in m[pr]]
+            a[pr] = [-v for v in a[pr]]
+            u[pr] = [-v for v in u[pr]]
         for r in range(pr):
             q = a[r][c] // a[pr][c]
             if q:
-                for m in tracked:
-                    m[r] = [v - q * w for v, w in zip(m[r], m[pr])]
+                a[r] = [v - q * w for v, w in zip(a[r], a[pr])]
+                u[r] = [v - q * w for v, w in zip(u[r], u[pr])]
         pr += 1
         if pr == nr:
             break
-    return a, u
-
-
-def hnf_with_transform(matrix):
-    """Row-style Hermite normal form H with a unimodular U such that U @ matrix = H."""
-    h, u = _hermite(matrix, True)
-    return IntMatrix(h, matrix.ncols), IntMatrix(u, matrix.nrows)
+    return IntMatrix(a, nc), IntMatrix(u, nr)
 
 
 def hnf(matrix):
-    """Row-style HNF: upper echelon, positive pivots, entries above a pivot in
-    [0, pivot).  Builds no transform."""
-    return IntMatrix(_hermite(matrix, False)[0], matrix.ncols)
+    """Row-style HNF: upper echelon, positive pivots, entries above a pivot in [0, pivot)."""
+    return hnf_with_transform(matrix)[0]
 
 
 def hnf_basis(matrix):
     """HNF with zero rows dropped: the canonical basis of the row-span lattice."""
-    return IntMatrix([row for row in _hermite(matrix, False)[0] if any(row)], matrix.ncols)
+    h = hnf(matrix)
+    return IntMatrix(tuple(row for row in h.rows if any(row)), h.ncols)
 
 
 def same_row_lattice(a, b):

@@ -14,7 +14,7 @@ from functools import lru_cache
 from .exactlin import (IntMatrix, certify_kernel_basis, cyclotomic_polynomial, hnf_basis,
                        integer_kernel, is_unit_echelon, rational_kernel)
 from .partitions import Partition, p_regular_partitions, partitions
-from .series import y_explicit, y_monomial, y_satisfies_quotient
+from .series import satisfies_quotient, x_generator_series, y_explicit, y_monomial
 from .symfunc import SymElement, X, class_values, schur_in_x
 
 
@@ -258,31 +258,37 @@ class VerificationReport:
         }
 
     @classmethod
-    def decide(cls, degree, p, constraints, monomial_hnf, expected, start, generators=None):
+    def decide(cls, degree, p, build_constraints, monomial_hnf, expected, start,
+               generators=None):
         """The report on whether monomial_hnf is a basis of the vanishing
-        lattice L = {v : constraints @ v = 0}, whose rank is `expected`, the
-        number of p-regular classes.  constraints is that integer matrix, or
-        a function building it, called only off the structural path.
-        generators is the outcome of the structural generator checks: None
-        if they were not run or the coordinates of the generators fail
-        X = S * (1 + Y), True if every generator of degree <= n vanishes on
-        the p-singular classes (a'), False if one does not.
+        lattice L = {v : E @ v = 0}, whose rank is `expected`, the number of
+        p-regular classes; build_constraints() returns the integer matrix E
+        and runs only off the structural path.  generators is the outcome of
+        the structural generator checks: None if the coordinates of the
+        generators fail X = S * (1 + Y) (or no checks ran), True if every
+        generator of degree <= n vanishes on the p-singular classes (a'),
+        False if one does not.
 
         Structural: (a'), with monomial_hnf in echelon form with unit pivots
-        (b) and `expected` rows (c').  Otherwise certify_kernel_basis, and
-        where that does not apply the kernel and a comparison of HNFs.  A
-        failed (a') makes the verdict false; the kernel still fills
-        lattice_hnf.  start is the perf_counter() reading the verification
-        began at."""
-        if generators and monomial_hnf.nrows == expected and is_unit_echelon(monomial_hnf):
+        (b) and `expected` rows (c').  If (b) or (c') fails, the kernel and a
+        comparison of HNFs (certify_kernel_basis checks (b) and (c') first,
+        so it could not apply).  If the link fails, certify_kernel_basis,
+        and where that does not apply the kernel.  A failed (a') makes the
+        verdict false; the kernel still fills lattice_hnf.  start is the
+        perf_counter() reading the verification began at."""
+        constraints = None
+        if generators is None:
+            constraints = build_constraints()
+            certified = certify_kernel_basis(monomial_hnf, constraints, expected)
+            method = "certificate" if certified else "kernel"
+        elif generators and monomial_hnf.nrows == expected and is_unit_echelon(monomial_hnf):
             method = "structural"
         else:
-            if callable(constraints):
-                constraints = constraints()
-            method = ("certificate" if generators is not False
-                      and certify_kernel_basis(monomial_hnf, constraints, expected)
-                      else "kernel")
-        lattice_hnf = integer_kernel(constraints) if method == "kernel" else monomial_hnf
+            method = "kernel"
+        lattice_hnf = monomial_hnf
+        if method == "kernel":
+            lattice_hnf = integer_kernel(constraints if constraints is not None
+                                         else build_constraints())
         verdict = (generators is not False and lattice_hnf == monomial_hnf
                    and lattice_hnf.nrows == expected)
         return cls(degree, p, lattice_hnf.nrows, expected, lattice_hnf, monomial_hnf,
@@ -296,12 +302,19 @@ def sym_constraints(n, p):
                      len(partitions(n)))
 
 
+@lru_cache(maxsize=None)
+def _generators_linked(n, p):
+    """satisfies_quotient for the y_explicit in every degree <= n, checking
+    one new degree per call."""
+    return n == 0 or (_generators_linked(n - 1, p) and satisfies_quotient(
+        x_generator_series(n), [y_explicit(k, p) for k in range(1, n + 1)], p, (n,)))
+
+
 def verify_theorem1(n, p):
     """Check that the y-monomials span exactly the vanishing lattice in degree n."""
     start = time.perf_counter()
     monomial_hnf = hnf_basis(y_monomials(n, p))
-    generators = (generators_vanish(SYM_WEIGHT, p, n)
-                  if all(y_satisfies_quotient(k, p) for k in range(1, n + 1)) else None)
+    generators = generators_vanish(SYM_WEIGHT, p, n) if _generators_linked(n, p) else None
     return VerificationReport.decide(n, p, lambda: sym_constraints(n, p), monomial_hnf,
                                      len(p_regular_partitions(n, p)), start, generators)
 

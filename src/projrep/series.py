@@ -6,7 +6,8 @@ beyond it.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 
 from . import symfunc
 from .partitions import Partition
@@ -109,6 +110,23 @@ def p_split(series, p):
     return GradedSeries(singular), GradedSeries(regular)
 
 
+def satisfies_quotient(x_series, generators, p, degrees=None):
+    """True iff the generators y_1..y_D (generators[i - 1] = y_i) satisfy the
+    degree-i part of X(t) = S(t) * (1 + Y(t)) for every i in degrees (by
+    default 1..D, D the order of x_series), S the part of X in degrees
+    divisible by p:
+        x_i = sum over p | j, 0 <= j <= i of x_j * y_{i-j},  y_0 = 1.
+    The equations for i = 1..D determine Y, so they tie coordinates computed
+    by any route to the values that modsym.generator_values derives from
+    the same X."""
+    one_plus_y = (x_series[0],) + tuple(generators)
+    for i in range(1, x_series.order + 1) if degrees is None else degrees:
+        if reduce(add, [x_series[j] * one_plus_y[i - j]
+                        for j in range(0, i + 1, p)]) != x_series[i]:
+            return False
+    return True
+
+
 def inverse(series):
     """Multiplicative inverse of a series with constant term 1."""
     _require_unit_constant(series, "inverse")
@@ -182,22 +200,6 @@ def y_explicit(n, p):
             continue
         extend(n - head, (head,), 1)
     return SymElement(symfunc.X, n, {k: Fraction(v) for k, v in coeffs.items()})
-
-
-@lru_cache(maxsize=None)
-def y_satisfies_quotient(n, p):
-    """True iff the generators y_explicit satisfy the degree-n part of
-    X(t) = S(t) * (1 + Y(t)) in the x-basis, S the part of X in degrees
-    divisible by p:
-        x_n = sum over p | j, 0 <= j <= n of x_j * y_{n-j},  x_0 = y_0 = 1.
-    These n >= 1 determine Y, so they tie the coordinates of the y_explicit
-    to the generators that modsym.generator_values evaluates."""
-    total = SymElement.zero(symfunc.X, n)
-    for j in range(0, n, p):
-        total = total + SymElement.generator(symfunc.X, j) * y_explicit(n - j, p)
-    if n % p == 0:
-        total = total + SymElement.generator(symfunc.X, n)
-    return total == SymElement.generator(symfunc.X, n)
 
 
 def y_from_quotient(max_degree, p, basis=symfunc.X):

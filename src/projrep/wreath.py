@@ -18,7 +18,7 @@ from .exactlin import (Cyclotomic, IntMatrix, conj, det, euler_phi, hnf_basis,
 from .modsym import (CycleWeight, VerificationReport, _remove_from_part, element_coordinates,
                      generators_vanish)
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
-from .series import GradedSeries, exp, int_power, p_split, quotient_y
+from .series import GradedSeries, exp, int_power, quotient_y, satisfies_quotient
 from .symfunc import GradedElement
 
 XI = "xi"
@@ -397,16 +397,11 @@ def xk_closed_form(table, lattice, k, n):
     return WreathElement(PHI, n, table.N, coeffs)
 
 
-def satisfies_quotient(table, lattice, k, generators):
-    """True iff the generator coordinates y_{k,0..n} (generators, as
-    yk_generators returns them) satisfy X_k = S_k * (1 + Y_k) in every degree
-    <= n, S_k the part of X_k in degrees divisible by p, with X_k in the
-    closed form of xk_closed_form: independent of the series arithmetic
-    that computed the generators, and with the value prod psi_k(C) over
-    the cycles that modsym.generator_values evaluates."""
-    xk = GradedSeries([xk_closed_form(table, lattice, k, i) for i in range(len(generators))])
-    singular, _ = p_split(xk, lattice.p)
-    return singular * GradedSeries((xk[0],) + tuple(generators[1:])) == xk
+def xk_closed_series(table, lattice, k, order):
+    """X_k(t) to the given order from xk_closed_form: independent of the
+    series arithmetic that computes the generators, and with the value
+    prod psi_k(C) over the cycles that modsym.generator_values evaluates."""
+    return GradedSeries([xk_closed_form(table, lattice, k, i) for i in range(order + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -516,7 +511,8 @@ def verify_theorem2(table, p, n, lattice=None):
                 product = product * generators[k0 + 1][part]
         rows.append(element_coordinates(product, positions))
     vanish = None
-    if all(satisfies_quotient(table, lattice, k, y) for k, y in generators.items()):
+    if all(satisfies_quotient(xk_closed_series(table, lattice, k, n), y[1:], p)
+           for k, y in generators.items()):
         vanish = all(generators_vanish(cycle_weight(table, lattice, k), p, n)
                      for k in generators)
     return VerificationReport.decide(n, p, lambda: singular_constraints(table, p, n),

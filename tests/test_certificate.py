@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from projrep import modsym
+from projrep import modsym, wreath
 from projrep.exactlin import (RANK_PRIME, Cyclotomic, IntMatrix, certify_kernel_basis,
                               hnf_basis, integer_kernel, rank_mod, rational_constraints,
                               rational_kernel)
@@ -17,7 +17,7 @@ from projrep.wreath import e_lattice, singular_index_rows, verify_theorem2
 
 
 def decide(basis, constraints, expected):
-    return VerificationReport.decide(0, 2, IntMatrix(constraints, len(basis[0])),
+    return VerificationReport.decide(0, 2, lambda: IntMatrix(constraints, len(basis[0])),
                                      IntMatrix(basis), expected, 0.0)
 
 
@@ -64,30 +64,44 @@ def _fallback_cases(c2_table, s3_table):
     return cases
 
 
+def break_the_link(monkeypatch):
+    """Make the link X = S * (1 + Y) fail on honest generators in both engines."""
+    monkeypatch.setattr(modsym, "_generators_linked", lambda n, p: False)
+    monkeypatch.setattr(wreath, "satisfies_quotient", lambda *args: False)
+
+
 def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_table):
     cases = _fallback_cases(c2_table, s3_table)
     certified = [verify(*args) for verify, args in cases]
-    # (b) of the structural certificate fails, and then the certificate
-    monkeypatch.setattr(modsym, "is_unit_echelon", lambda basis: False)
+
+    def check_kernel_reports():
+        for (verify, args), expected in zip(cases, certified):
+            report = verify(*args)
+            assert report.method == "kernel"
+            assert report.verdict is expected.verdict is True
+            assert report.rank == expected.rank
+            assert report.lattice_hnf == expected.lattice_hnf
+            assert report.monomial_hnf == expected.monomial_hnf
+
+    # (b) of the structural certificate fails: straight to the kernel
+    with monkeypatch.context() as patch:
+        patch.setattr(modsym, "is_unit_echelon", lambda basis: False)
+        check_kernel_reports()
+    # the link fails, and then the certificate
+    break_the_link(monkeypatch)
     monkeypatch.setattr(modsym, "certify_kernel_basis", lambda *args: False)
-    for (verify, args), expected in zip(cases, certified):
-        report = verify(*args)
-        assert report.method == "kernel"
-        assert report.verdict is expected.verdict is True
-        assert report.rank == expected.rank
-        assert report.lattice_hnf == expected.lattice_hnf
-        assert report.monomial_hnf == expected.monomial_hnf
+    check_kernel_reports()
 
 
-def test_structural_fallback_runs_the_certificate(monkeypatch, c2_table, s3_table):
+def test_a_failed_link_runs_the_certificate(monkeypatch, c2_table, s3_table):
+    # honest generators whose link is not proved: certificate, not structural
     cases = _fallback_cases(c2_table, s3_table)
-    structural = [verify(*args) for verify, args in cases]
-    monkeypatch.setattr(modsym, "is_unit_echelon", lambda basis: False)
-    for (verify, args), expected in zip(cases, structural):
+    break_the_link(monkeypatch)
+    for verify, args in cases:
         report = verify(*args)
-        assert report.method == "certificate"
-        assert (report.verdict, report.rank, report.lattice_hnf, report.monomial_hnf) \
-            == (expected.verdict, expected.rank, expected.lattice_hnf, expected.monomial_hnf)
+        assert report.method == "certificate" and report.verdict is True
+        assert report.lattice_hnf == report.monomial_hnf
+        assert report.rank == report.expected_rank
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from projrep.modsym import (SYM_WEIGHT, CycleWeight, _times, convolve, cycle_pro
                             generator_values, generators_vanish, verify_theorem1,
                             x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
-from projrep.series import y_explicit
+from projrep.series import satisfies_quotient, x_generator_series, y_explicit
 from projrep.symfunc import SymElement, X
 from projrep.wreath import (PHI, ELatticeBasis, WreathElement, class_values, cycle_weight,
-                            e_lattice, load_table, satisfies_quotient, verify_theorem2,
-                            xk_closed_form, xk_series, yk_generators)
+                            e_lattice, load_table, verify_theorem2, xk_closed_series, xk_series, yk_generators)
 
 from conftest import table_path
 
@@ -152,10 +151,8 @@ def test_closed_form_of_xk_matches_the_series_arithmetic(phi, c2_table):
     lattice = ELatticeBasis(3, 2, IntMatrix(phi))
     for k in (1, 2):
         series_xk = xk_series(c2_table, lattice, k, 6)
-        assert [xk_closed_form(c2_table, lattice, k, i) for i in range(7)] \
-            == list(series_xk.coeffs)
-        assert satisfies_quotient(c2_table, lattice, k, yk_generators(c2_table, lattice, k, 6))
-
+        assert xk_closed_series(c2_table, lattice, k, 6) == series_xk
+        assert satisfies_quotient(series_xk, yk_generators(c2_table, lattice, k, 6)[1:], 3)
 
 
 def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
@@ -167,13 +164,16 @@ def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
         y = honest(k, q)
         return y + SymElement.monomial(X, (4, 1)) if (k, q) == (n, p) else y
 
-    caches = (series.y_monomial, series.y_satisfies_quotient)
+    caches = (series.y_monomial, modsym._generators_linked)
     monkeypatch.setattr(series, "y_explicit", corrupted)
+    monkeypatch.setattr(modsym, "y_explicit", corrupted)
     for cache in caches:
         cache.cache_clear()
     try:
         report = verify_theorem1(n, p)
-        assert not series.y_satisfies_quotient(n, p)
+        assert not satisfies_quotient(x_generator_series(n),
+                                      [corrupted(k, p) for k in range(1, n + 1)], p)
+        assert not modsym._generators_linked(n, p)
         # without the link, (a'), (b) and (c') would all have held
         assert generators_vanish(SYM_WEIGHT, p, n)
         assert is_unit_echelon(report.monomial_hnf)
@@ -199,7 +199,8 @@ def test_a_corrupted_wreath_generator_coordinate_is_not_certified(monkeypatch, c
         return tuple(y)
 
     monkeypatch.setattr(wreath, "yk_generators", corrupted)
-    assert not satisfies_quotient(c2_table, lattice, 1, corrupted(c2_table, lattice, 1, n))
+    assert not satisfies_quotient(xk_closed_series(c2_table, lattice, 1, n),
+                                  corrupted(c2_table, lattice, 1, n)[1:], p)
     report = verify_theorem2(c2_table, p, n, lattice=lattice)
     assert generators_vanish(cycle_weight(c2_table, lattice, 1), p, n)
     assert is_unit_echelon(report.monomial_hnf)
