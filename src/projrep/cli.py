@@ -10,8 +10,8 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from importlib import resources
-from itertools import islice
 
 from . import modsym, series, wreath
 from .partitions import count_multipartitions, partitions
@@ -50,13 +50,65 @@ def matrix_digest(matrix):
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
+_SCALARS = frozenset({int, str, float, bool, type(None)})
+
+
+@lru_cache(maxsize=None)
+def _row_encoder(pad):
+    """The C encoder of a list of scalars whose items start on lines `pad`."""
+    return json.JSONEncoder(separators=("," + pad, ": "), check_circular=False)
+
+
+def json_chunks(value, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True) in pieces, with str keys.
+
+    Dicts and lists of containers are walked here, as the stdlib encoder does
+    when it indents; a list of bare scalars (a matrix row) is one call of the
+    C encoder and one piece.  pad is the newline and indent of value's line."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
+        else:
+            sep = "{" + inner
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    raise TypeError("keys must be str, not %s" % type(key).__name__)
+                yield sep + json.dumps(key) + ": "
+                yield from json_chunks(item, inner)
+                sep = "," + inner
+            yield pad + "}"
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            yield "[]"
+        elif set(map(type, value)) <= _SCALARS:
+            yield "[" + inner + _row_encoder(inner).encode(value)[1:-1] + pad + "]"
+        else:
+            sep = "[" + inner
+            for item in value:
+                yield sep
+                yield from json_chunks(item, inner)
+                sep = "," + inner
+            yield pad + "]"
+    else:
+        yield json.dumps(value)
+
+
+def degree_line(report, extra=""):
+    """The text line of one verified degree; the digests cost a JSON dump of
+    both matrices, so the verify commands build it only for --format text."""
+    return ("n=%-2d verdict=%-5s %srank=%d/%d lattice=%s monomials=%s method=%s"
+            % (report.degree, report.verdict, extra, report.rank, report.expected_rank,
+               matrix_digest(report.lattice_hnf), matrix_digest(report.monomial_hnf),
+               report.method))
+
+
 def emit(args, payload, text_lines):
     if args.format == "json":
-        # written in batches: a report can be megabytes of indented JSON, and
-        # building it whole would set the peak memory of a verify run
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-        while batch := "".join(islice(chunks, 8192)):
-            sys.stdout.write(batch)
+        # written piece by piece, at most a matrix row each: a report can be
+        # megabytes of indented JSON, and building it whole would set the
+        # peak memory of a verify run
+        sys.stdout.writelines(json_chunks(payload))
         print()
     else:
         for line in text_lines:
@@ -115,10 +167,8 @@ def cmd_sym_verify(args):
         report = modsym.verify_theorem1(n, args.p)
         all_ok = all_ok and report.verdict
         reports.append(report.to_dict())
-        lines.append("n=%-2d verdict=%-5s rank=%d/%d lattice=%s monomials=%s method=%s"
-                     % (n, report.verdict, report.rank, report.expected_rank,
-                        matrix_digest(report.lattice_hnf),
-                        matrix_digest(report.monomial_hnf), report.method))
+        if args.format == "text":
+            lines.append(degree_line(report))
     lines.append("theorem 1 %s for p=%d up to degree %d"
                  % ("VERIFIED" if all_ok else "FAILED", args.p, args.max_degree))
     emit(args, {"command": "sym-verify", "p": args.p, "max_degree": args.max_degree,
@@ -189,11 +239,8 @@ def cmd_wreath_verify(args):
         entry = report.to_dict()
         entry["generator_exchange"] = exchange
         reports.append(entry)
-        lines.append("n=%-2d verdict=%-5s exchange=%-5s rank=%d/%d lattice=%s monomials=%s "
-                     "method=%s"
-                     % (n, report.verdict, exchange, report.rank, report.expected_rank,
-                        matrix_digest(report.lattice_hnf),
-                        matrix_digest(report.monomial_hnf), report.method))
+        if args.format == "text":
+            lines.append(degree_line(report, "exchange=%-5s " % exchange))
     lines.append("theorem 2 %s for %s, p=%d up to degree %d"
                  % ("VERIFIED" if all_ok else "FAILED", table.name, args.p,
                     args.max_degree))

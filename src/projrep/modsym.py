@@ -124,17 +124,18 @@ SYM_WEIGHT = CycleWeight(((1,),), (1,), 1)
 def _times(a, b, conductor):
     """Product in Z[zeta_m] of two power-basis coordinate tuples."""
     d = len(a)
+    if d == 1:
+        return (a[0] * b[0],)
     prod = [0] * (2 * d - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
                 prod[i + j] += x * y
-    if d > 1:
-        poly = cyclotomic_polynomial(conductor)
-        for i in range(2 * d - 2, d - 1, -1):
-            if prod[i]:
-                for t in range(d):
-                    prod[i - d + t] -= prod[i] * poly[t]
+    poly = cyclotomic_polynomial(conductor)
+    for i in range(2 * d - 2, d - 1, -1):
+        if prod[i]:
+            for t in range(d):
+                prod[i - d + t] -= prod[i] * poly[t]
     return tuple(prod[:d])
 
 

@@ -59,8 +59,13 @@ class Partition:
         return mult
 
     def merge(self, other):
-        """Multiset union of parts, i.e. the index of a product of monomials."""
-        return Partition(sorted(self.parts + other.parts, reverse=True))
+        """Multiset union of parts, i.e. the index of a product of monomials.
+        Both operands were validated when built, so their sorted union is a
+        valid partition and skips the checks of the constructor."""
+        merged = object.__new__(Partition)
+        object.__setattr__(merged, "parts", tuple(sorted(self.parts + other.parts,
+                                                         reverse=True)))
+        return merged
 
     def is_p_regular(self, p):
         """True iff no part is divisible by p."""

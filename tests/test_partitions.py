@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from projrep.partitions import (EMPTY, MultiPartition, Partition, count_multipartitions,
                                 multipartitions, p_regular_partitions, partitions, z)
@@ -102,3 +103,16 @@ def test_merge():
     assert a.merge(b) == Partition((3, 2, 1, 1))
     mp = MultiPartition((a, EMPTY)).merge(MultiPartition((b, Partition((1,)))))
     assert mp == MultiPartition((Partition((3, 2, 1, 1)), Partition((1,))))
+
+
+partition_parts = st.lists(st.integers(1, 12), max_size=8).map(
+    lambda parts: Partition(sorted(parts, reverse=True)))
+
+
+@given(partition_parts, partition_parts)
+def test_merge_equals_the_validated_partition(a, b):
+    merged = a.merge(b)
+    expected = Partition(sorted(a.parts + b.parts, reverse=True))
+    assert merged == expected
+    assert type(merged.parts) is tuple
+    assert hash(merged) == hash(expected)

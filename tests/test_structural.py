@@ -5,7 +5,7 @@ link X = S * (1 + Y) that ties those values to the coordinates in the HNF."""
 from functools import lru_cache, reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projrep import modsym, series, wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
@@ -118,12 +118,13 @@ def test_convolution_matches_the_wreath_class_values(case):
         assert values.get(wreath_key(nu), (0,) * len(rows)) == expected
 
 
-cyclotomic_coords = st.sampled_from((3, 4, 5, 8, 12)).flatmap(lambda m: st.tuples(
+cyclotomic_coords = st.sampled_from((1, 3, 4, 5, 8, 12)).flatmap(lambda m: st.tuples(
     st.just(m), *[st.lists(st.integers(-9, 9), min_size=m, max_size=m)] * 2))
 
 
 @settings(deadline=None, max_examples=100)
 @given(cyclotomic_coords)
+@example((1, [7], [-9]))
 def test_times_is_the_cyclotomic_product(case):
     m, a, b = case
     x, y = Cyclotomic(m, a), Cyclotomic(m, b)
