@@ -126,7 +126,7 @@ def render_phi_element(element, table):
         factors = []
         for irr, lam in zip(table.irreducibles, mp):
             factors += generator_powers(lam, lambda v: "Phi[%s](x%d)" % (irr.label, v))
-        terms.append((coeff.rational_value(), "*".join(factors)))
+        terms.append((coeff, "*".join(factors)))
     return render_terms(terms)
 
 

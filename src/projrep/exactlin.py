@@ -326,8 +326,11 @@ def _xgcd(a, b):
     """g, x, y with x*a + y*b = g = gcd(a, b) >= 0.
 
     When a divides b the result is (|a|, sign(a), 0), so that the derived 2x2
-    elimination transform leaves the pivot row or column fixed; without this
-    guarantee the SNF sweep can cycle.
+    elimination transform leaves the pivot row fixed.  H does not depend on
+    this choice, but the transform U does, and with U the rows that
+    unimodular_complete adds to a lattice basis (the completed lattice matrix
+    of every bundled table) and the kernel rows that integer_kernel reduces;
+    the case keeps them fixed.
     """
     if a and b % a == 0:
         return (a, 1, 0) if a > 0 else (-a, -1, 0)
@@ -521,137 +524,30 @@ def certify_kernel_basis(basis, constraints, expected):
     return basis.ncols - rank_mod(constraints) == expected
 
 
-def snf(matrix):
-    """Smith normal form: (diagonal, left, right) with left @ matrix @ right diagonal.
-
-    The diagonal entries are nonnegative and satisfy d_i | d_{i+1}; left and
-    right are unimodular.
-    """
-    a = [list(row) for row in matrix.rows]
-    nr, nc = matrix.nrows, matrix.ncols
-    left = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    right = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_combine(i1, i2, x, y, p, q):
-        a[i1], a[i2] = ([x * v + y * w for v, w in zip(a[i1], a[i2])],
-                        [-q * v + p * w for v, w in zip(a[i1], a[i2])])
-        left[i1], left[i2] = ([x * v + y * w for v, w in zip(left[i1], left[i2])],
-                              [-q * v + p * w for v, w in zip(left[i1], left[i2])])
-
-    def col_combine(j1, j2, x, y, p, q):
-        for row in a:
-            row[j1], row[j2] = x * row[j1] + y * row[j2], -q * row[j1] + p * row[j2]
-        for row in right:
-            row[j1], row[j2] = x * row[j1] + y * row[j2], -q * row[j1] + p * row[j2]
-
-    for t in range(min(nr, nc)):
-        pivot = min(((abs(a[i][j]), i, j)
-                     for i in range(t, nr) for j in range(t, nc) if a[i][j]),
-                    default=None)
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            left[t], left[pi] = left[pi], left[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in right:
-                row[t], row[pj] = row[pj], row[t]
-        while True:
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    g, x, y = _xgcd(a[t][t], a[i][t])
-                    row_combine(t, i, x, y, a[t][t] // g, a[i][t] // g)
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    g, x, y = _xgcd(a[t][t], a[t][j])
-                    col_combine(t, j, x, y, a[t][t] // g, a[t][j] // g)
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            offender = next(((i, j) for i in range(t + 1, nr) for j in range(t + 1, nc)
-                             if a[i][j] % a[t][t]), None)
-            if offender is None:
-                break
-            i, _ = offender
-            a[t] = [v + w for v, w in zip(a[t], a[i])]
-            left[t] = [v + w for v, w in zip(left[t], left[i])]
-        if a[t][t] < 0:
-            a[t] = [-v for v in a[t]]
-            left[t] = [-v for v in left[t]]
-    diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    return diag, IntMatrix(left, nr), IntMatrix(right, nc)
-
-
-def det(matrix):
-    """Determinant via fraction-free Bareiss elimination."""
-    n = matrix.nrows
-    if n != matrix.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(row) for row in matrix.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def inverse_unimodular(matrix):
-    """Exact inverse of a unimodular integer matrix, as an IntMatrix."""
-    n = matrix.nrows
-    if n != matrix.ncols:
-        raise ValueError("not square")
-    a = [[Fraction(v) for v in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(matrix.rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        scale = a[col][col]
-        a[col] = [v / scale for v in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                factor = a[i][col]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[col])]
-    inv = [row[n:] for row in a]
-    if any(v.denominator != 1 for row in inv for v in row):
-        raise ValueError("matrix is not unimodular")
-    return IntMatrix([[int(v) for v in row] for row in inv], n)
+def is_unimodular(matrix):
+    """True iff matrix is square with determinant +-1: its HNF is the identity."""
+    return matrix.nrows == matrix.ncols and hnf(matrix) == IntMatrix.identity(matrix.nrows)
 
 
 def unimodular_complete(basis):
     """Complete the rows of a saturated lattice basis to a unimodular square matrix.
 
-    The first nrows rows of the result equal the input; raises ValueError if
-    the input is not a basis of a saturated sublattice (some SNF invariant
-    factor differs from 1).
+    With U @ basis^T = H in HNF, the rows of basis are a basis of a saturated
+    lattice exactly when H is [I_m; 0]; then basis^T = U^-1 [I_m; 0], so basis
+    is the first m rows of the unimodular (U^-1)^T, which is the result.  U^-1
+    is the transform of the HNF of U, whose HNF is the identity.  Raises
+    ValueError if the input is not a basis of a saturated sublattice.
     """
     m, n = basis.nrows, basis.ncols
     if m > n:
         raise ValueError("more rows than columns")
-    diag, left, right = snf(basis)
-    if list(diag) != [1] * m:
-        raise ValueError("completion impossible: invariant factors %r" % (diag,))
-    left_inv = inverse_unimodular(left)
-    right_inv = inverse_unimodular(right)
-    top = left_inv @ IntMatrix(right_inv.rows[:m], n)
-    if top.rows != basis.rows:
+    h, u = hnf_with_transform(basis.transpose())
+    if h.rows != tuple(tuple(int(i == j) for j in range(m)) for i in range(n)):
+        raise ValueError("completion impossible: the rows do not span a saturated "
+                         "lattice of rank %d" % m)
+    completed = hnf_with_transform(u)[1].transpose()
+    if completed.rows[:m] != basis.rows:
         raise AssertionError("completion lost the input rows")
-    completed = IntMatrix(top.rows + right_inv.rows[m:], n)
-    if det(completed) not in (1, -1):
+    if not is_unimodular(completed):
         raise AssertionError("completion is not unimodular")
     return completed

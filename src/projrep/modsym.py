@@ -84,14 +84,13 @@ def reg_lattice(n, p):
 
 def element_coordinates(element, positions):
     """Integer coordinate vector of an element whose coefficients are integral
-    rationals or cyclotomics; positions maps each index of its degree to a
-    column, and is built once per degree."""
+    Fractions (sym) or ints (wreath, Phi basis); positions maps each index of
+    its degree to a column, and is built once per degree."""
     coords = [0] * len(positions)
     for index, coeff in element.coeffs.items():
-        value = coeff if isinstance(coeff, Fraction) else coeff.rational_value()
-        if value.denominator != 1:
+        if coeff.denominator != 1:
             raise AssertionError("non-integral coordinate at %s" % (index,))
-        coords[positions[index]] = int(value)
+        coords[positions[index]] = int(coeff)
     return coords
 
 

@@ -27,6 +27,8 @@ class GradedElement:
     def __init__(self, basis, degree, coeffs):
         if basis not in self.BASES:
             raise ValueError("unknown basis %r" % (basis,))
+        # the basis first: a subclass's scalar may depend on it
+        object.__setattr__(self, "basis", basis)
         clean = {}
         for index, coeff in coeffs.items():
             index = self._index(index)
@@ -35,7 +37,6 @@ class GradedElement:
             coeff = self.scalar(coeff)
             if coeff:
                 clean[index] = coeff
-        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", clean)
 

@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, prod
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, IntMatrix, conj, det, euler_phi, hnf_basis,
+from .exactlin import (Cyclotomic, IntMatrix, conj, euler_phi, hnf_basis, is_unimodular,
                        rational_kernel, unimodular_complete)
 from .modsym import (CycleWeight, VerificationReport, _remove_from_part, element_coordinates,
                      generators_vanish)
@@ -210,8 +210,9 @@ def e_lattice(table, p):
 
 
 class WreathElement(GradedElement):
-    """A homogeneous element of the wreath algebra: cyclotomic coefficients on
-    multipartitions with ncomp components."""
+    """A homogeneous element of the wreath algebra on multipartitions with
+    ncomp components: Cyclotomic coefficients in the xi basis, int
+    coefficients in the Phi basis, where the ring is a Z-form."""
 
     __slots__ = ("ncomp",)
     BASES = (XI, PHI)
@@ -221,9 +222,12 @@ class WreathElement(GradedElement):
         object.__setattr__(self, "ncomp", ncomp)
         super().__init__(basis, degree, coeffs)
 
-    @staticmethod
-    def scalar(coeff):
-        return coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.from_rational(coeff)
+    def scalar(self, coeff):
+        if self.basis == XI:
+            return coeff if isinstance(coeff, Cyclotomic) else Cyclotomic.from_rational(coeff)
+        if isinstance(coeff, (int, Fraction)) and coeff.denominator == 1:
+            return int(coeff)
+        raise AssertionError("non-integer Phi coefficient %s" % (coeff,))
 
     def _index(self, mp):
         mp = super()._index(mp)
@@ -323,21 +327,11 @@ def xk_series(table, lattice, k, order):
                          for i in range(order + 1)])
 
 
-def _assert_integral(element, where):
-    for mp, coeff in element.coeffs.items():
-        if not coeff.is_rational() or coeff.rational_value().denominator != 1:
-            raise AssertionError("non-integer coefficient %s at %s in %s"
-                                 % (coeff, mp, where))
-
-
 def yk_generators(table, lattice, k, order):
     """Coefficients y_{k,0..order} of the quotient of the k-th generator series."""
     if not 1 <= k <= lattice.M:
         raise ValueError("k must index a lattice row (1..M)")
-    series = quotient_y(xk_series(table, lattice, k, order), lattice.p)
-    for n, coeff in enumerate(series.coeffs):
-        _assert_integral(coeff, "y_{%d,%d}" % (k, n))
-    return tuple(series.coeffs)
+    return tuple(quotient_y(xk_series(table, lattice, k, order), lattice.p).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -520,26 +514,21 @@ def verify_theorem2(table, p, n, lattice=None):
                                      count_regular_classes(table, p, n), start, vanish)
 
 
-def generator_exchange_check(table, lattice, n, order=None):
+def generator_exchange_check(table, lattice, n):
     """True iff, in every degree i <= n, the linear parts of the X_{k,i} in the
     Phi_j(x_i) form exactly the (unimodular) completed lattice matrix, so the
     X's generate the same graded ring over Z."""
-    if order is None:
-        order = n
     n_irr = table.N
-    if det(lattice.phi) not in (1, -1):
+    if not is_unimodular(lattice.phi):
         return False
-    series = [xk_series(table, lattice, k, order) for k in range(1, n_irr + 1)]
+    series = [xk_series(table, lattice, k, n) for k in range(1, n_irr + 1)]
     for i in range(1, n + 1):
         for k in range(1, n_irr + 1):
             coeff = series[k - 1][i]
-            _assert_integral(coeff, "X_{%d,%d}" % (k, i))
             for j in range(n_irr):
                 comps = [EMPTY] * n_irr
                 comps[j] = Partition((i,))
-                linear = coeff.coeffs.get(MultiPartition(comps))
-                value = 0 if linear is None else int(linear.rational_value())
-                if value != lattice.phi.rows[k - 1][j]:
+                if coeff.coeffs.get(MultiPartition(comps), 0) != lattice.phi.rows[k - 1][j]:
                     return False
     return True
 

@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
-from projrep.exactlin import (Cyclotomic, IntMatrix, det, euler_phi, hnf, hnf_basis,
-                              hnf_with_transform, in_row_lattice, inverse_unimodular,
-                              is_unit_echelon, rational_kernel, same_row_lattice, snf,
+from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf, hnf_basis,
+                              hnf_with_transform, in_row_lattice, is_unimodular,
+                              is_unit_echelon, rational_kernel, same_row_lattice,
                               unimodular_complete)
 
 
@@ -117,7 +120,7 @@ def test_hnf_transform_is_unimodular():
         n = rng.randint(1, 4)
         m = IntMatrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         h, u = hnf_with_transform(m)
-        assert det(u) in (1, -1)
+        assert sympy.Matrix(u.rows).det() in (1, -1)
         assert u @ m == h
 
 
@@ -181,8 +184,7 @@ def _solve_unique_rational(matrix, target):
 def _random_full_rank(rng, rows, cols):
     while True:
         m = IntMatrix([[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)])
-        d, _, _ = snf(m)
-        if all(d[:rows]):
+        if hnf_basis(m).nrows == rows:
             return m
 
 
@@ -207,72 +209,6 @@ def test_membership_reduction():
     m = IntMatrix([[1, -1, 0], [0, 0, 1]])
     assert in_row_lattice([2, -2, 5], m)
     assert not in_row_lattice([1, 0, 0], m)
-
-
-# ---------------------------------------------------------------------------
-# SNF
-
-
-def _minor_gcd_invariants(matrix):
-    """Oracle: invariant factors via gcds of k x k minors (Fraction-free)."""
-    from math import gcd
-    rows, cols = matrix.nrows, matrix.ncols
-    size = min(rows, cols)
-
-    def minors(k):
-        from itertools import combinations
-        out = []
-        for rsel in combinations(range(rows), k):
-            for csel in combinations(range(cols), k):
-                sub = IntMatrix([[matrix.rows[r][c] for c in csel] for r in rsel])
-                out.append(det(sub))
-        return out
-
-    invariants = []
-    previous = 1
-    for k in range(1, size + 1):
-        g = 0
-        for value in minors(k):
-            g = gcd(g, value)
-        if g == 0:
-            invariants.extend([0] * (size - len(invariants)))
-            break
-        invariants.append(g // previous)
-        previous = g
-    return tuple(invariants)
-
-
-def test_snf_examples_against_minor_oracle():
-    cases = [IntMatrix([[2, 0], [0, 3]]), IntMatrix([[2, 4], [6, 8]]),
-             IntMatrix.identity(3)]
-    expected = [(1, 6), (2, 4), (1, 1, 1)]
-    for matrix, want in zip(cases, expected):
-        diag, left, right = snf(matrix)
-        assert diag == want
-        assert diag == _minor_gcd_invariants(matrix)
-
-
-def test_snf_properties_random():
-    rng = random.Random(23)
-    for _ in range(40):
-        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
-        m = IntMatrix([[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)])
-        diag, left, right = snf(m)
-        assert det(left) in (1, -1)
-        assert det(right) in (1, -1)
-        prod = left @ m @ right
-        for i in range(nr):
-            for j in range(nc):
-                assert prod.rows[i][j] == (diag[i] if i == j and i < len(diag) else 0)
-        for i in range(len(diag) - 1):
-            if diag[i + 1]:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-            assert diag[i] >= 0
-        if nr == nc:
-            product = 1
-            for d in diag:
-                product *= d
-            assert product == abs(det(m))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +242,15 @@ def test_rational_kernel_against_brute_force():
             assert all(sum(r * v for r, v in zip(c, row)) == 0 for c in constraints)
 
 
+def _invariant_factors(rows):
+    """Oracle: the invariant factors of an m x n integer matrix, m <= n, from
+    sympy's Smith normal form (0 for each missing rank)."""
+    if not rows:
+        return ()
+    diag = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+    return tuple(abs(int(diag[i, i])) for i in range(len(rows)))
+
+
 def test_rational_kernel_saturated():
     rng = random.Random(31)
     for _ in range(20):
@@ -313,9 +258,7 @@ def test_rational_kernel_saturated():
         constraints = [[rng.randint(-3, 3) for _ in range(ncols)]
                        for _ in range(rng.randint(1, 3))]
         basis = rational_kernel(constraints, ncols)
-        if basis.nrows:
-            diag, _, _ = snf(basis)
-            assert all(d == 1 for d in diag[:basis.nrows])
+        assert _invariant_factors(basis.rows) == (1,) * basis.nrows
 
 
 def test_rational_kernel_cyclotomic_expansion():
@@ -340,13 +283,13 @@ def test_rational_kernel_fraction_entries():
 def test_unimodular_complete_examples():
     completed = unimodular_complete(IntMatrix([[1, 1]]))
     assert completed.rows[0] == (1, 1)
-    assert det(completed) in (1, -1)
+    assert sympy.Matrix(completed.rows).det() in (1, -1)
     completed = unimodular_complete(IntMatrix([[1, 0, 0], [0, 1, 0]]))
     assert completed.rows[:2] == ((1, 0, 0), (0, 1, 0))
-    assert det(completed) in (1, -1)
+    assert sympy.Matrix(completed.rows).det() in (1, -1)
     completed = unimodular_complete(IntMatrix([[1, 1, 0], [0, 0, 1]]))
     assert completed.rows[:2] == ((1, 1, 0), (0, 0, 1))
-    assert det(completed) in (1, -1)
+    assert sympy.Matrix(completed.rows).det() in (1, -1)
 
 
 def test_unimodular_complete_rejects_unsaturated():
@@ -365,13 +308,30 @@ def test_unimodular_complete_random_saturated():
         basis = IntMatrix(u.rows[:m], n)
         completed = unimodular_complete(basis)
         assert completed.rows[:m] == basis.rows
-        assert det(completed) in (1, -1)
+        assert sympy.Matrix(completed.rows).det() in (1, -1)
 
 
-def test_inverse_unimodular():
-    rng = random.Random(41)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        u = _random_elementary_transform(rng, IntMatrix.identity(n))
-        inv = inverse_unimodular(u)
-        assert u @ inv == IntMatrix.identity(n)
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=m, max_size=m)))))
+def test_unimodular_complete_against_smith_form(shape_rows):
+    # the completion exists exactly when every invariant factor is 1
+    n, rows = shape_rows
+    basis = IntMatrix(rows, n)
+    if any(d != 1 for d in _invariant_factors(rows)):
+        with pytest.raises(ValueError):
+            unimodular_complete(basis)
+        return
+    completed = unimodular_complete(basis)
+    assert completed.rows[:len(rows)] == basis.rows
+    assert sympy.Matrix(completed.rows).det() in (1, -1)
+
+
+def test_is_unimodular():
+    assert is_unimodular(IntMatrix.identity(3))
+    assert is_unimodular(IntMatrix([[2, 1], [1, 1]]))
+    assert is_unimodular(IntMatrix((), 0))
+    assert not is_unimodular(IntMatrix([[1, 1], [0, 2]]))
+    assert not is_unimodular(IntMatrix([[1, 2], [2, 4]]))
+    assert not is_unimodular(IntMatrix([[1, 0]]))

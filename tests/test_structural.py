@@ -84,7 +84,7 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
             values = generator_values(weight, p, n)
             for nu in index:
                 rows = class_values(table, nu)
-                expected = tuple(sum(int(coords[rho].rational_value()) * row[i]
+                expected = tuple(sum(coords[rho] * row[i]
                                      for i, rho in enumerate(index) if rho in coords)
                                  for row in rows)
                 zero = (0,) * len(rows)

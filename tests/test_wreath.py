@@ -4,8 +4,9 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 
-from projrep.exactlin import (Cyclotomic, IntMatrix, det, rational_constraints,
+from projrep.exactlin import (Cyclotomic, IntMatrix, rational_constraints,
                               same_row_lattice)
 from projrep.modsym import verify_theorem1
 from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
@@ -154,7 +155,7 @@ def test_e_lattice_c2(c2_table):
     assert lattice.M == 1
     # the regular character chi_triv + chi_sgn spans the lattice
     assert lattice.phi.rows[0] == (1, 1)
-    assert det(lattice.phi) in (1, -1)
+    assert sympy.Matrix(lattice.phi.rows).det() in (1, -1)
 
 
 def test_e_lattice_s3(s3_table):
@@ -162,7 +163,7 @@ def test_e_lattice_s3(s3_table):
     assert lattice.M == 2
     assert same_row_lattice(IntMatrix(lattice.phi.rows[:2], 3),
                             IntMatrix([[1, 1, 0], [0, 0, 1]]))
-    assert det(lattice.phi) in (1, -1)
+    assert sympy.Matrix(lattice.phi.rows).det() in (1, -1)
 
 
 def test_e_lattice_p_coprime_order(c2_table, c3_table):
@@ -358,7 +359,7 @@ def test_yk_generators_trivial_group(trivial_table):
         lattice = e_lattice(trivial_table, p)
         ys = yk_generators(trivial_table, lattice, 1, 8)
         for n in range(1, 9):
-            mapped = {mp[0]: c.rational_value() for mp, c in ys[n].coeffs.items()}
+            mapped = {mp[0]: c for mp, c in ys[n].coeffs.items()}
             expected = (dict(y_explicit(n, p).coeffs) if n % p else {})
             assert mapped == expected
 
@@ -370,7 +371,7 @@ def test_yk_generators_c2_p3(c2_table):
         j = lattice.phi.rows[k - 1].index(1)
         ys = yk_generators(c2_table, lattice, k, 4)
         expected = y_explicit(4, 3)
-        mapped = {mp[j]: c.rational_value() for mp, c in ys[4].coeffs.items()}
+        mapped = {mp[j]: c for mp, c in ys[4].coeffs.items()}
         assert mapped == dict(expected.coeffs)
         assert all(mp[1 - j] == EMPTY for mp in ys[4].coeffs)
 
@@ -440,7 +441,7 @@ def test_verdict_independent_of_lattice_basis(c2_table, s3_table):
         else:
             rows[0] = [-v for v in rows[0]]
         permuted = ELatticeBasis(p, base.M, IntMatrix(rows, table.N))
-        assert det(permuted.phi) in (1, -1)
+        assert sympy.Matrix(permuted.phi.rows).det() in (1, -1)
         report = verify_theorem2(table, p, n, lattice=permuted)
         assert report.verdict == reference.verdict
         assert report.rank == reference.rank
@@ -460,6 +461,22 @@ def test_generator_exchange(trivial_table, c2_table, c3_table):
     for table, p, n in ((trivial_table, 2, 4), (c2_table, 2, 4), (c3_table, 2, 3)):
         lattice = e_lattice(table, p)
         assert generator_exchange_check(table, lattice, n)
+
+
+def test_generator_exchange_rejects_a_non_unimodular_lattice(c2_table):
+    lattice = ELatticeBasis(2, 1, IntMatrix([[1, 1], [0, 2]]))
+    assert not generator_exchange_check(c2_table, lattice, 2)
+
+
+def test_phi_coefficients_are_integers():
+    index = MultiPartition((Partition((1,)), EMPTY))
+    with pytest.raises(AssertionError):
+        WreathElement(PHI, 1, 2, {index: Fraction(1, 2)})
+    with pytest.raises(AssertionError):
+        WreathElement(PHI, 1, 2, {index: Cyclotomic.zeta(3)})
+    element = WreathElement(PHI, 1, 2, {index: Fraction(3)})
+    assert type(element.coeffs[index]) is int and element.coeffs[index] == 3
+    assert isinstance(WreathElement(XI, 1, 2, {index: 3}).coeffs[index], Cyclotomic)
 
 
 def test_xk_exponential_identity(c2_table, s3_table, c3_table):
