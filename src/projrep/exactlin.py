@@ -454,37 +454,6 @@ def rational_kernel(rows, ncols):
     return integer_kernel(rational_constraints(rows, ncols))
 
 
-RANK_PRIME = (1 << 61) - 1
-
-
-def rank_mod(matrix):
-    """Rank of an integer matrix modulo RANK_PRIME: a lower bound on its rank over Q.
-
-    Columns are eliminated from last to first.  The rank does not depend on
-    the order, but rows whose last nonzero entries lie in distinct columns
-    (such as modsym.singular_class_rows) then need no row operation at all.
-    """
-    prime = RANK_PRIME
-    rows = [[v % prime for v in row] for row in matrix.rows]
-    rank = 0
-    for c in reversed(range(matrix.ncols)):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        below = [row for row in rows[rank + 1:] if row[c]]
-        if below:
-            inverse = pow(rows[rank][c], -1, prime)
-            pivot_head = [v * inverse % prime for v in rows[rank][:c + 1]]
-            for row in below:
-                f = row[c]
-                row[:c + 1] = [(a - f * b) % prime for a, b in zip(row, pivot_head)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def is_unit_echelon(basis):
     """True iff basis is in echelon form with every pivot 1 and no zero row.
     Its pivot minor is then unitriangular, so Q*span(basis) meets Z^ncols in
@@ -496,32 +465,6 @@ def is_unit_echelon(basis):
             return False
         last_pivot = pivot
     return True
-
-
-def certify_kernel_basis(basis, constraints, expected):
-    """True only if the rows of basis are provably a Z-basis of
-    L = {v in Z^ncols : constraints @ v = 0} with `expected` elements.
-
-    Three checks prove it, with no kernel computation:
-      (a) containment: constraints @ row = 0 for every row, so span(basis) <= L;
-      (b) saturation: basis is in echelon form with every pivot 1, so its
-          pivot minor is unitriangular and Q*span(basis) meets Z^ncols in
-          span(basis) alone;
-      (c) rank: basis has `expected` rows and ncols - rank_mod(constraints)
-          equals `expected`.  The rank modulo a prime is at most the rank
-          over Q, so rank L <= expected = rank span(basis).
-    By (a) and (c), Q*L = Q*span(basis); by (b), L <= Q*span(basis) meets
-    Z^ncols in span(basis), hence L = span(basis).  False means only that
-    the certificate does not apply, never that the lattices differ.
-    """
-    if (basis.nrows != expected or basis.ncols != constraints.ncols
-            or not is_unit_echelon(basis)):
-        return False
-    for row in basis.rows:
-        support = [(j, v) for j, v in enumerate(row) if v]
-        if any(sum(v * c[j] for j, v in support) for c in constraints.rows):
-            return False
-    return basis.ncols - rank_mod(constraints) == expected
 
 
 def is_unimodular(matrix):

@@ -1,8 +1,8 @@
 """Symmetric-group engine: the lattice of virtual characters vanishing on
 p-singular classes, the polynomial generators y_n and their class values,
 and per-degree verification that the generator monomials span exactly that
-lattice (structurally, by certificate, or by Hermite normal form equality
-with the computed kernel)."""
+lattice (structurally, or by Hermite normal form equality with the
+computed kernel)."""
 
 import time
 from collections import namedtuple
@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import factorial
 from functools import lru_cache
 
-from .exactlin import (IntMatrix, certify_kernel_basis, cyclotomic_polynomial, hnf_basis,
-                       integer_kernel, is_unit_echelon, rational_kernel)
+from .exactlin import (IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel,
+                       is_unit_echelon, rational_kernel)
 from .partitions import Partition, p_regular_partitions, partitions
 from .series import satisfies_quotient, x_generator_series, y_explicit, y_monomial
 from .symfunc import SymElement, X, class_values, schur_in_x
@@ -269,26 +269,15 @@ class VerificationReport:
         generator of degree <= n vanishes on the p-singular classes (a'),
         False if one does not.
 
-        Structural: (a'), with monomial_hnf in echelon form with unit pivots
-        (b) and `expected` rows (c').  If (b) or (c') fails, the kernel and a
-        comparison of HNFs (certify_kernel_basis checks (b) and (c') first,
-        so it could not apply).  If the link fails, certify_kernel_basis,
-        and where that does not apply the kernel.  A failed (a') makes the
-        verdict false; the kernel still fills lattice_hnf.  start is the
-        perf_counter() reading the verification began at."""
-        constraints = None
-        if generators is None:
-            constraints = build_constraints()
-            certified = certify_kernel_basis(monomial_hnf, constraints, expected)
-            method = "certificate" if certified else "kernel"
-        elif generators and monomial_hnf.nrows == expected and is_unit_echelon(monomial_hnf):
-            method = "structural"
+        Structural: the link and (a'), with monomial_hnf in echelon form with
+        unit pivots (b) and `expected` rows (c').  Otherwise the kernel of E
+        and a comparison of HNFs.  A failed (a') makes the verdict false; the
+        kernel still fills lattice_hnf.  start is the perf_counter() reading
+        the verification began at."""
+        if generators and monomial_hnf.nrows == expected and is_unit_echelon(monomial_hnf):
+            method, lattice_hnf = "structural", monomial_hnf
         else:
-            method = "kernel"
-        lattice_hnf = monomial_hnf
-        if method == "kernel":
-            lattice_hnf = integer_kernel(constraints if constraints is not None
-                                         else build_constraints())
+            method, lattice_hnf = "kernel", integer_kernel(build_constraints())
         verdict = (generators is not False and lattice_hnf == monomial_hnf
                    and lattice_hnf.nrows == expected)
         return cls(degree, p, lattice_hnf.nrows, expected, lattice_hnf, monomial_hnf,

@@ -103,6 +103,8 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
+        if exponent < 0:
+            raise ValueError("negative powers not supported")
         result = self._like(0, {self._unit(): 1})
         for _ in range(exponent):
             result = result * self

@@ -338,8 +338,8 @@ def yk_generators(table, lattice, k, order):
 # per-degree verification
 
 
-def regular_multipartition_flags(table, p, n):
-    """The p-regular test over the xi index set in degree n."""
+def regular_multipartition_flags(table, p):
+    """The p-regular test on xi indices (multipartitions) of any degree."""
     flags = _regular_class_flags(table, p)
 
     def is_regular(mp):
@@ -463,7 +463,7 @@ def class_values(table, nu):
 
 
 def _singular_indices(table, p, n):
-    is_regular = regular_multipartition_flags(table, p, n)
+    is_regular = regular_multipartition_flags(table, p)
     return [nu for nu in multipartitions(table.N, n) if not is_regular(nu)]
 
 

@@ -1,5 +1,5 @@
-"""The certificates that prove a degree's lattice equality without computing
-the kernel, cross-checked against the kernel path they replace."""
+"""The two proofs of a degree's lattice equality: the structural certificate,
+which computes no kernel, cross-checked against the integer-kernel fallback."""
 
 from fractions import Fraction
 
@@ -8,9 +8,8 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from projrep import modsym, wreath
-from projrep.exactlin import (RANK_PRIME, Cyclotomic, IntMatrix, certify_kernel_basis,
-                              hnf_basis, integer_kernel, rank_mod, rational_constraints,
-                              rational_kernel)
+from projrep.exactlin import (Cyclotomic, IntMatrix, hnf_basis, integer_kernel,
+                              rational_constraints, rational_kernel)
 from projrep.modsym import VerificationReport, singular_class_rows, verify_theorem1
 from projrep.partitions import multipartitions, partitions
 from projrep.wreath import e_lattice, singular_index_rows, verify_theorem2
@@ -26,13 +25,12 @@ def decide(basis, constraints, expected):
 
 
 def test_sym_certificate_agrees_with_kernel():
-    # structural = certificate = kernel
+    # structural = kernel
     for p in (2, 3, 5):
         for n in range(11):
             report = verify_theorem1(n, p)
             assert report.method == "structural", (n, p)
             constraints = rational_constraints(singular_class_rows(n, p), len(partitions(n)))
-            assert certify_kernel_basis(report.monomial_hnf, constraints, report.expected_rank)
             assert hnf_basis(integer_kernel(constraints)) == report.monomial_hnf
             assert report.lattice_hnf == report.monomial_hnf
 
@@ -43,7 +41,7 @@ def test_sym_certificate_agrees_with_kernel():
                                             ("trivial_table", 2, 6), ("trivial_table", 3, 6),
                                             ("c3_table", 3, 3), ("s3_table", 3, 3)])
 def test_wreath_certificate_agrees_with_kernel(request, name, p, max_n):
-    # structural = certificate = kernel
+    # structural = kernel
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)
     for n in range(max_n + 1):
@@ -51,7 +49,6 @@ def test_wreath_certificate_agrees_with_kernel(request, name, p, max_n):
         assert report.method == "structural", (table.name, p, n)
         constraints = rational_constraints(singular_index_rows(table, p, n),
                                            len(multipartitions(table.N, n)))
-        assert certify_kernel_basis(report.monomial_hnf, constraints, report.expected_rank)
         assert hnf_basis(integer_kernel(constraints)) == report.monomial_hnf
         assert report.lattice_hnf == report.monomial_hnf
 
@@ -72,55 +69,47 @@ def break_the_link(monkeypatch):
 
 def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_table):
     cases = _fallback_cases(c2_table, s3_table)
-    certified = [verify(*args) for verify, args in cases]
+    structural = [verify(*args) for verify, args in cases]
+    assert all(report.method == "structural" for report in structural)
 
     def check_kernel_reports():
-        for (verify, args), expected in zip(cases, certified):
+        for (verify, args), expected in zip(cases, structural):
             report = verify(*args)
             assert report.method == "kernel"
             assert report.verdict is expected.verdict is True
-            assert report.rank == expected.rank
-            assert report.lattice_hnf == expected.lattice_hnf
+            assert report.rank == report.expected_rank == expected.rank
+            assert report.lattice_hnf == report.monomial_hnf == expected.lattice_hnf
             assert report.monomial_hnf == expected.monomial_hnf
 
-    # (b) of the structural certificate fails: straight to the kernel
+    # (b) of the structural certificate fails
     with monkeypatch.context() as patch:
         patch.setattr(modsym, "is_unit_echelon", lambda basis: False)
         check_kernel_reports()
-    # the link fails, and then the certificate
+    # honest generators whose link is not proved
     break_the_link(monkeypatch)
-    monkeypatch.setattr(modsym, "certify_kernel_basis", lambda *args: False)
     check_kernel_reports()
 
 
-def test_a_failed_link_runs_the_certificate(monkeypatch, c2_table, s3_table):
-    # honest generators whose link is not proved: certificate, not structural
-    cases = _fallback_cases(c2_table, s3_table)
-    break_the_link(monkeypatch)
-    for verify, args in cases:
-        report = verify(*args)
-        assert report.method == "certificate" and report.verdict is True
-        assert report.lattice_hnf == report.monomial_hnf
-        assert report.rank == report.expected_rank
-
-
 # ---------------------------------------------------------------------------
-# the certificate on hand-made inputs: it either proves equality or stands aside
+# the kernel fallback on hand-made inputs without the link: bases that a
+# certificate computing no kernel would prove, and each way one can fail
 
 
 def test_certificate_proves_a_unit_pivot_basis():
-    assert certify_kernel_basis(IntMatrix([[1, 0]]), IntMatrix([[0, 1]]), 1)
-    assert certify_kernel_basis(IntMatrix([[1, 0], [0, 1]]), IntMatrix((), 2), 2)
+    report = decide([[1, 0]], [[0, 1]], 1)
+    assert report.method == "kernel" and report.verdict
+    report = decide([[1, 0], [0, 1]], [], 2)
+    assert report.method == "kernel" and report.verdict
     report = decide([[1, 1, 0]], [[1, -1, 0], [0, 0, 1]], 1)
-    assert report.method == "certificate" and report.verdict
+    assert report.method == "kernel" and report.verdict
+    assert report.lattice_hnf == IntMatrix([[1, 1, 0]])
 
 
 def test_certificate_refuses_a_non_unit_pivot():
-    assert not certify_kernel_basis(IntMatrix([[2, 0]]), IntMatrix([[0, 1]]), 1)
     report = decide([[2, 0]], [[0, 1]], 1)
     assert report.method == "kernel" and not report.verdict
+    assert report.lattice_hnf == IntMatrix([[1, 0]])
     # saturated despite the pivot 2: the fallback proves the equality
-    assert not certify_kernel_basis(IntMatrix([[2, 1]]), IntMatrix([[1, -2]]), 1)
     report = decide([[2, 1]], [[1, -2]], 1)
     assert report.method == "kernel" and report.verdict
     assert report.lattice_hnf == IntMatrix([[2, 1]])
@@ -129,74 +118,33 @@ def test_certificate_refuses_a_non_unit_pivot():
 def test_certificate_refuses_a_rank_deficit():
     # the kernel has rank 2, the basis only 1 row
     constraints = [[1, -1, 0], [2, -2, 0]]
-    assert not certify_kernel_basis(IntMatrix([[1, 1, 0]]), IntMatrix(constraints), 1)
     report = decide([[1, 1, 0]], constraints, 1)
     assert report.method == "kernel" and not report.verdict and report.rank == 2
-    # a rank lost only modulo the prime: not certified, yet the kernel verifies
-    assert not certify_kernel_basis(IntMatrix([[0, 1]]), IntMatrix([[RANK_PRIME, 0]]), 1)
-    report = decide([[0, 1]], [[RANK_PRIME, 0]], 1)
+    assert report.lattice_hnf == IntMatrix([[1, 1, 0], [0, 0, 1]])
+    # a constraint that vanishes modulo the prime 2^61 - 1: the kernel is exact
+    report = decide([[0, 1]], [[(1 << 61) - 1, 0]], 1)
     assert report.method == "kernel" and report.verdict
+    assert report.lattice_hnf == IntMatrix([[0, 1]])
 
 
 def test_certificate_refuses_a_row_that_does_not_vanish():
-    assert not certify_kernel_basis(IntMatrix([[1, 0]]), IntMatrix([[1, 0]]), 1)
     report = decide([[1, 0]], [[1, 0]], 1)
     assert report.method == "kernel" and not report.verdict
+    assert report.lattice_hnf == IntMatrix([[0, 1]])
 
 
 def test_certificate_refuses_rows_out_of_echelon_form():
-    basis = IntMatrix([[0, 1], [1, 0]])
-    assert not certify_kernel_basis(basis, IntMatrix((), 2), 2)
-    assert not certify_kernel_basis(IntMatrix([[1, 0], [0, 0]]), IntMatrix((), 2), 2)
     report = decide([[0, 1], [1, 0]], [], 2)
     assert report.method == "kernel" and not report.verdict
     assert report.lattice_hnf == IntMatrix.identity(2)
 
 
 # ---------------------------------------------------------------------------
-# rank_mod and rational_constraints against sympy, a test-only oracle
-
-
-small_matrices = st.integers(0, 6).flatmap(lambda ncols: st.lists(
-    st.lists(st.integers(-40, 40), min_size=ncols, max_size=ncols), max_size=6).map(
-    lambda rows: IntMatrix(rows, ncols)))
+# rational_constraints against sympy, a test-only oracle
 
 
 def rank_q(matrix):
     return sympy.Matrix(matrix.nrows, matrix.ncols, [v for row in matrix.rows for v in row]).rank()
-
-
-@settings(deadline=None, max_examples=150)
-@given(small_matrices)
-def test_rank_mod_equals_rank_over_q(matrix):
-    # every minor is below 2^61 - 1 in absolute value, so no rank is lost
-    assert rank_mod(matrix) == rank_q(matrix)
-
-
-@settings(deadline=None, max_examples=60)
-@given(small_matrices, st.integers(0, 3))
-def test_rank_mod_bounds_rank_over_q(matrix, scale):
-    scaled = IntMatrix([[v * RANK_PRIME ** scale + v for v in row] for row in matrix.rows],
-                       matrix.ncols)
-    assert rank_mod(scaled) <= rank_q(scaled)
-    assert rank_mod(IntMatrix([[v * RANK_PRIME for v in row] for row in matrix.rows],
-                              matrix.ncols)) == 0
-
-
-@settings(deadline=None, max_examples=100)
-@given(small_matrices, st.data())
-def test_rank_mod_ignores_column_order(matrix, data):
-    order = data.draw(st.permutations(range(matrix.ncols)))
-    permuted = IntMatrix([[row[c] for c in order] for row in matrix.rows], matrix.ncols)
-    assert rank_mod(permuted) == rank_mod(matrix)
-
-
-def test_singular_class_rows_have_full_rank_mod():
-    # the rows are independent: each has its last nonzero entry at its own class
-    for p in (2, 3, 5):
-        for n in range(15):
-            rows = singular_class_rows(n, p)
-            assert rank_mod(rational_constraints(rows, len(partitions(n)))) == len(rows)
 
 
 scalars = st.one_of(

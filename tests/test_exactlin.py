@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.matrices.normalforms import smith_normal_form
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf, hnf_basis,
                               hnf_with_transform, in_row_lattice, is_unimodular,
@@ -131,6 +131,25 @@ def test_is_unit_echelon():
     assert not is_unit_echelon(IntMatrix([[0, 1], [1, 0]]))
     assert not is_unit_echelon(IntMatrix([[1, 0], [0, 0]]))
     assert not is_unit_echelon(IntMatrix([[1, 0], [1, 1]]))
+
+
+nonzero_matrices = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(st.lists(st.integers(-6, 6), min_size=shape[1],
+                                    max_size=shape[1]),
+                           min_size=shape[0], max_size=shape[0])).filter(
+    lambda rows: any(any(row) for row in rows))
+
+
+@settings(deadline=None, max_examples=200)
+@given(nonzero_matrices)
+def test_hnf_basis_against_sympy(rows):
+    # an independent oracle: sympy's HNF of A^T holds a basis of the row
+    # lattice of A in its columns, in the mirror image of our row-style form,
+    # so ours of A with reversed columns, read backwards, must equal it
+    ours = hnf_basis(IntMatrix([row[::-1] for row in rows]))
+    theirs = hermite_normal_form(sympy.Matrix(rows).T)
+    assert [list(row[::-1]) for row in reversed(ours.rows)] == \
+        [[int(v) for v in theirs.col(j)] for j in range(theirs.cols)]
 
 
 def _random_elementary_transform(rng, matrix):

@@ -156,6 +156,17 @@ def test_closed_form_of_xk_matches_the_series_arithmetic(phi, c2_table):
         assert satisfies_quotient(series_xk, yk_generators(c2_table, lattice, k, 6)[1:], 3)
 
 
+@pytest.mark.parametrize("name, p", [(name, p) for name in ("c3_table", "c4_table", "s3_table")
+                                     for p in (2, 3)])
+def test_closed_form_of_xk_matches_the_series_on_the_vanishing_lattices(request, name, p):
+    # the lattice rows the wreath link reads X_k from: zero exponents phi_kj,
+    # and rows such as (1, 1, 1, 1) that multiply several H_j
+    table = request.getfixturevalue(name)
+    lattice = e_lattice(table, p)
+    for k in range(1, lattice.M + 1):
+        assert xk_closed_series(table, lattice, k, 4) == xk_series(table, lattice, k, 4)
+
+
 def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
     n, p = 5, 2
     honest = series.y_explicit

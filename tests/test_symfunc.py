@@ -43,6 +43,15 @@ def test_multiply_rejects_mixed_bases():
         x_mono(1) * c_mono(1)
 
 
+def test_powers():
+    x2 = SymElement.generator(X, 2)
+    assert x2 ** 0 == SymElement(X, 0, {Partition(()): 1})
+    assert x2 ** 3 == x_mono(2, 2, 2)
+    # as Cyclotomic.__pow__ does: no inverse, so no silent unit
+    with pytest.raises(ValueError):
+        x2 ** -1
+
+
 def _random_element(rng, basis, degree):
     coeffs = {}
     for lam in partitions(degree):

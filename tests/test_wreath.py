@@ -256,7 +256,7 @@ def centralizer_order(table, nu):
 
 
 def singular_indices(table, p, n):
-    is_regular = regular_multipartition_flags(table, p, n)
+    is_regular = regular_multipartition_flags(table, p)
     return [nu for nu in multipartitions(table.N, n) if not is_regular(nu)]
 
 
