@@ -90,6 +90,18 @@ def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_tab
     check_kernel_reports()
 
 
+def test_a_failed_link_runs_the_certificate(monkeypatch, c2_table, s3_table):
+    # honest generators whose link is not proved: the integer kernel is the
+    # certificate that proves the degree, not the structural one
+    cases = _fallback_cases(c2_table, s3_table)
+    break_the_link(monkeypatch)
+    for verify, args in cases:
+        report = verify(*args)
+        assert report.method == "kernel" and report.verdict is True
+        assert report.lattice_hnf == report.monomial_hnf
+        assert report.rank == report.expected_rank
+
+
 # ---------------------------------------------------------------------------
 # the kernel fallback on hand-made inputs without the link: bases that a
 # certificate computing no kernel would prove, and each way one can fail
