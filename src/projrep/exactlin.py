@@ -254,13 +254,34 @@ def conj(value):
 # integer matrices
 
 
+def _integer(value):
+    """value as an int; ValueError unless it is an integer value.  Strings and
+    non-integral numbers are rejected, not parsed or truncated."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, (str, bytes)):
+        try:
+            result = int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if result == value:
+                return result
+    raise ValueError("not an integer: %r" % (value,))
+
+
 class IntMatrix:
-    """An immutable matrix of arbitrary-precision integers."""
+    """An immutable matrix of arbitrary-precision integers.
+
+    The constructor is the one place that checks entries and shape.  Results
+    computed from valid matrices (HNF and transform, transpose, products) are
+    built by _trusted, which skips the checks: their rows are int tuples of
+    one width by construction."""
 
     __slots__ = ("rows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(tuple(map(_integer, row)) for row in rows)
         if rows:
             widths = {len(row) for row in rows}
             if len(widths) != 1:
@@ -274,16 +295,24 @@ class IntMatrix:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "ncols", int(ncols))
 
+    @classmethod
+    def _trusted(cls, rows, ncols):
+        """A matrix from rows that are int sequences of width ncols, unchecked."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
+        object.__setattr__(matrix, "ncols", ncols)
+        return matrix
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+        return cls._trusted([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls(tuple((0,) * ncols for _ in range(nrows)), ncols)
+        return cls._trusted([(0,) * ncols] * nrows, ncols)
 
     @property
     def nrows(self):
@@ -300,19 +329,16 @@ class IntMatrix:
         return self.rows[i]
 
     def transpose(self):
-        transposed = tuple(zip(*self.rows))
-        if transposed:
-            return IntMatrix(transposed, self.nrows)
-        if self.ncols:
-            return IntMatrix(tuple(() for _ in range(self.ncols)), 0)
-        return IntMatrix((), self.nrows)
+        if self.rows:
+            return IntMatrix._trusted(zip(*self.rows), self.nrows)
+        return IntMatrix._trusted([()] * self.ncols, 0)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         cols = list(zip(*other.rows)) if other.rows else []
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows),
+        return IntMatrix._trusted(
+            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
             other.ncols)
 
     def to_lists(self):
@@ -379,7 +405,7 @@ def hnf_with_transform(matrix):
         pr += 1
         if pr == nr:
             break
-    return IntMatrix(a, nc), IntMatrix(u, nr)
+    return IntMatrix._trusted(a, nc), IntMatrix._trusted(u, nr)
 
 
 def hnf(matrix):
@@ -390,7 +416,7 @@ def hnf(matrix):
 def hnf_basis(matrix):
     """HNF with zero rows dropped: the canonical basis of the row-span lattice."""
     h = hnf(matrix)
-    return IntMatrix(tuple(row for row in h.rows if any(row)), h.ncols)
+    return IntMatrix._trusted([row for row in h.rows if any(row)], h.ncols)
 
 
 def same_row_lattice(a, b):
@@ -418,7 +444,7 @@ def integer_kernel(matrix):
     """Z-basis (HNF-canonical) of {v in Z^ncols : matrix @ v = 0}; saturated."""
     h, u = hnf_with_transform(matrix.transpose())
     kernel_rows = tuple(u.rows[i] for i in range(h.nrows) if not any(h.rows[i]))
-    return hnf_basis(IntMatrix(kernel_rows, matrix.ncols))
+    return hnf_basis(IntMatrix._trusted(kernel_rows, matrix.ncols))
 
 
 def rational_constraints(rows, ncols):

@@ -83,14 +83,15 @@ def reg_lattice(n, p):
 
 
 def element_coordinates(element, positions):
-    """Integer coordinate vector of an element whose coefficients are integral
-    Fractions (sym) or ints (wreath, Phi basis); positions maps each index of
-    its degree to a column, and is built once per degree."""
+    """Integer coordinate vector (a list of ints) of an element whose
+    coefficients are ints, as SymElement stores integral values and the Phi
+    basis stores all; positions maps each index of its degree to a column,
+    and is built once per degree."""
     coords = [0] * len(positions)
     for index, coeff in element.coeffs.items():
-        if coeff.denominator != 1:
+        if type(coeff) is not int:
             raise AssertionError("non-integral coordinate at %s" % (index,))
-        coords[positions[index]] = int(coeff)
+        coords[positions[index]] = coeff
     return coords
 
 
@@ -99,7 +100,7 @@ def y_monomials(n, p):
     positions = {lam: i for i, lam in enumerate(partitions(n))}
     rows = [element_coordinates(y_monomial(lam, p), positions)
             for lam in p_regular_partitions(n, p)]
-    return IntMatrix(rows, len(positions))
+    return IntMatrix._trusted(rows, len(positions))
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,32 @@
 from functools import lru_cache
 from math import factorial
 
+from .exactlin import _integer
+
 
 class Partition:
-    """A partition as a weakly decreasing tuple of positive integers."""
+    """A partition as a weakly decreasing tuple of positive integers.
+
+    The constructor checks the parts; partitions(n) and merge build their
+    results by _trusted, which skips the checks because those parts are valid
+    by construction."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(v) for v in parts)
+        parts = tuple(map(_integer, parts))
         if any(v < 1 for v in parts):
             raise ValueError("parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _trusted(cls, parts):
+        """The partition of a weakly decreasing tuple of positive ints, unchecked."""
+        partition = object.__new__(cls)
+        object.__setattr__(partition, "parts", parts)
+        return partition
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
@@ -59,13 +72,8 @@ class Partition:
         return mult
 
     def merge(self, other):
-        """Multiset union of parts, i.e. the index of a product of monomials.
-        Both operands were validated when built, so their sorted union is a
-        valid partition and skips the checks of the constructor."""
-        merged = object.__new__(Partition)
-        object.__setattr__(merged, "parts", tuple(sorted(self.parts + other.parts,
-                                                         reverse=True)))
-        return merged
+        """Multiset union of parts, i.e. the index of a product of monomials."""
+        return Partition._trusted(tuple(sorted(self.parts + other.parts, reverse=True)))
 
     def is_p_regular(self, p):
         """True iff no part is divisible by p."""
@@ -84,7 +92,7 @@ def partitions(n):
 
     def descend(remaining, cap, prefix):
         if remaining == 0:
-            out.append(Partition(prefix))
+            out.append(Partition._trusted(prefix))
             return
         for v in range(min(cap, remaining), 0, -1):
             descend(remaining - v, v, prefix + (v,))
@@ -107,13 +115,23 @@ def z(lam):
 
 
 class MultiPartition:
-    """A fixed-length tuple of partitions, indexed by an external index set."""
+    """A fixed-length tuple of partitions, indexed by an external index set.
+    The constructor builds each component that is not yet a Partition
+    through Partition's checks; multipartitions and merge build their
+    results by _trusted."""
 
     __slots__ = ("components",)
 
     def __init__(self, components):
         comps = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
         object.__setattr__(self, "components", comps)
+
+    @classmethod
+    def _trusted(cls, components):
+        """The multipartition of a tuple of Partitions, unchecked."""
+        multipartition = object.__new__(cls)
+        object.__setattr__(multipartition, "components", components)
+        return multipartition
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPartition is immutable")
@@ -149,7 +167,8 @@ class MultiPartition:
     def merge(self, other):
         if len(self) != len(other):
             raise ValueError("component counts differ")
-        return MultiPartition(tuple(a.merge(b) for a, b in zip(self, other)))
+        return MultiPartition._trusted(tuple(map(Partition.merge, self.components,
+                                                 other.components)))
 
 
 def count_multipartitions(k, n):
@@ -174,7 +193,7 @@ def multipartitions(k, n, part_filter=None, component_filter=None):
     component_filter is forced empty.
     """
     if k == 0:
-        return (MultiPartition(()),) if n == 0 else ()
+        return (MultiPartition._trusted(()),) if n == 0 else ()
 
     def component_choices(idx, size):
         if component_filter is not None and not component_filter(idx):
@@ -189,7 +208,7 @@ def multipartitions(k, n, part_filter=None, component_filter=None):
     def descend(idx, remaining, prefix):
         if idx == k - 1:
             for lam in component_choices(idx, remaining):
-                out.append(MultiPartition(prefix + (lam,)))
+                out.append(MultiPartition._trusted(prefix + (lam,)))
             return
         for s in range(remaining, -1, -1):
             choices = component_choices(idx, s)

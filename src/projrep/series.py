@@ -199,7 +199,7 @@ def y_explicit(n, p):
         if head % p == 0:
             continue
         extend(n - head, (head,), 1)
-    return SymElement(symfunc.X, n, {k: Fraction(v) for k, v in coeffs.items()})
+    return SymElement(symfunc.X, n, coeffs)
 
 
 def y_from_quotient(max_degree, p, basis=symfunc.X):
@@ -213,4 +213,4 @@ def y_monomial(lam, p):
     y_{lam_1} times the cached product over the remaining parts."""
     if not lam.parts:
         return SymElement.one(symfunc.X)
-    return y_explicit(lam.parts[0], p) * y_monomial(Partition(lam.parts[1:]), p)
+    return y_explicit(lam.parts[0], p) * y_monomial(Partition._trusted(lam.parts[1:]), p)

@@ -19,10 +19,18 @@ class GradedElement:
     """A homogeneous element of a graded algebra with a monomial basis: a sparse
     map from the indices of one degree to nonzero coefficients, multiplied by
     merging indices.  A subclass fixes its bases (BASES), the index type
-    (INDEX, with .size and .merge), how a coefficient is coerced (scalar), and
-    how elements are built in the same algebra (_like, _space, _unit)."""
+    (INDEX, with .size and .merge), how a coefficient is coerced (scalar), the
+    attributes that name its algebra (_SPACE, and their values _space), and
+    how elements are built in the same algebra (_like, _unit).
+
+    The constructor checks every index and coefficient.  Sums, negations and
+    products of two elements are built by _trusted without those checks:
+    merged indices of valid indices are valid, of the summed degree, and the
+    scalars of an algebra are closed under +, - and *.  Multiplication by a
+    scalar from outside goes through the constructor."""
 
     __slots__ = ("basis", "degree", "coeffs")
+    _SPACE = ("basis",)
 
     def __init__(self, basis, degree, coeffs):
         if basis not in self.BASES:
@@ -45,6 +53,23 @@ class GradedElement:
 
     def _index(self, index):
         return index if isinstance(index, self.INDEX) else self.INDEX(index)
+
+    def _trusted(self, degree, coeffs):
+        """An element of this one's algebra from coefficients that are valid by
+        construction; only the zeros are dropped (by _nonzero)."""
+        element = object.__new__(type(self))
+        for name in self._SPACE:
+            object.__setattr__(element, name, getattr(self, name))
+        object.__setattr__(element, "degree", degree)
+        object.__setattr__(element, "coeffs", self._nonzero(coeffs))
+        return element
+
+    @staticmethod
+    def _nonzero(coeffs):
+        return {index: coeff for index, coeff in coeffs.items() if coeff}
+
+    def _space(self):
+        return self.basis
 
     @classmethod
     def zero(cls, *args):
@@ -80,10 +105,10 @@ class GradedElement:
         coeffs = dict(self.coeffs)
         for index, coeff in other.coeffs.items():
             coeffs[index] = coeffs[index] + coeff if index in coeffs else coeff
-        return self._like(self.degree, coeffs)
+        return self._trusted(self.degree, coeffs)
 
     def __neg__(self):
-        return self._like(self.degree, {index: -c for index, c in self.coeffs.items()})
+        return self._trusted(self.degree, {index: -c for index, c in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -98,7 +123,7 @@ class GradedElement:
             for other_index, b in other.coeffs.items():
                 key = index.merge(other_index)
                 coeffs[key] = coeffs[key] + a * b if key in coeffs else a * b
-        return self._like(self.degree + other.degree, coeffs)
+        return self._trusted(self.degree + other.degree, coeffs)
 
     __rmul__ = __mul__
 
@@ -119,15 +144,26 @@ class GradedElement:
 
 
 class SymElement(GradedElement):
-    """A homogeneous symmetric function: rational coefficients on partitions."""
+    """A homogeneous symmetric function: rational coefficients on partitions,
+    stored as int when integral and as Fraction otherwise."""
 
     __slots__ = ()
     BASES = (X, C)
     INDEX = Partition
-    scalar = Fraction
 
-    def _space(self):
-        return self.basis
+    @staticmethod
+    def scalar(coeff):
+        if type(coeff) is int:
+            return coeff
+        coeff = Fraction(coeff)
+        return coeff.numerator if coeff.denominator == 1 else coeff
+
+    @staticmethod
+    def _nonzero(coeffs):
+        # a sum or product of Fractions may be integral
+        return {index: coeff if type(coeff) is int or coeff.denominator != 1
+                else coeff.numerator
+                for index, coeff in coeffs.items() if coeff}
 
     def _like(self, degree, coeffs):
         return SymElement(self.basis, degree, coeffs)
@@ -395,4 +431,4 @@ def schur_in_x(lam):
             continue
         key = Partition(sorted((ix for ix in indices if ix > 0), reverse=True))
         coeffs[key] = coeffs.get(key, 0) + _perm_sign(sigma)
-    return SymElement(X, lam.size, {k: Fraction(v) for k, v in coeffs.items()})
+    return SymElement(X, lam.size, coeffs)

@@ -47,6 +47,7 @@ class CharTable:
         self._phi_series = {}
         self._phi_monomial = {}
         self._class_values = {}
+        self._xk_series = {}
         self._validate()
         # _multipliers[c][j]: chi_j(C_c) as a matrix acting on power-basis coordinates
         self._multipliers = tuple(tuple(_multiplier(irr.values[c], conductor)
@@ -215,6 +216,7 @@ class WreathElement(GradedElement):
     coefficients in the Phi basis, where the ring is a Z-form."""
 
     __slots__ = ("ncomp",)
+    _SPACE = ("basis", "ncomp")
     BASES = (XI, PHI)
     INDEX = MultiPartition
 
@@ -315,16 +317,24 @@ def xk_series(table, lattice, k, order):
 
     For k <= M this is the product over all irreducibles j of the x-generator
     series raised to the integer exponent phi_{j,k}; for k > M it is the
-    plain linear combination with those coefficients.
+    plain linear combination with those coefficients.  Memoized on the table
+    at the highest order asked for so far: a coefficient of a product of
+    series reads only lower ones, so truncation serves every lower order,
+    and the generators and the exchange check of a degree share one series.
     """
     if not 1 <= k <= table.N:
         raise ValueError("k out of range")
-    terms = [(e, _phi_x_generator_series(table, j, order))
-             for j, e in enumerate(lattice.phi.rows[k - 1]) if e]
-    if k <= lattice.M:
-        return reduce(mul, [int_power(series, e) for e, series in terms])
-    return GradedSeries([reduce(add, [e * series[i] for e, series in terms])
-                         for i in range(order + 1)])
+    series = table._xk_series.get((lattice, k))
+    if series is None or series.order < order:
+        terms = [(e, _phi_x_generator_series(table, j, order))
+                 for j, e in enumerate(lattice.phi.rows[k - 1]) if e]
+        if k <= lattice.M:
+            series = reduce(mul, [int_power(factor, e) for e, factor in terms])
+        else:
+            series = GradedSeries([reduce(add, [e * factor[i] for e, factor in terms])
+                                   for i in range(order + 1)])
+        table._xk_series[(lattice, k)] = series
+    return series if series.order == order else GradedSeries(series.coeffs[:order + 1])
 
 
 def yk_generators(table, lattice, k, order):
@@ -510,7 +520,7 @@ def verify_theorem2(table, p, n, lattice=None):
         vanish = all(generators_vanish(cycle_weight(table, lattice, k), p, n)
                      for k in generators)
     return VerificationReport.decide(n, p, lambda: singular_constraints(table, p, n),
-                                     hnf_basis(IntMatrix(rows, len(positions))),
+                                     hnf_basis(IntMatrix._trusted(rows, len(positions))),
                                      count_regular_classes(table, p, n), start, vanish)
 
 

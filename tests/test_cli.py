@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from collections import namedtuple
 from fractions import Fraction
 
@@ -313,3 +314,23 @@ def test_golden_output(capsys, argv):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == GOLDEN[argv]
+
+
+# sha256 of the --format json output of the verify commands with every
+# "seconds" value written as 0, recorded before sums, products, partitions
+# and HNF results were built without re-running the constructors' checks.
+GOLDEN_MASKED_JSON = {
+    ("sym", "verify", "--p", "3", "--max-degree", "12"):
+        "8217007d3e1232b19240ee8acf33d12e298b2f50e625505cd269f9c5f1fbed4c",
+    ("wreath", "verify", "--table", "c4", "--p", "3", "--max-degree", "4"):
+        "c7177e933c1d19e5fc300acece138743a88c80e01be3be9e0b7419cbd54f3f0c",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_MASKED_JSON), ids=" ".join)
+def test_golden_verify_json_without_timings(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    masked = re.sub(r'"seconds": [-0-9.e+]+', '"seconds": 0', out)
+    assert masked.count('"seconds": 0') == int(argv[-1]) + 1
+    assert hashlib.sha256(masked.encode()).hexdigest() == GOLDEN_MASKED_JSON[argv]

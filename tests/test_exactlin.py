@@ -124,6 +124,16 @@ def test_hnf_transform_is_unimodular():
         assert u @ m == h
 
 
+def test_int_matrix_rejects_entries_that_are_not_integers():
+    for bad in (1.5, "3", "x", Fraction(7, 2), float("nan"), None, Cyclotomic.zeta(4)):
+        with pytest.raises(ValueError):
+            IntMatrix([[bad, 2]])
+    # integer values of other types are converted, never truncated
+    matrix = IntMatrix([[2.0, Fraction(4, 2), True]])
+    assert matrix.rows == ((2, 2, 1),)
+    assert all(type(v) is int for v in matrix.rows[0])
+
+
 def test_is_unit_echelon():
     assert is_unit_echelon(IntMatrix([[1, 5, 0], [0, 0, 1]]))
     assert is_unit_echelon(IntMatrix((), 3))

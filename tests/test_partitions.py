@@ -30,6 +30,21 @@ def test_partition_validation():
         Partition((2, 0))
 
 
+def test_partition_rejects_parts_that_are_not_integers():
+    for bad in ((2.7, 1), ("2", 1), (Fraction(5, 2),), (None,)):
+        with pytest.raises(ValueError):
+            Partition(bad)
+    partition = Partition((2.0, Fraction(1)))
+    assert partition.parts == (2, 1) and all(type(v) is int for v in partition.parts)
+
+
+def test_multipartition_rejects_parts_that_are_not_integers():
+    with pytest.raises(ValueError):
+        MultiPartition(((2, 1), (1.5,)))
+    with pytest.raises(ValueError):
+        MultiPartition(((3,), ("1",)))
+
+
 def test_textual_form():
     assert str(Partition((3, 1, 1))) == "[3,1,1]"
     assert str(EMPTY) == "[]"
