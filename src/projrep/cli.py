@@ -12,6 +12,7 @@ import json
 import sys
 from functools import lru_cache
 from importlib import resources
+from math import isqrt
 
 from . import modsym, series, wreath
 from .partitions import count_multipartitions, partitions
@@ -20,9 +21,16 @@ from .symfunc import generator_powers, mn_character, render_terms
 DEFAULT_GUARD_LIMIT = 20000
 
 
+# The largest --p is below 2^32, where trial division up to 2^16 decides
+# primality at once; a larger value is refused.
+PRIME_BOUND = 2 ** 32
+
+
 def prime(text):
     value = int(text)
-    if value < 2 or any(value % d == 0 for d in range(2, int(value ** 0.5) + 1)):
+    if value >= PRIME_BOUND:
+        raise argparse.ArgumentTypeError("--p must be below 2^32 = %d" % PRIME_BOUND)
+    if value < 2 or any(value % d == 0 for d in range(2, isqrt(value) + 1)):
         raise argparse.ArgumentTypeError("%r is not a prime" % text)
     return value
 

@@ -419,27 +419,6 @@ def hnf_basis(matrix):
     return IntMatrix._trusted([row for row in h.rows if any(row)], h.ncols)
 
 
-def same_row_lattice(a, b):
-    """True iff a and b span the same lattice of integer row vectors."""
-    return hnf_basis(a) == hnf_basis(b)
-
-
-def in_row_lattice(vector, matrix):
-    """True iff vector is an integer combination of the rows of matrix."""
-    basis = hnf_basis(matrix)
-    v = [int(x) for x in vector]
-    if len(v) != basis.ncols:
-        raise ValueError("length mismatch")
-    for row in basis.rows:
-        pc = next(j for j, x in enumerate(row) if x)
-        q, r = divmod(v[pc], row[pc])
-        if r:
-            return False
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    return not any(v)
-
-
 def integer_kernel(matrix):
     """Z-basis (HNF-canonical) of {v in Z^ncols : matrix @ v = 0}; saturated."""
     h, u = hnf_with_transform(matrix.transpose())

@@ -2,7 +2,10 @@
 p-singular classes, the polynomial generators y_n and their class values,
 and per-degree verification that the generator monomials span exactly that
 lattice (structurally, or by Hermite normal form equality with the
-computed kernel)."""
+computed kernel).  S_n is the case G = 1 of G wr S_n, and the class-value
+routines here (of the generators and of every monomial), the p-singular
+class predicate and the constraint matrix of the vanishing lattice serve
+both engines."""
 
 import time
 from collections import namedtuple
@@ -11,75 +14,13 @@ from fractions import Fraction
 from math import factorial
 from functools import lru_cache
 
-from .exactlin import (IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel,
-                       is_unit_echelon, rational_kernel)
-from .partitions import Partition, p_regular_partitions, partitions
+from .exactlin import IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel, is_unit_echelon
+# unused here, but perfbench/layers.py patches modsym.rational_kernel by name
+from .exactlin import rational_kernel  # noqa: F401
+from .partitions import (MultiPartition, Partition, multipartitions, p_regular_partitions,
+                         partitions)
 from .series import satisfies_quotient, x_generator_series, y_explicit, y_monomial
 from .symfunc import SymElement, X, class_values, schur_in_x
-
-
-def _remove_from_part(parts, v, r):
-    """The parts with one part v replaced by v - r (dropped if 0), re-sorted."""
-    at = parts.index(v)
-    return tuple(sorted(parts[:at] + parts[at + 1:] + ((v - r,) if v > r else ()),
-                        reverse=True))
-
-
-@lru_cache(maxsize=None)
-def x_class_value_matrix(n):
-    """Integer class values of the x-monomial basis: entry [i][j] is the value
-    of x_{lambda_i} on class mu_j, both indexed by partitions(n).
-
-    x_lambda is the permutation character induced from the Young subgroup
-    S_lambda, so its value on mu counts the ways to share the cycles of mu
-    among the parts of lambda.  The largest cycle, of length r = mu_1, lies
-    in one part v >= r, which leaves v - r for the other cycles:
-        x_lambda(mu) = sum over part values v >= r of lambda of
-                       m_lambda(v) * x_{lambda - r@v}(mu minus mu_1),
-    where lambda - r@v replaces one part v by v - r (dropped if 0) and
-    m_lambda(v) is the multiplicity of v.  Degree n reads only the tables
-    of degrees below n; x_empty(empty) = 1."""
-    if n == 0:
-        return ((1,),)
-    classes = partitions(n)
-    index = {k: {lam.parts: i for i, lam in enumerate(partitions(k))} for k in range(n)}
-    # removals[r][i]: (m_lambda(v), row of lambda - r@v in degree n - r) for lambda_i
-    removals = {r: [[(m, index[n - r][_remove_from_part(lam.parts, v, r)])
-                     for v, m in lam.multiplicities().items() if v >= r]
-                    for lam in classes]
-                for r in range(1, n + 1)}
-    columns = []
-    for mu in classes:
-        r = mu.parts[0]
-        sub = x_class_value_matrix(n - r)
-        j = index[n - r][mu.parts[1:]]
-        columns.append([sum(m * sub[i][j] for m, i in terms) for terms in removals[r]])
-    return tuple(zip(*columns))
-
-
-@dataclass(frozen=True)
-class RegLattice:
-    """Z-basis (rows, x-basis coordinates) of the degree-n characters vanishing
-    on every p-singular class."""
-    degree: int
-    p: int
-    basis: IntMatrix
-
-    @property
-    def rank(self):
-        return self.basis.nrows
-
-
-def singular_class_rows(n, p):
-    """One constraint row per p-singular class mu of S_n: the values of the
-    x-basis on mu.  Their integer solutions are the vanishing lattice."""
-    values = x_class_value_matrix(n)
-    return [[row[j] for row in values]
-            for j, mu in enumerate(partitions(n)) if not mu.is_p_regular(p)]
-
-
-def reg_lattice(n, p):
-    return RegLattice(n, p, rational_kernel(singular_class_rows(n, p), len(partitions(n))))
 
 
 def element_coordinates(element, positions):
@@ -219,11 +160,19 @@ def generator_values(weight, p, n):
     return {mu: tuple(v) for mu, v in acc.items() if any(v)}
 
 
+def is_p_singular(cls, element_orders, p):
+    """True iff the class cls of G wr S_n (a tuple of labels, see CycleWeight)
+    has a cycle whose length is divisible by p or whose product lies in a
+    class C_c of G of element order element_orders[c] divisible by p."""
+    ncls = len(element_orders)
+    return any(label // ncls % p == 0 or element_orders[label % ncls] % p == 0
+               for label in cls)
+
+
 @lru_cache(maxsize=None)
 def _vanishes_on_singular(weight, p, n):
-    ncls = len(weight.values)
-    return all(label // ncls % p and weight.element_orders[label % ncls] % p
-               for mu in generator_values(weight, p, n) for label in mu)
+    return not any(is_p_singular(mu, weight.element_orders, p)
+                   for mu in generator_values(weight, p, n))
 
 
 def generators_vanish(weight, p, n):
@@ -231,6 +180,107 @@ def generators_vanish(weight, p, n):
     vanishes on the p-singular classes (those with a cycle of length divisible
     by p, or in a p-singular class of G)."""
     return all(_vanishes_on_singular(weight, p, k) for k in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# class values of every monomial, and the constraints of the vanishing lattice
+
+
+# The integer character data of the one-class group G = 1, whose wreath
+# products are the S_n: one class, one character, chi(C) = [[1]].
+SYM_CHARACTERS = ((((1,),),),)
+
+
+def class_labels(nu):
+    """The class of G wr S_n with cycle lengths nu[c] through the class C_c of
+    G, for a multipartition nu, as its sorted tuple of labels r * N + c."""
+    return tuple(sorted(r * len(nu) + c for c, lam in enumerate(nu) for r in lam.parts))
+
+
+@lru_cache(maxsize=None)
+def _removals(ncls, n, r):
+    """For each rho in multipartitions(ncls, n): the pairs (j, terms), one per
+    component rho_j with a part v >= r, where terms lists (m_{rho_j}(v), index of
+    rho - r@(j, v) in multipartitions(ncls, n - r)) over those part values v, and
+    rho - r@(j, v) replaces one part v of rho_j by v - r (dropped if 0)."""
+    lower = {mp: i for i, mp in enumerate(multipartitions(ncls, n - r))}
+    out = []
+    for rho in multipartitions(ncls, n):
+        entry = []
+        for j, lam in enumerate(rho):
+            terms = []
+            for v, mult in lam.multiplicities().items():
+                if v >= r:
+                    at = lam.parts.index(v)
+                    parts = lam.parts[:at] + lam.parts[at + 1:] + ((v - r,) if v > r else ())
+                    comps = list(rho.components)
+                    comps[j] = Partition._trusted(tuple(sorted(parts, reverse=True)))
+                    terms.append((mult, lower[MultiPartition._trusted(tuple(comps))]))
+            if terms:
+                entry.append((j, tuple(terms)))
+        out.append(tuple(entry))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def monomial_values(multipliers, cls):
+    """Values X_rho(cls) of the monomials of degree n, as characters of
+    G wr S_n, on the class cls (a tuple of labels, see CycleWeight), for every
+    rho in multipartitions(N, n) order.  multipliers[c][j] is the integer
+    matrix of multiplication by chi_j(C_c) on the power-basis coordinates of
+    Z[zeta_m], m the conductor; the result is phi(m) integer rows, row t
+    holding the zeta_m^t coordinates.  S_n is the case SYM_CHARACTERS, where
+    X_rho is the permutation character x_lambda induced from the Young
+    subgroup S_lambda, lambda the one component of rho.
+
+    X_rho is induced from the product of the G wr S_v over the parts v of every
+    rho_j, each carrying chi_j on every factor G.  The largest cycle of cls, of
+    length r through the class C = C_c, lies in one part v >= r of some rho_j,
+    which contributes chi_j(C) and leaves v - r:
+        X_rho(cls) = sum over j and part values v >= r of rho_j of
+                     m_{rho_j}(v) * chi_j(C) * X_{rho - r@(j,v)}(cls minus that cycle),
+    with m_{rho_j}(v) the multiplicity of v and X_empty(empty) = 1 (Macdonald
+    I App. B).  Degree n reads only the classes of lower degree."""
+    ncls, d = len(multipliers), len(multipliers[0][0])
+    if not cls:
+        return ((1,),) + ((0,),) * (d - 1)
+    r, c = divmod(cls[-1], ncls)
+    sub = monomial_values(multipliers, cls[:-1])
+    values = []
+    for entry in _removals(ncls, sum(label // ncls for label in cls), r):
+        acc = [0] * d
+        for j, terms in entry:
+            shared = [sum(mult * row[i] for mult, i in terms) for row in sub]
+            for t, coords in enumerate(multipliers[c][j]):
+                acc[t] += sum(a * b for a, b in zip(coords, shared))
+        values.append(acc)
+    return tuple(zip(*values))
+
+
+@lru_cache(maxsize=None)
+def x_class_value_matrix(n):
+    """Integer class values of the x-monomial basis: entry [i][j] is the value
+    of x_{lambda_i} on class mu_j, both indexed by partitions(n); the
+    monomial_values of SYM_CHARACTERS, whose multipartitions(1, n) are
+    partitions(n) in order."""
+    return tuple(zip(*(monomial_values(SYM_CHARACTERS, class_labels((mu,)))[0]
+                       for mu in partitions(n))))
+
+
+def singular_classes(element_orders, p, n):
+    """The p-singular classes of G wr S_n as label tuples, in
+    multipartitions(N, n) order, N = len(element_orders)."""
+    return [cls for cls in map(class_labels, multipartitions(len(element_orders), n))
+            if is_p_singular(cls, element_orders, p)]
+
+
+def singular_constraints(multipliers, element_orders, p, n):
+    """The integer constraint matrix E of degree n, whose integer solutions
+    are the vanishing lattice: the nonzero coordinate rows of monomial_values
+    on each p-singular class, in order.  Degree 1 is the lattice of G."""
+    return IntMatrix._trusted([row for cls in singular_classes(element_orders, p, n)
+                               for row in monomial_values(multipliers, cls) if any(row)],
+                              len(multipartitions(len(multipliers), n)))
 
 
 @dataclass(frozen=True)
@@ -285,13 +335,6 @@ class VerificationReport:
                    verdict, method, time.perf_counter() - start)
 
 
-def sym_constraints(n, p):
-    """The integer constraint matrix E of degree n: the nonzero
-    singular_class_rows."""
-    return IntMatrix([row for row in singular_class_rows(n, p) if any(row)],
-                     len(partitions(n)))
-
-
 @lru_cache(maxsize=None)
 def _generators_linked(n, p):
     """satisfies_quotient for the y_explicit in every degree <= n, checking
@@ -305,8 +348,9 @@ def verify_theorem1(n, p):
     start = time.perf_counter()
     monomial_hnf = hnf_basis(y_monomials(n, p))
     generators = generators_vanish(SYM_WEIGHT, p, n) if _generators_linked(n, p) else None
-    return VerificationReport.decide(n, p, lambda: sym_constraints(n, p), monomial_hnf,
-                                     len(p_regular_partitions(n, p)), start, generators)
+    return VerificationReport.decide(
+        n, p, lambda: singular_constraints(SYM_CHARACTERS, SYM_WEIGHT.element_orders, p, n),
+        monomial_hnf, len(p_regular_partitions(n, p)), start, generators)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,25 @@
 """Wreath-product engine: character-table ingestion, the graded algebra of the
-wreath products G wr S_n in the xi- and Phi-monomial bases, the class values
-of the Phi monomials, the vanishing lattice of G with unimodular completion,
+wreath products G wr S_n in the xi- and Phi-monomial bases, the vanishing
+lattice of G (degree 1 of the wreath lattice) with unimodular completion,
 the X_k/Y_k generator series, and per-degree verification of the
-polynomial-ring statement."""
+polynomial-ring statement.  The class values and the constraint matrix of
+the fallback come from modsym, shared with S_n."""
 
 import json
 import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import factorial, gcd, prod
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, IntMatrix, conj, euler_phi, hnf_basis, is_unimodular,
-                       rational_kernel, unimodular_complete)
-from .modsym import (CycleWeight, VerificationReport, _remove_from_part, element_coordinates,
-                     generators_vanish)
+from .exactlin import (Cyclotomic, IntMatrix, conj, euler_phi, hnf_basis, integer_kernel,
+                       is_unimodular, unimodular_complete)
+# unused here, but perfbench/layers.py patches wreath.rational_kernel by name
+from .exactlin import rational_kernel  # noqa: F401
+from .modsym import (CycleWeight, VerificationReport, element_coordinates, generators_vanish,
+                     monomial_values, singular_classes, singular_constraints)
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
 from .series import GradedSeries, exp, int_power, quotient_y, satisfies_quotient
 from .symfunc import GradedElement
@@ -46,13 +49,14 @@ class CharTable:
         self.irreducibles = tuple(irreducibles)
         self._phi_series = {}
         self._phi_monomial = {}
-        self._class_values = {}
         self._xk_series = {}
         self._validate()
-        # _multipliers[c][j]: chi_j(C_c) as a matrix acting on power-basis coordinates
+        # the integer character data of modsym.monomial_values: _multipliers[c][j]
+        # is chi_j(C_c) as a matrix acting on power-basis coordinates
         self._multipliers = tuple(tuple(_multiplier(irr.values[c], conductor)
                                         for irr in self.irreducibles)
                                   for c in range(self.N))
+        self._element_orders = tuple(c.element_order for c in self.classes)
 
     @property
     def N(self):
@@ -178,10 +182,6 @@ def p_regular_classes(table, p):
     return tuple(c for c in table.classes if c.element_order % p != 0)
 
 
-def _regular_class_flags(table, p):
-    return tuple(c.element_order % p != 0 for c in table.classes)
-
-
 # ---------------------------------------------------------------------------
 # the vanishing lattice of G and its unimodular completion
 
@@ -196,9 +196,10 @@ class ELatticeBasis:
 
 
 def e_lattice(table, p):
-    singular = [i for i, c in enumerate(table.classes) if c.element_order % p == 0]
-    constraints = [[irr.values[i] for irr in table.irreducibles] for i in singular]
-    kernel = rational_kernel(constraints, table.N)
+    """The vanishing lattice of G, degree 1 of the wreath lattice: the classes
+    of G wr S_1 are those of G, and the degree-1 monomials are the chi_j."""
+    kernel = integer_kernel(singular_constraints(table._multipliers, table._element_orders,
+                                                 p, 1))
     m = len(p_regular_classes(table, p))
     if kernel.nrows != m:
         raise AssertionError("vanishing lattice rank %d differs from the %d p-regular classes"
@@ -348,27 +349,11 @@ def yk_generators(table, lattice, k, order):
 # per-degree verification
 
 
-def regular_multipartition_flags(table, p):
-    """The p-regular test on xi indices (multipartitions) of any degree."""
-    flags = _regular_class_flags(table, p)
-
-    def is_regular(mp):
-        for idx, lam in enumerate(mp):
-            if not flags[idx] and lam.parts:
-                return False
-            if not lam.is_p_regular(p):
-                return False
-        return True
-
-    return is_regular
-
-
 def count_regular_classes(table, p, n):
     """Number of p-regular classes of G wr S_n."""
-    flags = _regular_class_flags(table, p)
     return len(multipartitions(table.N, n,
                                part_filter=lambda v: v % p != 0,
-                               component_filter=lambda idx: flags[idx]))
+                               component_filter=lambda idx: table._element_orders[idx] % p))
 
 
 def cycle_weight(table, lattice, k):
@@ -380,7 +365,7 @@ def cycle_weight(table, lattice, k):
     values = tuple(tuple(sum(e * matrix[t][0] for e, matrix in zip(row, multipliers))
                          for t in range(euler_phi(table.conductor)))
                    for multipliers in table._multipliers)
-    return CycleWeight(values, tuple(c.element_order for c in table.classes), table.conductor)
+    return CycleWeight(values, table._element_orders, table.conductor)
 
 
 def xk_closed_form(table, lattice, k, n):
@@ -408,93 +393,17 @@ def xk_closed_series(table, lattice, k, order):
     return GradedSeries([xk_closed_form(table, lattice, k, i) for i in range(order + 1)])
 
 
-@lru_cache(maxsize=None)
-def _removals(ncomp, n, r):
-    """For each rho in multipartitions(ncomp, n): the pairs (j, terms), one per
-    component rho_j with a part v >= r, where terms lists (m_{rho_j}(v), index of
-    rho - r@(j, v) in multipartitions(ncomp, n - r)) over those part values v."""
-    lower = {mp: i for i, mp in enumerate(multipartitions(ncomp, n - r))}
-    out = []
-    for rho in multipartitions(ncomp, n):
-        entry = []
-        for j, lam in enumerate(rho):
-            terms = []
-            for v, mult in lam.multiplicities().items():
-                if v >= r:
-                    comps = list(rho.components)
-                    comps[j] = Partition(_remove_from_part(lam.parts, v, r))
-                    terms.append((mult, lower[MultiPartition(comps)]))
-            if terms:
-                entry.append((j, tuple(terms)))
-        out.append(tuple(entry))
-    return tuple(out)
-
-
-def class_values(table, nu):
-    """Values X_rho(nu) of the PHI monomials, as characters of G wr S_n, on the
-    class nu (a multipartition of n over the classes of G), for every rho in
-    multipartitions(N, n) order.  The values lie in Z[zeta_m], m the conductor;
-    the result is phi(m) integer rows, row t holding the zeta_m^t coordinates.
-
-    X_rho is induced from the product of the G wr S_v over the parts v of every
-    rho_j, each carrying chi_j on every factor G.  The largest cycle of nu, of
-    length r and in the first class C that has a part r, lies in one part
-    v >= r of some rho_j, which contributes chi_j(C) and leaves v - r:
-        X_rho(nu) = sum over j and part values v >= r of rho_j of
-                    m_{rho_j}(v) * chi_j(C) * X_{rho - r@(j,v)}(nu minus that cycle),
-    where rho - r@(j,v) replaces one part v of rho_j by v - r and X_empty(empty)
-    = 1.  X_rho(nu) = Z_nu times the xi_nu coefficient of xi_from_phi(rho), with
-    Z_nu = prod over C of z(nu_C) * (|G|/|C|)^len(nu_C) the centralizer order
-    of nu.  Memoized on the table, so each degree reads those below it."""
-    rows = table._class_values.get(nu)
-    if rows is not None:
-        return rows
-    d = euler_phi(table.conductor)
-    if nu.size == 0:
-        rows = ((1,),) + ((0,),) * (d - 1)
-    else:
-        r = max(lam.parts[0] for lam in nu if lam.parts)
-        c = next(i for i, lam in enumerate(nu) if lam.parts and lam.parts[0] == r)
-        rest = list(nu.components)
-        rest[c] = Partition(nu[c].parts[1:])
-        sub = class_values(table, MultiPartition(rest))
-        multipliers = table._multipliers[c]
-        values = []
-        for entry in _removals(table.N, nu.size, r):
-            acc = [0] * d
-            for j, terms in entry:
-                shared = [sum(mult * row[i] for mult, i in terms) for row in sub]
-                for t, coords in enumerate(multipliers[j]):
-                    acc[t] += sum(a * b for a, b in zip(coords, shared))
-            values.append(acc)
-        rows = tuple(zip(*values))
-    table._class_values[nu] = rows
-    return rows
-
-
-def _singular_indices(table, p, n):
-    is_regular = regular_multipartition_flags(table, p)
-    return [nu for nu in multipartitions(table.N, n) if not is_regular(nu)]
-
-
 def singular_index_rows(table, p, n):
-    """One constraint row per p-singular xi index nu of degree n: the values
-    X_rho(nu) of class_values as Cyclotomics of the table's conductor, columns
-    in multipartitions(N, n) order.  Each row is a positive multiple of the xi_nu
-    coefficients of the PHI monomials, so their integer solutions are the
-    vanishing lattice."""
+    """One constraint row per p-singular class nu of degree n: the values
+    X_rho(nu) of modsym.monomial_values as Cyclotomics of the table's
+    conductor, columns in multipartitions(N, n) order.  Each row is
+    Z_nu = prod over C of z(nu_C) * (|G|/|C|)^len(nu_C), the centralizer
+    order of nu, times the xi_nu coefficients of the PHI monomials, so their
+    integer solutions are the vanishing lattice; modsym.singular_constraints
+    reads them off as integer coordinates."""
     m = table.conductor
-    return [[Cyclotomic(m, coords) for coords in zip(*class_values(table, nu))]
-            for nu in _singular_indices(table, p, n)]
-
-
-def singular_constraints(table, p, n):
-    """rational_constraints(singular_index_rows(table, p, n)), read off the
-    integer coordinates of class_values with no rational arithmetic: the
-    nonzero coordinate rows of each p-singular index, in order."""
-    return IntMatrix([row for nu in _singular_indices(table, p, n)
-                      for row in class_values(table, nu) if any(row)],
-                     len(multipartitions(table.N, n)))
+    return [[Cyclotomic(m, coords) for coords in zip(*monomial_values(table._multipliers, cls))]
+            for cls in singular_classes(table._element_orders, p, n)]
 
 
 def verify_theorem2(table, p, n, lattice=None):
@@ -519,9 +428,10 @@ def verify_theorem2(table, p, n, lattice=None):
            for k, y in generators.items()):
         vanish = all(generators_vanish(cycle_weight(table, lattice, k), p, n)
                      for k in generators)
-    return VerificationReport.decide(n, p, lambda: singular_constraints(table, p, n),
-                                     hnf_basis(IntMatrix._trusted(rows, len(positions))),
-                                     count_regular_classes(table, p, n), start, vanish)
+    return VerificationReport.decide(
+        n, p, lambda: singular_constraints(table._multipliers, table._element_orders, p, n),
+        hnf_basis(IntMatrix._trusted(rows, len(positions))),
+        count_regular_classes(table, p, n), start, vanish)
 
 
 def generator_exchange_check(table, lattice, n):

@@ -3,7 +3,13 @@ from importlib import resources
 
 import pytest
 
+from projrep.exactlin import IntMatrix, hnf_basis
 from projrep.wreath import load_table
+
+
+def in_lattice(vector, basis):
+    """Membership by HNF equality: adding a lattice vector keeps the basis."""
+    return hnf_basis(IntMatrix(basis.rows + (tuple(vector),), basis.ncols)) == hnf_basis(basis)
 
 
 def table_path(name):

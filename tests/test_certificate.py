@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from projrep import modsym, wreath
 from projrep.exactlin import (Cyclotomic, IntMatrix, hnf_basis, integer_kernel,
                               rational_constraints, rational_kernel)
-from projrep.modsym import VerificationReport, singular_class_rows, verify_theorem1
+from projrep.modsym import VerificationReport, verify_theorem1
 from projrep.partitions import multipartitions, partitions
+from projrep.symfunc import perm_char_value
 from projrep.wreath import e_lattice, singular_index_rows, verify_theorem2
 
 
@@ -25,12 +26,15 @@ def decide(basis, constraints, expected):
 
 
 def test_sym_certificate_agrees_with_kernel():
-    # structural = kernel
+    # structural = kernel, the constraint rows from the counting oracle of
+    # the permutation characters x_lambda
     for p in (2, 3, 5):
         for n in range(11):
             report = verify_theorem1(n, p)
             assert report.method == "structural", (n, p)
-            constraints = rational_constraints(singular_class_rows(n, p), len(partitions(n)))
+            rows = [[perm_char_value(lam, mu) for lam in partitions(n)]
+                    for mu in partitions(n) if not mu.is_p_regular(p)]
+            constraints = rational_constraints(rows, len(partitions(n)))
             assert hnf_basis(integer_kernel(constraints)) == report.monomial_hnf
             assert report.lattice_hnf == report.monomial_hnf
 

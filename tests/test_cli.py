@@ -1,19 +1,21 @@
+import argparse
 import hashlib
 import json
 import re
+import time
 from collections import namedtuple
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, strategies as st
 
 from projrep import cli
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import sym_constraints, verify_theorem1
+from projrep.modsym import SYM_CHARACTERS, SYM_WEIGHT, singular_constraints, verify_theorem1
 from projrep.partitions import Partition, count_multipartitions, partitions
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, mn_character
-from projrep.wreath import singular_constraints
 
 from conftest import table_path
 
@@ -83,6 +85,38 @@ def test_bad_max_degree_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["sym", "verify", "--p", "2", "--max-degree", "0"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("p", [pytest.param(str(10 ** 400), id="10**400"),
+                               "1000000000000000003", "4294967311",
+                               "4294967297", "4294967295", "1", "-3", "two"])
+def test_refused_p_exits_2_at_once(capsys, p):
+    # 10**400, too large for a float square root, and the prime 10**18 + 3,
+    # too large to trial-divide, are refused by the bound 2^32 at once
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        cli.main(["sym", "verify", "--p", p, "--max-degree", "3"])
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2
+    assert "argument --p" in capsys.readouterr().err
+
+
+def test_p_is_prime_below_the_bound(capsys):
+    assert [n for n in range(-3, 3000) if is_accepted_p(n)] == list(sympy.primerange(3000))
+    assert not is_accepted_p(cli.PRIME_BOUND)
+    start = time.perf_counter()
+    for p in ("4294967291", "4294967279"):  # the largest primes below 2^32
+        code, out, _ = run(capsys, "sym", "verify", "--p", p, "--max-degree", "3")
+        assert code == 0 and "VERIFIED for p=%s" % p in out
+    assert time.perf_counter() - start < 2
+
+
+def is_accepted_p(n):
+    try:
+        cli.prime(str(n))
+    except argparse.ArgumentTypeError:
+        return False
+    return True
 
 
 def test_sym_chartable(capsys):
@@ -196,7 +230,8 @@ def test_verify_reports_the_method(capsys):
                for line in out.strip().splitlines()[:-1])
     for n in range(5):
         report = verify_theorem1(n, 3)
-        assert report.monomial_hnf == integer_kernel(sym_constraints(n, 3))
+        assert report.monomial_hnf == integer_kernel(
+            singular_constraints(SYM_CHARACTERS, SYM_WEIGHT.element_orders, 3, n))
     code, out, _ = run(capsys, "wreath", "verify", "--table", "c3", "--p", "2",
                        "--max-degree", "2", "--format", "json")
     assert code == 0
@@ -205,7 +240,8 @@ def test_verify_reports_the_method(capsys):
     table = cli.resolve_table("c3")
     for n, entry in enumerate(reports):
         assert (IntMatrix(entry["monomial_hnf"], count_multipartitions(3, n))
-                == integer_kernel(singular_constraints(table, 2, n)))
+                == integer_kernel(singular_constraints(table._multipliers,
+                                                       table._element_orders, 2, n)))
 
 
 def test_missing_table_exits_2(capsys):

@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
+from conftest import in_lattice
 from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf, hnf_basis,
-                              hnf_with_transform, in_row_lattice, is_unimodular,
-                              is_unit_echelon, rational_kernel, same_row_lattice,
-                              unimodular_complete)
+                              hnf_with_transform, integer_kernel, is_unimodular,
+                              is_unit_echelon, rational_kernel, unimodular_complete)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +236,10 @@ def test_equal_lattices_iff_equal_hnf():
 
 def test_membership_reduction():
     m = IntMatrix([[1, -1, 0], [0, 0, 1]])
-    assert in_row_lattice([2, -2, 5], m)
-    assert not in_row_lattice([1, 0, 0], m)
+    assert in_lattice([2, -2, 5], m)
+    assert not in_lattice([1, 0, 0], m)
+    assert in_lattice([0, 0, 0], IntMatrix.zero(0, 3))
+    assert not in_lattice([0, 1, 0], IntMatrix.zero(0, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,7 @@ def _brute_force_kernel_points(constraint_rows, ncols, bound=3):
 
 def test_rational_kernel_examples():
     k = rational_kernel([[1, 1, 0]], 3)
-    assert same_row_lattice(k, IntMatrix([[1, -1, 0], [0, 0, 1]]))
+    assert hnf_basis(k) == hnf_basis(IntMatrix([[1, -1, 0], [0, 0, 1]]))
     assert rational_kernel([[0, 0]], 2) == IntMatrix.identity(2)
     assert rational_kernel([[1, -1], [1, -1]], 2) == IntMatrix([[1, 1]])
 
@@ -266,7 +268,7 @@ def test_rational_kernel_against_brute_force():
         constraints = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]
         basis = rational_kernel(constraints, ncols)
         for point in _brute_force_kernel_points(constraints, ncols):
-            assert in_row_lattice(point, basis) if basis.nrows else not any(point)
+            assert in_lattice(point, basis)
         for row in basis.rows:
             assert all(sum(r * v for r, v in zip(c, row)) == 0 for c in constraints)
 
@@ -303,6 +305,26 @@ def test_rational_kernel_cyclotomic_expansion():
 def test_rational_kernel_fraction_entries():
     basis = rational_kernel([[Fraction(1, 2), Fraction(-1, 3)]], 2)
     assert basis == IntMatrix([[2, 3]])
+
+
+integer_matrices = st.integers(1, 5).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-6, 6), min_size=ncols, max_size=ncols), max_size=4).map(
+        lambda rows: IntMatrix(rows, ncols)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(integer_matrices)
+def test_integer_kernel_against_sympy(matrix):
+    # integer_kernel is the one kernel of every verification fallback
+    basis = integer_kernel(matrix)
+    assert basis.ncols == matrix.ncols
+    for vector in basis.rows:
+        assert all(sum(a * b for a, b in zip(row, vector)) == 0 for row in matrix.rows)
+    rank = sympy.Matrix(matrix.nrows, matrix.ncols, [v for row in matrix.rows for v in row]).rank()
+    assert basis.nrows == matrix.ncols - rank
+    assert hnf_basis(basis) == basis
+    # saturated: every Smith invariant factor is 1
+    assert _invariant_factors(basis.rows) == (1,) * basis.nrows
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,27 @@ from fractions import Fraction
 
 import sympy
 
-from projrep.exactlin import IntMatrix, in_row_lattice, same_row_lattice
-from projrep.modsym import (worked_examples_check, reg_lattice, verify_theorem1,
-                            x_class_value_matrix, y_monomials)
+from conftest import in_lattice
+from projrep.exactlin import IntMatrix, integer_kernel
+from projrep.modsym import (SYM_CHARACTERS, SYM_WEIGHT, singular_constraints,
+                            worked_examples_check, verify_theorem1, x_class_value_matrix,
+                            y_monomials)
 from projrep.partitions import Partition, p_regular_partitions, partitions
 from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
 
 
+def reg_lattice(n, p):
+    """The vanishing lattice of degree n: the kernel of the shared constraint
+    builder for the one-class group."""
+    return integer_kernel(singular_constraints(SYM_CHARACTERS, SYM_WEIGHT.element_orders, p, n))
+
+
 def test_reg_lattice_examples():
     lattice = reg_lattice(3, 2)
-    assert lattice.rank == 2
-    assert same_row_lattice(lattice.basis, IntMatrix([[1, -1, 0], [0, 0, 1]]))
+    assert lattice == IntMatrix([[1, -1, 0], [0, 0, 1]])
     for p in (2, 3, 5):
-        one = reg_lattice(1, p)
-        assert one.rank == 1 and one.basis == IntMatrix([[1]])
-    assert reg_lattice(4, 2).rank == 2
+        assert reg_lattice(1, p) == IntMatrix([[1]])
+    assert reg_lattice(4, 2).nrows == 2
 
 
 def test_reg_lattice_rows_vanish_on_singular_classes():
@@ -25,7 +31,8 @@ def test_reg_lattice_rows_vanish_on_singular_classes():
             lattice = reg_lattice(n, p)
             values = x_class_value_matrix(n)
             classes = partitions(n)
-            for row in lattice.basis.rows:
+            assert lattice.nrows == len(p_regular_partitions(n, p))
+            for row in lattice.rows:
                 for j, mu in enumerate(classes):
                     value = sum(row[i] * values[i][j] for i in range(len(classes)))
                     if not mu.is_p_regular(p):
@@ -44,7 +51,7 @@ def test_y_monomial_rows_lie_in_lattice():
         for n in range(0, 8):
             lattice = reg_lattice(n, p)
             for row in y_monomials(n, p).rows:
-                assert in_row_lattice(row, lattice.basis)
+                assert in_lattice(row, lattice)
 
 
 def test_verify_theorem1_small():

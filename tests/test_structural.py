@@ -9,14 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from projrep import modsym, series, wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
-from projrep.modsym import (SYM_WEIGHT, CycleWeight, _times, convolve, cycle_products,
-                            generator_values, generators_vanish, verify_theorem1,
-                            x_class_value_matrix)
+from projrep.modsym import (SYM_WEIGHT, CycleWeight, _times, class_labels, convolve,
+                            cycle_products, generator_values, generators_vanish,
+                            monomial_values, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
 from projrep.series import satisfies_quotient, x_generator_series, y_explicit
 from projrep.symfunc import SymElement, X
-from projrep.wreath import (PHI, ELatticeBasis, WreathElement, class_values, cycle_weight,
-                            e_lattice, load_table, verify_theorem2, xk_closed_series, xk_series, yk_generators)
+from projrep.wreath import (PHI, ELatticeBasis, WreathElement, cycle_weight, e_lattice,
+                            load_table, verify_theorem2, xk_closed_series, xk_series,
+                            yk_generators)
 
 from conftest import table_path
 
@@ -30,10 +31,6 @@ def bundled(name):
 
 def sym_key(mu):
     return tuple(reversed(mu.parts))
-
-
-def wreath_key(nu):
-    return tuple(sorted(r * len(nu) + c for c, lam in enumerate(nu) for r in lam.parts))
 
 
 def character_weight(table, j):
@@ -83,12 +80,12 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
             index = multipartitions(table.N, n)
             values = generator_values(weight, p, n)
             for nu in index:
-                rows = class_values(table, nu)
+                rows = monomial_values(table._multipliers, class_labels(nu))
                 expected = tuple(sum(coords[rho] * row[i]
                                      for i, rho in enumerate(index) if rho in coords)
                                  for row in rows)
                 zero = (0,) * len(rows)
-                assert values.get(wreath_key(nu), zero) == expected, (name, p, k, n, nu)
+                assert values.get(class_labels(nu), zero) == expected, (name, p, k, n, nu)
 
 
 @settings(deadline=None, max_examples=60)
@@ -113,9 +110,9 @@ def test_convolution_matches_the_wreath_class_values(case):
     index = multipartitions(table.N, n)
     values = wreath_product_values(table, index[i])
     for nu in index:
-        rows = class_values(table, nu)
+        rows = monomial_values(table._multipliers, class_labels(nu))
         expected = tuple(row[i] for row in rows)
-        assert values.get(wreath_key(nu), (0,) * len(rows)) == expected
+        assert values.get(class_labels(nu), (0,) * len(rows)) == expected
 
 
 cyclotomic_coords = st.sampled_from((1, 3, 4, 5, 8, 12)).flatmap(lambda m: st.tuples(

@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from projrep.exactlin import (Cyclotomic, IntMatrix, rational_constraints,
-                              same_row_lattice)
-from projrep.modsym import verify_theorem1
+from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, integer_kernel, rational_constraints
+from projrep.modsym import (SYM_CHARACTERS, SYM_WEIGHT, singular_constraints,
+                            verify_theorem1)
 from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, x_to_c
@@ -16,7 +16,6 @@ from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, Tabl
                             WreathElement, count_regular_classes, e_lattice,
                             generator_exchange_check, xk_exp_identity_check, load_table,
                             p_regular_classes, phi_c_in_xi, phi_x_in_xi,
-                            regular_multipartition_flags, singular_constraints,
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
                             yk_generators)
 
@@ -161,8 +160,7 @@ def test_e_lattice_c2(c2_table):
 def test_e_lattice_s3(s3_table):
     lattice = e_lattice(s3_table, 2)
     assert lattice.M == 2
-    assert same_row_lattice(IntMatrix(lattice.phi.rows[:2], 3),
-                            IntMatrix([[1, 1, 0], [0, 0, 1]]))
+    assert hnf_basis(IntMatrix(lattice.phi.rows[:2], 3)) == IntMatrix([[1, 1, 0], [0, 0, 1]])
     assert sympy.Matrix(lattice.phi.rows).det() in (1, -1)
 
 
@@ -171,7 +169,68 @@ def test_e_lattice_p_coprime_order(c2_table, c3_table):
     for table, p in ((c2_table, 3), (c3_table, 2)):
         lattice = e_lattice(table, p)
         assert lattice.M == table.N
-        assert same_row_lattice(lattice.phi, IntMatrix.identity(table.N))
+        assert hnf_basis(lattice.phi) == IntMatrix.identity(table.N)
+
+
+# lattice.phi for each bundled table and p, pinned: the completion rows come
+# from the HNF transform of the kernel, so they would follow any drift in the
+# kernel rows or in the constraints behind them
+E_LATTICE_PHI = {
+    ("trivial", 2): ((1,),), ("trivial", 3): ((1,),), ("trivial", 5): ((1,),),
+    ("c2", 2): ((1, 1), (0, 1)), ("c2", 3): ((1, 0), (0, 1)), ("c2", 5): ((1, 0), (0, 1)),
+    ("c3", 2): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ("c3", 3): ((1, 1, 1), (0, 1, 0), (0, 0, 1)),
+    ("c3", 5): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ("c4", 2): ((1, 1, 1, 1), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ("c4", 3): ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ("c4", 5): ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+    ("s3", 2): ((1, 1, 0), (0, 0, 1), (0, 1, 0)),
+    ("s3", 3): ((1, 0, 1), (0, 1, 1), (0, 0, 1)),
+    ("s3", 5): ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name, p", sorted(E_LATTICE_PHI))
+def test_e_lattice_is_pinned(request, name, p):
+    table = request.getfixturevalue(name + "_table")
+    lattice = e_lattice(table, p)
+    assert lattice.phi.rows == E_LATTICE_PHI[name, p]
+    assert lattice.M == len(p_regular_classes(table, p))
+
+
+def relabel(table, class_order, irr_order):
+    """The table with its classes and irreducibles listed in the given orders."""
+    return CharTable(
+        table.name + "'", table.order, table.conductor,
+        [table.classes[c] for c in class_order],
+        [Irreducible(table.irreducibles[j].label,
+                     tuple(table.irreducibles[j].values[c] for c in class_order))
+         for j in irr_order])
+
+
+def test_e_lattice_is_degree_one_of_the_constraint_builder(trivial_table, c2_table, c3_table,
+                                                            s3_table, c4_table):
+    # the kernel of the Cyclotomic constraints chi_j(C) over the p-singular
+    # classes C, on the bundled tables and on relabelled ones
+    tables = [trivial_table, c2_table, c3_table, s3_table, c4_table]
+    for seed in range(1, 8):
+        rng = random.Random(seed)
+        for table in (c2_table, c3_table, s3_table, c4_table):
+            tables.append(relabel(table, [0] + rng.sample(range(1, table.N), table.N - 1),
+                                  rng.sample(range(table.N), table.N)))
+    for table in tables:
+        for p in (2, 3, 5, 7):
+            singular = [c for c, cls in enumerate(table.classes) if cls.element_order % p == 0]
+            rows = [[irr.values[c] for irr in table.irreducibles] for c in singular]
+            lattice = e_lattice(table, p)
+            assert IntMatrix(lattice.phi.rows[:lattice.M], table.N) == \
+                integer_kernel(rational_constraints(rows, table.N))
+
+
+def test_the_symmetric_group_is_the_one_class_case(trivial_table):
+    # S_n is G wr S_n for G = 1: the trivial table carries the sym character data
+    assert trivial_table._multipliers == SYM_CHARACTERS
+    assert trivial_table._element_orders == SYM_WEIGHT.element_orders
 
 
 def test_e_lattice_rows_vanish_on_singular_classes(s3_table, c4_table):
@@ -256,8 +315,11 @@ def centralizer_order(table, nu):
 
 
 def singular_indices(table, p, n):
-    is_regular = regular_multipartition_flags(table, p)
-    return [nu for nu in multipartitions(table.N, n) if not is_regular(nu)]
+    """The p-singular classes nu: a cycle length divisible by p, or a cycle
+    through a class of G whose element order p divides."""
+    return [nu for nu in multipartitions(table.N, n)
+            if any(lam.parts and (cls.element_order % p == 0 or not lam.is_p_regular(p))
+                   for cls, lam in zip(table.classes, nu))]
 
 
 @pytest.mark.parametrize("name", ["trivial_table", "c2_table", "c3_table", "s3_table",
@@ -280,7 +342,7 @@ def test_singular_index_rows_are_scaled_xi_coefficients(request, name):
                 for value, expansion in zip(row, expansions):
                     assert value.conductor == table.conductor
                     assert value == scale * expansion.coeffs.get(nu, zero), (p, n, nu)
-            assert singular_constraints(table, p, n) == \
+            assert singular_constraints(table._multipliers, table._element_orders, p, n) == \
                 rational_constraints(rows, len(phi_index))
 
 
@@ -289,12 +351,7 @@ def test_singular_index_rows_follow_a_relabelled_table(c4_table):
     # follow the classes and the columns follow the irreducibles
     class_order = (0, 3, 1, 2)
     irr_order = (2, 0, 3, 1)
-    relabelled = CharTable(
-        "C4'", c4_table.order, c4_table.conductor,
-        [c4_table.classes[c] for c in class_order],
-        [Irreducible(c4_table.irreducibles[j].label,
-                     tuple(c4_table.irreducibles[j].values[c] for c in class_order))
-         for j in irr_order])
+    relabelled = relabel(c4_table, class_order, irr_order)
 
     def move(mp, order):
         return MultiPartition([mp[i] for i in order])
@@ -335,7 +392,7 @@ def test_xk_series_trivial_group(trivial_table):
 def test_xk_series_identity_lattice(c2_table):
     # p coprime to |G|: phi is the identity so X_k is the plain generator series
     lattice = e_lattice(c2_table, 3)
-    assert same_row_lattice(lattice.phi, IntMatrix.identity(2))
+    assert hnf_basis(lattice.phi) == IntMatrix.identity(2)
     for k in (1, 2):
         series = xk_series(c2_table, lattice, k, 4)
         row = lattice.phi.rows[k - 1]
