@@ -104,11 +104,14 @@ def json_chunks(value, pad="\n"):
 
 def degree_line(report, extra=""):
     """The text line of one verified degree; the digests cost a JSON dump of
-    both matrices, so the verify commands build it only for --format text."""
+    the matrices, so the verify commands build it only for --format text, and
+    a structural report, whose two matrices are one, dumps it once."""
+    monomials = matrix_digest(report.monomial_hnf)
+    lattice = (monomials if report.lattice_hnf is report.monomial_hnf
+               else matrix_digest(report.lattice_hnf))
     return ("n=%-2d verdict=%-5s %srank=%d/%d lattice=%s monomials=%s method=%s"
             % (report.degree, report.verdict, extra, report.rank, report.expected_rank,
-               matrix_digest(report.lattice_hnf), matrix_digest(report.monomial_hnf),
-               report.method))
+               lattice, monomials, report.method))
 
 
 def emit(args, payload, text_lines):
@@ -174,8 +177,9 @@ def cmd_sym_verify(args):
     for n in range(0, args.max_degree + 1):
         report = modsym.verify_theorem1(n, args.p)
         all_ok = all_ok and report.verdict
-        reports.append(report.to_dict())
-        if args.format == "text":
+        if args.format == "json":
+            reports.append(report.to_dict())
+        else:
             lines.append(degree_line(report))
     lines.append("theorem 1 %s for p=%d up to degree %d"
                  % ("VERIFIED" if all_ok else "FAILED", args.p, args.max_degree))
@@ -244,10 +248,9 @@ def cmd_wreath_verify(args):
         report = wreath.verify_theorem2(table, args.p, n, lattice=lattice)
         exchange = wreath.generator_exchange_check(table, lattice, n)
         all_ok = all_ok and report.verdict and exchange
-        entry = report.to_dict()
-        entry["generator_exchange"] = exchange
-        reports.append(entry)
-        if args.format == "text":
+        if args.format == "json":
+            reports.append(dict(report.to_dict(), generator_exchange=exchange))
+        else:
             lines.append(degree_line(report, "exchange=%-5s " % exchange))
     lines.append("theorem 2 %s for %s, p=%d up to degree %d"
                  % ("VERIFIED" if all_ok else "FAILED", table.name, args.p,

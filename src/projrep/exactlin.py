@@ -85,7 +85,7 @@ class Cyclotomic:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs):
-        conductor = int(conductor)
+        conductor = _integer(conductor)
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         object.__setattr__(self, "conductor", conductor)
@@ -282,6 +282,10 @@ class IntMatrix:
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(map(_integer, row)) for row in rows)
+        if ncols is not None:
+            ncols = _integer(ncols)
+            if ncols < 0:
+                raise ValueError("ncols must be >= 0")
         if rows:
             widths = {len(row) for row in rows}
             if len(widths) != 1:
@@ -293,7 +297,7 @@ class IntMatrix:
         elif ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ncols", int(ncols))
+        object.__setattr__(self, "ncols", ncols)
 
     @classmethod
     def _trusted(cls, rows, ncols):

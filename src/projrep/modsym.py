@@ -186,9 +186,9 @@ def generators_vanish(weight, p, n):
 # class values of every monomial, and the constraints of the vanishing lattice
 
 
-# The integer character data of the one-class group G = 1, whose wreath
-# products are the S_n: one class, one character, chi(C) = [[1]].
-SYM_CHARACTERS = ((((1,),),),)
+# The characters of the one-class group G = 1, whose wreath products are the
+# S_n: one character, chi = 1.
+SYM_CHARACTERS = (SYM_WEIGHT,)
 
 
 def class_labels(nu):
@@ -223,15 +223,15 @@ def _removals(ncls, n, r):
 
 
 @lru_cache(maxsize=None)
-def monomial_values(multipliers, cls):
+def monomial_values(characters, cls):
     """Values X_rho(cls) of the monomials of degree n, as characters of
     G wr S_n, on the class cls (a tuple of labels, see CycleWeight), for every
-    rho in multipartitions(N, n) order.  multipliers[c][j] is the integer
-    matrix of multiplication by chi_j(C_c) on the power-basis coordinates of
-    Z[zeta_m], m the conductor; the result is phi(m) integer rows, row t
-    holding the zeta_m^t coordinates.  S_n is the case SYM_CHARACTERS, where
-    X_rho is the permutation character x_lambda induced from the Young
-    subgroup S_lambda, lambda the one component of rho.
+    rho in multipartitions(N, n) order.  characters[j] is the CycleWeight of
+    the irreducible chi_j, its integer coordinates over Z[zeta_m], m the
+    conductor; the result is phi(m) integer rows, row t holding the zeta_m^t
+    coordinates.  S_n is the case SYM_CHARACTERS, where X_rho is the
+    permutation character x_lambda induced from the Young subgroup S_lambda,
+    lambda the one component of rho.
 
     X_rho is induced from the product of the G wr S_v over the parts v of every
     rho_j, each carrying chi_j on every factor G.  The largest cycle of cls, of
@@ -241,18 +241,19 @@ def monomial_values(multipliers, cls):
                      m_{rho_j}(v) * chi_j(C) * X_{rho - r@(j,v)}(cls minus that cycle),
     with m_{rho_j}(v) the multiplicity of v and X_empty(empty) = 1 (Macdonald
     I App. B).  Degree n reads only the classes of lower degree."""
-    ncls, d = len(multipliers), len(multipliers[0][0])
+    ncls, conductor = len(characters), characters[0].conductor
+    d = len(characters[0].values[0])
     if not cls:
         return ((1,),) + ((0,),) * (d - 1)
     r, c = divmod(cls[-1], ncls)
-    sub = monomial_values(multipliers, cls[:-1])
+    sub = monomial_values(characters, cls[:-1])
     values = []
     for entry in _removals(ncls, sum(label // ncls for label in cls), r):
         acc = [0] * d
         for j, terms in entry:
-            shared = [sum(mult * row[i] for mult, i in terms) for row in sub]
-            for t, coords in enumerate(multipliers[c][j]):
-                acc[t] += sum(a * b for a, b in zip(coords, shared))
+            shared = tuple(sum(mult * row[i] for mult, i in terms) for row in sub)
+            for t, v in enumerate(_times(characters[j].values[c], shared, conductor)):
+                acc[t] += v
         values.append(acc)
     return tuple(zip(*values))
 
@@ -267,20 +268,21 @@ def x_class_value_matrix(n):
                        for mu in partitions(n))))
 
 
-def singular_classes(element_orders, p, n):
+def singular_classes(characters, p, n):
     """The p-singular classes of G wr S_n as label tuples, in
-    multipartitions(N, n) order, N = len(element_orders)."""
-    return [cls for cls in map(class_labels, multipartitions(len(element_orders), n))
+    multipartitions(N, n) order, for the N characters of G."""
+    element_orders = characters[0].element_orders
+    return [cls for cls in map(class_labels, multipartitions(len(characters), n))
             if is_p_singular(cls, element_orders, p)]
 
 
-def singular_constraints(multipliers, element_orders, p, n):
+def singular_constraints(characters, p, n):
     """The integer constraint matrix E of degree n, whose integer solutions
     are the vanishing lattice: the nonzero coordinate rows of monomial_values
     on each p-singular class, in order.  Degree 1 is the lattice of G."""
-    return IntMatrix._trusted([row for cls in singular_classes(element_orders, p, n)
-                               for row in monomial_values(multipliers, cls) if any(row)],
-                              len(multipartitions(len(multipliers), n)))
+    return IntMatrix._trusted([row for cls in singular_classes(characters, p, n)
+                               for row in monomial_values(characters, cls) if any(row)],
+                              len(multipartitions(len(characters), n)))
 
 
 @dataclass(frozen=True)
@@ -349,7 +351,7 @@ def verify_theorem1(n, p):
     monomial_hnf = hnf_basis(y_monomials(n, p))
     generators = generators_vanish(SYM_WEIGHT, p, n) if _generators_linked(n, p) else None
     return VerificationReport.decide(
-        n, p, lambda: singular_constraints(SYM_CHARACTERS, SYM_WEIGHT.element_orders, p, n),
+        n, p, lambda: singular_constraints(SYM_CHARACTERS, p, n),
         monomial_hnf, len(p_regular_partitions(n, p)), start, generators)
 
 

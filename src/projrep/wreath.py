@@ -10,12 +10,12 @@ import time
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, gcd, prod
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, IntMatrix, conj, euler_phi, hnf_basis, integer_kernel,
-                       is_unimodular, unimodular_complete)
+from .exactlin import (Cyclotomic, IntMatrix, conj, hnf_basis, integer_kernel, is_unimodular,
+                       unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
 from .modsym import (CycleWeight, VerificationReport, element_coordinates, generators_vanish,
@@ -36,10 +36,10 @@ class TableError(ValueError):
 
 
 class CharTable:
-    """An ordinary character table of a finite group over a splitting field.
-
-    Immutable after construction apart from internal idempotent caches.
-    """
+    """An ordinary character table of a finite group over a splitting field,
+    immutable after construction.  characters[j] is the irreducible chi_j as
+    a modsym.CycleWeight: its values as integer power-basis coordinates over
+    Z[zeta_conductor], with the element orders of the classes."""
 
     def __init__(self, name, order, conductor, classes, irreducibles):
         self.name = name
@@ -47,16 +47,12 @@ class CharTable:
         self.conductor = conductor
         self.classes = tuple(classes)
         self.irreducibles = tuple(irreducibles)
-        self._phi_series = {}
-        self._phi_monomial = {}
-        self._xk_series = {}
         self._validate()
-        # the integer character data of modsym.monomial_values: _multipliers[c][j]
-        # is chi_j(C_c) as a matrix acting on power-basis coordinates
-        self._multipliers = tuple(tuple(_multiplier(irr.values[c], conductor)
-                                        for irr in self.irreducibles)
-                                  for c in range(self.N))
-        self._element_orders = tuple(c.element_order for c in self.classes)
+        element_orders = tuple(c.element_order for c in self.classes)
+        self.characters = tuple(
+            CycleWeight(tuple(tuple(map(int, v.lift(conductor).rational_coords()))
+                              for v in irr.values), element_orders, conductor)
+            for irr in self.irreducibles)
 
     @property
     def N(self):
@@ -118,13 +114,6 @@ class CharTable:
 
     def __repr__(self):
         return "CharTable(%r, order=%d, N=%d)" % (self.name, self.order, self.N)
-
-
-def _multiplier(value, m):
-    """The integer matrix of multiplication by an algebraic integer of Q(zeta_m)
-    on the power-basis coordinates of Z[zeta_m]: column k holds value * zeta_m^k."""
-    columns = [(value * Cyclotomic.zeta(m, k)).lift(m).coeffs for k in range(euler_phi(m))]
-    return tuple(tuple(int(column[t]) for column in columns) for t in range(len(columns)))
 
 
 def _is_integer(raw):
@@ -198,8 +187,7 @@ class ELatticeBasis:
 def e_lattice(table, p):
     """The vanishing lattice of G, degree 1 of the wreath lattice: the classes
     of G wr S_1 are those of G, and the degree-1 monomials are the chi_j."""
-    kernel = integer_kernel(singular_constraints(table._multipliers, table._element_orders,
-                                                 p, 1))
+    kernel = integer_kernel(singular_constraints(table.characters, p, 1))
     m = len(p_regular_classes(table, p))
     if kernel.nrows != m:
         raise AssertionError("vanishing lattice rank %d differs from the %d p-regular classes"
@@ -271,18 +259,19 @@ def phi_c_in_xi(table, j, n):
     return WreathElement(XI, n, table.N, coeffs)
 
 
+@lru_cache(maxsize=None)
 def phi_x_in_xi(table, j, n):
     """Phi_j applied to x_n, expanded over xi via the exponential identity."""
-    if n == 0:
-        return WreathElement.one(XI, table.N)
-    key = (j, n)
-    series = table._phi_series.get(key)
-    if series is None:
-        log_series = GradedSeries([WreathElement.zero(XI, 0, table.N)] + [
-            phi_c_in_xi(table, j, i) * Fraction(1, i) for i in range(1, n + 1)])
-        series = exp(log_series)
-        table._phi_series[key] = series
-    return series[n]
+    log_series = GradedSeries([WreathElement.zero(XI, 0, table.N)] + [
+        phi_c_in_xi(table, j, i) * Fraction(1, i) for i in range(1, n + 1)])
+    return exp(log_series)[n]
+
+
+@lru_cache(maxsize=None)
+def _monomial_in_xi(table, mp):
+    """The PHI monomial mp expanded over xi."""
+    return reduce(mul, [phi_x_in_xi(table, j, part) for j, lam in enumerate(mp)
+                        for part in lam.parts], WreathElement.one(XI, table.N))
 
 
 def xi_from_phi(element, table):
@@ -291,14 +280,7 @@ def xi_from_phi(element, table):
         return element
     acc = WreathElement.zero(XI, element.degree, element.ncomp)
     for mp, coeff in element.coeffs.items():
-        term = table._phi_monomial.get(mp)
-        if term is None:
-            term = WreathElement.one(XI, table.N)
-            for j, lam in enumerate(mp):
-                for part in lam.parts:
-                    term = term * phi_x_in_xi(table, j, part)
-            table._phi_monomial[mp] = term
-        acc = acc + coeff * term
+        acc = acc + coeff * _monomial_in_xi(table, mp)
     return acc
 
 
@@ -313,29 +295,23 @@ def _phi_x_generator_series(table, j, order):
                            for i in range(1, order + 1)])
 
 
+@lru_cache(maxsize=None)
 def xk_series(table, lattice, k, order):
     """The k-th generator series X_k(t); k is 1-based, 1 <= k <= N.
 
     For k <= M this is the product over all irreducibles j of the x-generator
     series raised to the integer exponent phi_{j,k}; for k > M it is the
-    plain linear combination with those coefficients.  Memoized on the table
-    at the highest order asked for so far: a coefficient of a product of
-    series reads only lower ones, so truncation serves every lower order,
-    and the generators and the exchange check of a degree share one series.
+    plain linear combination with those coefficients.  Cached, so the
+    generators and the exchange check of a degree share one series.
     """
     if not 1 <= k <= table.N:
         raise ValueError("k out of range")
-    series = table._xk_series.get((lattice, k))
-    if series is None or series.order < order:
-        terms = [(e, _phi_x_generator_series(table, j, order))
-                 for j, e in enumerate(lattice.phi.rows[k - 1]) if e]
-        if k <= lattice.M:
-            series = reduce(mul, [int_power(factor, e) for e, factor in terms])
-        else:
-            series = GradedSeries([reduce(add, [e * factor[i] for e, factor in terms])
-                                   for i in range(order + 1)])
-        table._xk_series[(lattice, k)] = series
-    return series if series.order == order else GradedSeries(series.coeffs[:order + 1])
+    terms = [(e, _phi_x_generator_series(table, j, order))
+             for j, e in enumerate(lattice.phi.rows[k - 1]) if e]
+    if k <= lattice.M:
+        return reduce(mul, [int_power(factor, e) for e, factor in terms])
+    return GradedSeries([reduce(add, [e * factor[i] for e, factor in terms])
+                         for i in range(order + 1)])
 
 
 def yk_generators(table, lattice, k, order):
@@ -353,7 +329,7 @@ def count_regular_classes(table, p, n):
     """Number of p-regular classes of G wr S_n."""
     return len(multipartitions(table.N, n,
                                part_filter=lambda v: v % p != 0,
-                               component_filter=lambda idx: table._element_orders[idx] % p))
+                               component_filter=lambda idx: table.classes[idx].element_order % p))
 
 
 def cycle_weight(table, lattice, k):
@@ -362,10 +338,11 @@ def cycle_weight(table, lattice, k):
     G wr S_n is the product of psi_k(C) over its cycles, because the series
     of the Phi_j(x_i) is multiplicative in the character chi_j."""
     row = lattice.phi.rows[k - 1]
-    values = tuple(tuple(sum(e * matrix[t][0] for e, matrix in zip(row, multipliers))
-                         for t in range(euler_phi(table.conductor)))
-                   for multipliers in table._multipliers)
-    return CycleWeight(values, table._element_orders, table.conductor)
+    d = len(table.characters[0].values[0])
+    values = tuple(tuple(sum(e * chi.values[c][t] for e, chi in zip(row, table.characters))
+                         for t in range(d))
+                   for c in range(table.N))
+    return CycleWeight(values, table.characters[0].element_orders, table.conductor)
 
 
 def xk_closed_form(table, lattice, k, n):
@@ -402,8 +379,8 @@ def singular_index_rows(table, p, n):
     integer solutions are the vanishing lattice; modsym.singular_constraints
     reads them off as integer coordinates."""
     m = table.conductor
-    return [[Cyclotomic(m, coords) for coords in zip(*monomial_values(table._multipliers, cls))]
-            for cls in singular_classes(table._element_orders, p, n)]
+    return [[Cyclotomic(m, coords) for coords in zip(*monomial_values(table.characters, cls))]
+            for cls in singular_classes(table.characters, p, n)]
 
 
 def verify_theorem2(table, p, n, lattice=None):
@@ -429,7 +406,7 @@ def verify_theorem2(table, p, n, lattice=None):
         vanish = all(generators_vanish(cycle_weight(table, lattice, k), p, n)
                      for k in generators)
     return VerificationReport.decide(
-        n, p, lambda: singular_constraints(table._multipliers, table._element_orders, p, n),
+        n, p, lambda: singular_constraints(table.characters, p, n),
         hnf_basis(IntMatrix._trusted(rows, len(positions))),
         count_regular_classes(table, p, n), start, vanish)
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from projrep import cli
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import SYM_CHARACTERS, SYM_WEIGHT, singular_constraints, verify_theorem1
+from projrep.modsym import SYM_CHARACTERS, singular_constraints, verify_theorem1
 from projrep.partitions import Partition, count_multipartitions, partitions
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, mn_character
@@ -231,7 +231,7 @@ def test_verify_reports_the_method(capsys):
     for n in range(5):
         report = verify_theorem1(n, 3)
         assert report.monomial_hnf == integer_kernel(
-            singular_constraints(SYM_CHARACTERS, SYM_WEIGHT.element_orders, 3, n))
+            singular_constraints(SYM_CHARACTERS, 3, n))
     code, out, _ = run(capsys, "wreath", "verify", "--table", "c3", "--p", "2",
                        "--max-degree", "2", "--format", "json")
     assert code == 0
@@ -240,8 +240,7 @@ def test_verify_reports_the_method(capsys):
     table = cli.resolve_table("c3")
     for n, entry in enumerate(reports):
         assert (IntMatrix(entry["monomial_hnf"], count_multipartitions(3, n))
-                == integer_kernel(singular_constraints(table._multipliers,
-                                                       table._element_orders, 2, n)))
+                == integer_kernel(singular_constraints(table.characters, 2, n)))
 
 
 def test_missing_table_exits_2(capsys):

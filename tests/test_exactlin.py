@@ -33,6 +33,13 @@ def test_conjugation_is_an_involution():
             assert value.conjugate().conjugate() == value
 
 
+def test_cyclotomic_rejects_a_conductor_that_is_not_an_integer():
+    for bad in (2.7, "4", Fraction(9, 2), None):
+        with pytest.raises(ValueError):
+            Cyclotomic(bad, [1, 1])
+    assert Cyclotomic(4.0, [0, 1]) == Cyclotomic.zeta(4)
+
+
 def test_conductor_four_square_is_minus_one():
     zeta = Cyclotomic.zeta(4)
     assert zeta * zeta == -1
@@ -132,6 +139,15 @@ def test_int_matrix_rejects_entries_that_are_not_integers():
     matrix = IntMatrix([[2.0, Fraction(4, 2), True]])
     assert matrix.rows == ((2, 2, 1),)
     assert all(type(v) is int for v in matrix.rows[0])
+
+
+def test_int_matrix_rejects_a_width_that_is_not_a_non_negative_integer():
+    for bad in (2.5, "2", -3, Fraction(5, 2)):
+        with pytest.raises(ValueError):
+            IntMatrix([], bad)
+    with pytest.raises(ValueError):
+        IntMatrix([[1, 2]], 2.5)
+    assert IntMatrix([], 2.0).ncols == 2 and type(IntMatrix([], 2.0).ncols) is int
 
 
 def test_is_unit_echelon():

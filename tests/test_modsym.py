@@ -4,7 +4,7 @@ import sympy
 
 from conftest import in_lattice
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import (SYM_CHARACTERS, SYM_WEIGHT, singular_constraints,
+from projrep.modsym import (SYM_CHARACTERS, singular_constraints,
                             worked_examples_check, verify_theorem1, x_class_value_matrix,
                             y_monomials)
 from projrep.partitions import Partition, p_regular_partitions, partitions
@@ -14,7 +14,7 @@ from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char
 def reg_lattice(n, p):
     """The vanishing lattice of degree n: the kernel of the shared constraint
     builder for the one-class group."""
-    return integer_kernel(singular_constraints(SYM_CHARACTERS, SYM_WEIGHT.element_orders, p, n))
+    return integer_kernel(singular_constraints(SYM_CHARACTERS, p, n))
 
 
 def test_reg_lattice_examples():

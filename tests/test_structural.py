@@ -80,7 +80,7 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
             index = multipartitions(table.N, n)
             values = generator_values(weight, p, n)
             for nu in index:
-                rows = monomial_values(table._multipliers, class_labels(nu))
+                rows = monomial_values(table.characters, class_labels(nu))
                 expected = tuple(sum(coords[rho] * row[i]
                                      for i, rho in enumerate(index) if rho in coords)
                                  for row in rows)
@@ -110,7 +110,7 @@ def test_convolution_matches_the_wreath_class_values(case):
     index = multipartitions(table.N, n)
     values = wreath_product_values(table, index[i])
     for nu in index:
-        rows = monomial_values(table._multipliers, class_labels(nu))
+        rows = monomial_values(table.characters, class_labels(nu))
         expected = tuple(row[i] for row in rows)
         assert values.get(class_labels(nu), (0,) * len(rows)) == expected
 

@@ -7,13 +7,13 @@ import pytest
 import sympy
 
 from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, integer_kernel, rational_constraints
-from projrep.modsym import (SYM_CHARACTERS, SYM_WEIGHT, singular_constraints,
+from projrep.modsym import (SYM_CHARACTERS, singular_constraints,
                             verify_theorem1)
 from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, x_to_c
 from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, TableError,
-                            WreathElement, count_regular_classes, e_lattice,
+                            WreathElement, count_regular_classes, cycle_weight, e_lattice,
                             generator_exchange_check, xk_exp_identity_check, load_table,
                             p_regular_classes, phi_c_in_xi, phi_x_in_xi,
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
@@ -229,8 +229,36 @@ def test_e_lattice_is_degree_one_of_the_constraint_builder(trivial_table, c2_tab
 
 def test_the_symmetric_group_is_the_one_class_case(trivial_table):
     # S_n is G wr S_n for G = 1: the trivial table carries the sym character data
-    assert trivial_table._multipliers == SYM_CHARACTERS
-    assert trivial_table._element_orders == SYM_WEIGHT.element_orders
+    assert trivial_table.characters == SYM_CHARACTERS
+
+
+def coordinates(value, conductor):
+    return tuple(map(int, value.lift(conductor).rational_coords()))
+
+
+def test_characters_are_the_lifted_table_values(trivial_table, c2_table, c3_table,
+                                                s3_table, c4_table):
+    # the integer characters against the validated Cyclotomic values, which
+    # load at conductor 1 where they are integers; and the lattice rows
+    # psi_k = sum_j phi_kj chi_j against their Cyclotomic sums
+    tables = (trivial_table, c2_table, c3_table, s3_table, c4_table,
+              relabel(c4_table, (0, 3, 1, 2), (2, 0, 3, 1)))
+    for table in tables:
+        m = table.conductor
+        orders = tuple(cls.element_order for cls in table.classes)
+        for chi, irr in zip(table.characters, table.irreducibles):
+            assert chi.conductor == m and chi.element_orders == orders
+            for c, value in enumerate(irr.values):
+                assert chi.values[c] == coordinates(value, m)
+                assert all(type(v) is int for v in chi.values[c])
+        for p in (2, 3):
+            lattice = e_lattice(table, p)
+            for k, row in enumerate(lattice.phi.rows, 1):
+                weight = cycle_weight(table, lattice, k)
+                for c in range(table.N):
+                    total = sum((e * irr.values[c] for e, irr in zip(row, table.irreducibles)),
+                                Cyclotomic.from_rational(0))
+                    assert weight.values[c] == coordinates(total, m), (table.name, p, k, c)
 
 
 def test_e_lattice_rows_vanish_on_singular_classes(s3_table, c4_table):
@@ -342,7 +370,7 @@ def test_singular_index_rows_are_scaled_xi_coefficients(request, name):
                 for value, expansion in zip(row, expansions):
                     assert value.conductor == table.conductor
                     assert value == scale * expansion.coeffs.get(nu, zero), (p, n, nu)
-            assert singular_constraints(table._multipliers, table._element_orders, p, n) == \
+            assert singular_constraints(table.characters, p, n) == \
                 rational_constraints(rows, len(phi_index))
 
 
