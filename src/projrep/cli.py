@@ -54,8 +54,15 @@ def resolve_table(spec):
 
 
 def matrix_digest(matrix):
-    payload = json.dumps(matrix.to_lists()).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    """The first 12 hex digits of sha256(json.dumps(matrix.to_lists())),
+    fed one row at a time, so no whole-matrix string is built."""
+    digest = hashlib.sha256(b"[")
+    sep = b""
+    for row in matrix.rows:
+        digest.update(sep + json.dumps(row).encode())
+        sep = b", "
+    digest.update(b"]")
+    return digest.hexdigest()[:12]
 
 
 _SCALARS = frozenset({int, str, float, bool, type(None)})
@@ -67,23 +74,43 @@ def _row_encoder(pad):
     return json.JSONEncoder(separators=("," + pad, ": "), check_circular=False)
 
 
+def _shared_matrices(items):
+    """The ids of the lists of lists that are the value of two or more of the
+    (key, value) pairs of one dict."""
+    seen, shared = set(), set()
+    for _, item in items:
+        if isinstance(item, list) and all(isinstance(row, list) for row in item):
+            (shared if id(item) in seen else seen).add(id(item))
+    return shared
+
+
 def json_chunks(value, pad="\n"):
     """json.dumps(value, indent=2, sort_keys=True) in pieces, with str keys.
 
     Dicts and lists of containers are walked here, as the stdlib encoder does
     when it indents; a list of bare scalars (a matrix row) is one call of the
-    C encoder and one piece.  pad is the newline and indent of value's line."""
+    C encoder and one piece.  pad is the newline and indent of value's line.
+    A list of lists under two keys of one dict (a structural report's one
+    matrix) is encoded once, and its pieces are written again for the second
+    key; the ids are safe as keys because value keeps every object alive."""
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
             yield "{}"
         else:
+            items = sorted(value.items())
+            shared, encoded = _shared_matrices(items), {}
             sep = "{" + inner
-            for key, item in sorted(value.items()):
+            for key, item in items:
                 if not isinstance(key, str):
                     raise TypeError("keys must be str, not %s" % type(key).__name__)
                 yield sep + json.dumps(key) + ": "
-                yield from json_chunks(item, inner)
+                if id(item) in shared:
+                    if id(item) not in encoded:
+                        encoded[id(item)] = list(json_chunks(item, inner))
+                    yield from encoded[id(item)]
+                else:
+                    yield from json_chunks(item, inner)
                 sep = "," + inner
             yield pad + "}"
     elif isinstance(value, (list, tuple)):

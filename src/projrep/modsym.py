@@ -9,7 +9,6 @@ both engines."""
 
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from functools import lru_cache
@@ -285,26 +284,23 @@ def singular_constraints(characters, p, n):
                               len(multipartitions(len(characters), n)))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    degree: int
-    p: int
-    rank: int
-    expected_rank: int
-    lattice_hnf: IntMatrix
-    monomial_hnf: IntMatrix
-    verdict: bool
-    method: str
-    seconds: float
+class VerificationReport(namedtuple(
+        "VerificationReport",
+        "degree p rank expected_rank lattice_hnf monomial_hnf verdict method seconds")):
+    __slots__ = ()
 
     def to_dict(self):
+        """The JSON form.  A structural report's two matrices are one object,
+        and so are their two lists, which the writer encodes once."""
+        monomial_hnf = self.monomial_hnf.to_lists()
         return {
             "degree": self.degree,
             "p": self.p,
             "rank": self.rank,
             "expected_rank": self.expected_rank,
-            "lattice_hnf": self.lattice_hnf.to_lists(),
-            "monomial_hnf": self.monomial_hnf.to_lists(),
+            "lattice_hnf": (monomial_hnf if self.lattice_hnf is self.monomial_hnf
+                            else self.lattice_hnf.to_lists()),
+            "monomial_hnf": monomial_hnf,
             "verdict": self.verdict,
             "method": self.method,
             "seconds": self.seconds,
@@ -359,17 +355,11 @@ def verify_theorem1(n, p):
 # worked identities relating the first generators to projective classes
 
 
-@dataclass(frozen=True)
-class ExampleCheck:
-    name: str
-    passed: bool
-    detail: str
+ExampleCheck = namedtuple("ExampleCheck", "name passed detail")
 
 
-@dataclass(frozen=True)
-class ExamplesReport:
-    checks: tuple
-    notes: tuple
+class ExamplesReport(namedtuple("ExamplesReport", "checks notes")):
+    __slots__ = ()
 
     @property
     def all_passed(self):

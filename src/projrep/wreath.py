@@ -8,7 +8,6 @@ the fallback come from modsym, shared with S_n."""
 import json
 import time
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, gcd, prod
@@ -175,13 +174,10 @@ def p_regular_classes(table, p):
 # the vanishing lattice of G and its unimodular completion
 
 
-@dataclass(frozen=True)
-class ELatticeBasis:
-    """Unimodular N x N matrix whose first M rows span the lattice of virtual
-    characters vanishing on p-singular classes (coordinates in the chi-basis)."""
-    p: int
-    M: int
-    phi: IntMatrix
+ELatticeBasis = namedtuple("ELatticeBasis", "p M phi")
+ELatticeBasis.__doc__ = """Unimodular N x N matrix phi whose first M rows span the
+lattice of virtual characters vanishing on p-singular classes (coordinates in
+the chi-basis)."""
 
 
 def e_lattice(table, p):

@@ -37,6 +37,8 @@ def test_sym_certificate_agrees_with_kernel():
             constraints = rational_constraints(rows, len(partitions(n)))
             assert hnf_basis(integer_kernel(constraints)) == report.monomial_hnf
             assert report.lattice_hnf == report.monomial_hnf
+            lists = report.to_dict()
+            assert lists["lattice_hnf"] is lists["monomial_hnf"]
 
 
 @pytest.mark.parametrize("name, p, max_n", [("c2_table", 2, 5), ("c2_table", 3, 4),
@@ -84,6 +86,9 @@ def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_tab
             assert report.rank == report.expected_rank == expected.rank
             assert report.lattice_hnf == report.monomial_hnf == expected.lattice_hnf
             assert report.monomial_hnf == expected.monomial_hnf
+            lists = report.to_dict()
+            assert lists["lattice_hnf"] == lists["monomial_hnf"]
+            assert lists["lattice_hnf"] is not lists["monomial_hnf"]
 
     # (b) of the structural certificate fails
     with monkeypatch.context() as patch:

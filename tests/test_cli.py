@@ -286,13 +286,34 @@ json_values = st.recursive(json_scalars, lambda inner: (
 Pair = namedtuple("Pair", "a b")
 
 
-@given(json_values)
+@st.composite
+def shared_matrix_payloads(draw):
+    """One list of rows under two keys of a dict, and again under two keys of
+    a dict one level down, inside a list of dicts beside it."""
+    rows = draw(st.lists(st.lists(json_scalars, max_size=3), max_size=3))
+    first, second, nested = draw(st.lists(st.text(), min_size=3, max_size=3, unique=True))
+    other = draw(json_values)
+    return {first: rows, second: rows,
+            nested: [{first: rows, second: rows, nested: other}, {first: other}]}
+
+
+@given(json_values | shared_matrix_payloads())
 @example({})
 @example([])
 @example({"a\"\\\n\u00e9\u2603": [[], {}, (), [1, [2]], -2 ** 70, float("nan")]})
 @example([Pair(1, 2), [Pair(3, [4])], (True, False, None, float("inf"), -float("inf"))])
 def test_writer_matches_the_stdlib_encoder(value):
     assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@given(st.integers(0, 4).flatmap(lambda ncols: st.lists(
+    st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=ncols, max_size=ncols),
+    max_size=4).map(lambda rows: IntMatrix(rows, ncols))))
+@example(IntMatrix([], 3))
+@example(IntMatrix([[1, -2, 0]]))
+def test_matrix_digest_is_the_digest_of_the_whole_dump(matrix):
+    whole = json.dumps(matrix.to_lists()).encode()
+    assert cli.matrix_digest(matrix) == hashlib.sha256(whole).hexdigest()[:12]
 
 
 @pytest.mark.parametrize("argv", [

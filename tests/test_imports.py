@@ -1,7 +1,10 @@
 """Every top-level import of a projrep module is used in that module or
-exported by its __all__: a dead import reads as a dependency that is none."""
+exported by its __all__: a dead import reads as a dependency that is none.
+And the command line imports no module it does not need."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +43,14 @@ def test_every_import_is_used_or_exported(path):
     kept = used | exported_names(tree) | {name for module, name in PINNED
                                            if module == path.stem}
     assert [name for name in imported_names(tree) if name not in kept] == []
+
+
+def test_the_command_line_does_not_import_dataclasses():
+    # a cold import of dataclasses adds start-up time and peak memory to
+    # every run of the command line
+    src = str(Path(projrep.__file__).parent.parent)
+    probe = ("import sys; sys.path.insert(0, %r); import projrep.cli; "
+             "print('dataclasses' in sys.modules)" % src)
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "False\n"
