@@ -8,6 +8,7 @@ integers.  Everything is immutable and every function is pure.
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 Rational = Fraction
 
@@ -312,7 +313,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls._trusted([[int(i == j) for j in range(n)] for i in range(n)], n)
+        # one zero row, its 1 set and cleared again for each row
+        row, rows = [0] * n, []
+        for i in range(n):
+            row[i] = 1
+            rows.append(tuple(row))
+            row[i] = 0
+        return cls._trusted(rows, n)
 
     @classmethod
     def zero(cls, nrows, ncols):
@@ -377,11 +384,57 @@ def _xgcd(a, b):
     return old_r, old_s, old_t
 
 
+def _echelon_pivots(rows):
+    """The pivot columns of the nonzero rows, if rows are in echelon form with
+    positive pivots and every zero row at the bottom; else None.  The scans
+    run in C: a row's pivot value is its first nonzero entry."""
+    pivots = []
+    for row in rows:
+        lead = next(filter(None, row), 0)
+        if lead <= 0:
+            break
+        pivot = row.index(lead)
+        if pivots and pivot <= pivots[-1]:
+            return None
+        pivots.append(pivot)
+    # the rows from the first without a positive pivot on must all be zero
+    if any(map(any, rows[len(pivots):])):
+        return None
+    return pivots
+
+
+def _is_hnf(rows):
+    """True iff rows are in row HNF: echelon form with positive pivots, zero
+    rows at the bottom, and every entry above a pivot in [0, pivot)."""
+    pivots = _echelon_pivots(rows)
+    if pivots is None:
+        return False
+    if len(pivots) > 1:
+        pick = itemgetter(*pivots)
+        heads = [row[c] for row, c in zip(rows, pivots)]
+        for i, row in enumerate(rows[:len(pivots) - 1]):
+            above = pick(row)[i + 1:]
+            if any(above) and not all(0 <= v < d for v, d in zip(above, heads[i + 1:])):
+                return False
+    return True
+
+
 def hnf_with_transform(matrix):
-    """Row-style Hermite normal form H with a unimodular U such that U @ matrix = H."""
-    a = [list(row) for row in matrix.rows]
+    """Row-style Hermite normal form H with a unimodular U such that U @ matrix = H.
+
+    A matrix already in HNF is returned with the identity: the elimination
+    performs no operation on it, so both results are the elimination's."""
+    if _is_hnf(matrix.rows):
+        return matrix, IntMatrix.identity(matrix.nrows)
+    return _eliminate(matrix)
+
+
+def _eliminate(matrix):
+    """hnf_with_transform by elimination, on any matrix."""
+    # every step replaces whole rows, so the rows start as the input tuples
+    a = list(matrix.rows)
     nr, nc = matrix.nrows, matrix.ncols
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    u = list(IntMatrix.identity(nr).rows)
     pr = 0
     for c in range(nc):
         piv = next((i for i in range(pr, nr) if a[i][c]), None)
@@ -467,13 +520,9 @@ def is_unit_echelon(basis):
     """True iff basis is in echelon form with every pivot 1 and no zero row.
     Its pivot minor is then unitriangular, so Q*span(basis) meets Z^ncols in
     span(basis) alone: the row lattice is saturated."""
-    last_pivot = -1
-    for row in basis.rows:
-        pivot = next((j for j, v in enumerate(row) if v), None)
-        if pivot is None or pivot <= last_pivot or row[pivot] != 1:
-            return False
-        last_pivot = pivot
-    return True
+    pivots = _echelon_pivots(basis.rows)
+    return (pivots is not None and len(pivots) == basis.nrows
+            and all(row[c] == 1 for row, c in zip(basis.rows, pivots)))
 
 
 def is_unimodular(matrix):

@@ -4,8 +4,8 @@ and per-degree verification that the generator monomials span exactly that
 lattice (structurally, or by Hermite normal form equality with the
 computed kernel).  S_n is the case G = 1 of G wr S_n, and the class-value
 routines here (of the generators and of every monomial), the p-singular
-class predicate and the constraint matrix of the vanishing lattice serve
-both engines."""
+class predicate, the constraint matrix of the vanishing lattice and the
+builder of the generator-monomial matrix serve both engines."""
 
 import time
 from collections import namedtuple
@@ -18,29 +18,111 @@ from .exactlin import IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kerne
 from .exactlin import rational_kernel  # noqa: F401
 from .partitions import (MultiPartition, Partition, multipartitions, p_regular_partitions,
                          partitions)
-from .series import satisfies_quotient, x_generator_series, y_explicit, y_monomial
+from .series import satisfies_quotient, x_generator_series, y_explicit
+# unused here, but perfbench/layers.py patches modsym.y_monomial by name
+from .series import y_monomial  # noqa: F401
 from .symfunc import SymElement, X, class_values, schur_in_x
 
 
-def element_coordinates(element, positions):
-    """Integer coordinate vector (a list of ints) of an element whose
-    coefficients are ints, as SymElement stores integral values and the Phi
-    basis stores all; positions maps each index of its degree to a column,
-    and is built once per degree."""
-    coords = [0] * len(positions)
+# ---------------------------------------------------------------------------
+# the monomial matrices of both engines, from products on packed keys
+
+
+# Bits of one multiplicity field of a packed key.  A multiplicity in degree n
+# is at most n, so below degree 2^FIELD no field carries into the next.
+FIELD = 16
+
+
+def _packed_key(index):
+    """The monomial index (a Partition, or a MultiPartition of N families) as
+    one int: field (v - 1) * N + j, FIELD bits wide, holds the multiplicity
+    of the part v in component j (the CycleWeight labels, from 0, with N = 1
+    for a Partition).  The index of a product of monomials is the multiset
+    union of theirs (x_lambda x_mu = x_(lambda u mu), Macdonald I.2), so its
+    key is the sum of their keys."""
+    components = (index,) if isinstance(index, Partition) else index.components
+    ncomp = len(components)
+    return sum(1 << FIELD * ((v - 1) * ncomp + j)
+               for j, lam in enumerate(components) for v in lam.parts)
+
+
+def check_packable(n):
+    """Refuse a degree n whose multiplicities could carry out of a FIELD."""
+    if n >= 1 << FIELD:
+        raise ValueError("degree %d needs multiplicity fields wider than %d bits"
+                         % (n, FIELD))
+
+
+def _pack(element):
+    """{packed key: coefficient} of an element whose coefficients are ints,
+    as SymElement stores integral values and the Phi basis stores all."""
+    packed = {}
     for index, coeff in element.coeffs.items():
         if type(coeff) is not int:
             raise AssertionError("non-integral coordinate at %s" % (index,))
-        coords[positions[index]] = coeff
-    return coords
+        packed[_packed_key(index)] = coeff
+    return packed
+
+
+def _key_product(a, b):
+    """The product of two elements held as {packed key: coefficient}."""
+    out = {}
+    get = out.get
+    for key, coeff in a.items():
+        for other, value in b.items():
+            at = key + other
+            out[at] = get(at, 0) + coeff * value
+    return {key: coeff for key, coeff in out.items() if coeff}
+
+
+def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
+    """The integer coordinates of the degree-n generator monomials, one row
+    per multipartition a of n over nfamilies with parts prime to p, in
+    multipartitions order: the product over j and the parts v of a_j of
+    generator(j, v), an element with int coefficients, over the
+    multipartitions(ncomp, n) (partitions for ncomp = 1) in that order.
+
+    memo maps a tuple of factors (j, v) to its product as {packed key:
+    coefficient}; a row's product is its first factor's times the memoised
+    product of the rest, so each row costs one product.  A row's factors run
+    from its smallest part up, so that product is by its smallest generator,
+    the one with the fewest terms.  A degree whose multiplicities could
+    overflow a FIELD is refused before anything is built."""
+    check_packable(n)
+
+    def product(factors):
+        known = memo.get(factors)
+        if known is None:
+            if len(factors) > 1:
+                known = _key_product(product(factors[:1]), product(factors[1:]))
+            else:
+                known = _pack(generator(*factors[0])) if factors else {0: 1}
+            memo[factors] = known
+        return known
+
+    positions = {_packed_key(mp): i for i, mp in enumerate(multipartitions(ncomp, n))}
+    # one zero row, written and cleared again for each row: no list per row
+    row, rows = [0] * len(positions), []
+    for a in multipartitions(nfamilies, n, part_filter=lambda v: v % p):
+        terms = product(tuple((j, v) for j, lam in enumerate(a) for v in reversed(lam.parts)))
+        columns = [positions[key] for key in terms]
+        for column, coeff in zip(columns, terms.values()):
+            row[column] = coeff
+        rows.append(tuple(row))
+        for column in columns:
+            row[column] = 0
+    return IntMatrix._trusted(rows, len(positions))
+
+
+@lru_cache(maxsize=None)
+def _y_products(p):
+    """The memo of y_monomials at the prime p, kept across degrees."""
+    return {}
 
 
 def y_monomials(n, p):
     """Rows: x-basis coordinates of y_lambda over the p-regular partitions of n."""
-    positions = {lam: i for i, lam in enumerate(partitions(n))}
-    rows = [element_coordinates(y_monomial(lam, p), positions)
-            for lam in p_regular_partitions(n, p)]
-    return IntMatrix._trusted(rows, len(positions))
+    return monomial_matrix(lambda j, v: y_explicit(v, p), 1, 1, p, n, _y_products(p))
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +180,12 @@ def convolve(f, g, conductor):
     aut(mu) / (aut(nu) * aut(mu - nu)), aut the product of multiplicity
     factorials."""
     out = {}
+    g_terms = [(rho, b, _automorphisms(rho)) for rho, b in g.items()]
     for nu, a in f.items():
         aut_nu = _automorphisms(nu)
-        for rho, b in g.items():
+        for rho, b, aut_rho in g_terms:
             mu = tuple(sorted(nu + rho))
-            mult = _automorphisms(mu) // (aut_nu * _automorphisms(rho))
+            mult = _automorphisms(mu) // (aut_nu * aut_rho)
             value = _times(a, b, conductor)
             entry = out.get(mu)
             if entry is None:

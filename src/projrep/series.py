@@ -189,7 +189,7 @@ def y_explicit(n, p):
 
     def extend(remaining, picked_parts, sign):
         if remaining == 0:
-            key = Partition(sorted(picked_parts, reverse=True))
+            key = tuple(sorted(picked_parts, reverse=True))
             coeffs[key] = coeffs.get(key, 0) + sign
             return
         for step in range(p, remaining + 1, p):
@@ -199,7 +199,9 @@ def y_explicit(n, p):
         if head % p == 0:
             continue
         extend(n - head, (head,), 1)
-    return SymElement(symfunc.X, n, coeffs)
+    # sorted tuples of positive parts: partitions by construction
+    return SymElement(symfunc.X, n, {Partition._trusted(parts): coeff
+                                     for parts, coeff in coeffs.items()})
 
 
 def y_from_quotient(max_degree, p, basis=symfunc.X):

@@ -13,12 +13,12 @@ from functools import lru_cache, reduce
 from math import factorial, gcd, prod
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, IntMatrix, conj, hnf_basis, integer_kernel, is_unimodular,
+from .exactlin import (Cyclotomic, conj, hnf_basis, integer_kernel, is_unimodular,
                        unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
-from .modsym import (CycleWeight, VerificationReport, element_coordinates, generators_vanish,
-                     monomial_values, singular_classes, singular_constraints)
+from .modsym import (CycleWeight, VerificationReport, check_packable, generators_vanish,
+                     monomial_matrix, monomial_values, singular_classes, singular_constraints)
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
 from .series import GradedSeries, exp, int_power, quotient_y, satisfies_quotient
 from .symfunc import GradedElement
@@ -383,19 +383,13 @@ def verify_theorem2(table, p, n, lattice=None):
     """Check that the degree-n Y-monomials span exactly the lattice of integer
     PHI combinations whose xi-expansion is supported on p-regular indices."""
     start = time.perf_counter()
+    check_packable(n)  # before the generator series, not only in monomial_matrix
     if lattice is None:
         lattice = e_lattice(table, p)
-    positions = {mp: i for i, mp in enumerate(multipartitions(table.N, n))}
     generators = {k: yk_generators(table, lattice, k, n)
                   for k in range(1, lattice.M + 1)}
-    rows = []
-    for assignment in multipartitions(lattice.M, n,
-                                      part_filter=lambda v: v % p != 0):
-        product = WreathElement.one(PHI, table.N)
-        for k0, lam in enumerate(assignment):
-            for part in lam.parts:
-                product = product * generators[k0 + 1][part]
-        rows.append(element_coordinates(product, positions))
+    monomials = monomial_matrix(lambda j, v: generators[j + 1][v], lattice.M, table.N,
+                                p, n, {})
     vanish = None
     if all(satisfies_quotient(xk_closed_series(table, lattice, k, n), y[1:], p)
            for k, y in generators.items()):
@@ -403,7 +397,7 @@ def verify_theorem2(table, p, n, lattice=None):
                      for k in generators)
     return VerificationReport.decide(
         n, p, lambda: singular_constraints(table.characters, p, n),
-        hnf_basis(IntMatrix._trusted(rows, len(positions))),
+        hnf_basis(monomials),
         count_regular_classes(table, p, n), start, vanish)
 
 

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from conftest import in_lattice
-from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf, hnf_basis,
+from projrep import exactlin
+from projrep.exactlin import (Cyclotomic, IntMatrix, _eliminate, euler_phi, hnf, hnf_basis,
                               hnf_with_transform, integer_kernel, is_unimodular,
                               is_unit_echelon, rational_kernel, unimodular_complete)
 
@@ -176,6 +177,59 @@ def test_hnf_basis_against_sympy(rows):
     theirs = hermite_normal_form(sympy.Matrix(rows).T)
     assert [list(row[::-1]) for row in reversed(ours.rows)] == \
         [[int(v) for v in theirs.col(j)] for j in range(theirs.cols)]
+
+
+@st.composite
+def inspection_inputs(draw):
+    """A small integer matrix, its HNF, or its HNF with one entry edited."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+    matrix = IntMatrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols,
+                                              max_size=ncols),
+                                     min_size=nrows, max_size=nrows)), ncols)
+    form = draw(st.sampled_from(["drawn", "hnf", "edited"]))
+    if form == "drawn":
+        return matrix
+    rows = [list(row) for row in hnf(matrix).rows]
+    if form == "edited" and rows:
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        rows[i][j] += draw(st.sampled_from([-1, 1]))
+    return IntMatrix(rows, ncols)
+
+
+@settings(deadline=None, max_examples=400)
+@given(inspection_inputs())
+def test_hnf_inspection_returns_what_the_elimination_returns(matrix):
+    h, u = hnf_with_transform(matrix)
+    assert (h, u) == _eliminate(matrix)
+    nonzero = [row for row in h.rows if any(row)]
+    if nonzero:
+        # sympy's column-style HNF of the column-reversed transpose, read
+        # backwards (see test_hnf_basis_against_sympy)
+        theirs = hermite_normal_form(sympy.Matrix([row[::-1] for row in matrix.rows]).T)
+        assert [list(row) for row in reversed(nonzero)] == \
+            [[int(v) for v in theirs.col(j)][::-1] for j in range(theirs.cols)]
+
+
+@pytest.mark.parametrize("rows, eliminated", [
+    ([[1, 0], [0, 1]], False),
+    ([[2, 1, 5], [0, 2, -7], [0, 0, 0]], False),
+    ([[0, 0]], False),
+    ([[-1, 0]], True),                 # a negative pivot
+    ([[1, 2], [0, 2]], True),          # an entry above a pivot equal to the pivot
+    ([[3, -1], [0, 2]], True),         # an entry above a pivot below 0
+    ([[0, 0], [0, 1]], True),          # a zero row above a nonzero row
+    ([[1, 0], [1, 1]], True),          # two rows with one pivot column
+    ([[0, 1], [1, 0]], True),          # pivots decreasing
+])
+def test_only_a_matrix_not_in_hnf_is_eliminated(monkeypatch, rows, eliminated):
+    matrix = IntMatrix(rows)
+    calls = []
+    monkeypatch.setattr(exactlin, "_eliminate",
+                        lambda m: calls.append(m) or _eliminate(m))
+    h, u = hnf_with_transform(matrix)
+    assert (h, u) == _eliminate(matrix)
+    assert calls == ([matrix] if eliminated else [])
+    assert (h == matrix) is not eliminated
 
 
 def _random_elementary_transform(rng, matrix):

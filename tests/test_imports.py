@@ -12,7 +12,8 @@ import pytest
 import projrep
 
 # perfbench/layers.py patches these by name, so they stay although unused
-PINNED = {("modsym", "rational_kernel"), ("wreath", "rational_kernel")}
+PINNED = {("modsym", "rational_kernel"), ("wreath", "rational_kernel"),
+          ("modsym", "y_monomial")}
 MODULES = sorted(Path(projrep.__file__).parent.glob("*.py"))
 
 

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from conftest import in_lattice
+from projrep import cli, modsym, series
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import (SYM_CHARACTERS, singular_constraints,
-                            worked_examples_check, verify_theorem1, x_class_value_matrix,
-                            y_monomials)
+from projrep.modsym import (FIELD, SYM_CHARACTERS, check_packable, monomial_matrix,
+                            singular_constraints, worked_examples_check, verify_theorem1,
+                            x_class_value_matrix, y_monomials)
 from projrep.partitions import Partition, p_regular_partitions, partitions
 from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
 
@@ -44,6 +46,43 @@ def test_y_monomials_examples():
     # p=3: rows for y_2 = x_(2) and y_1^2 = x_(1,1)
     assert y_monomials(2, 3) == IntMatrix([[1, 0], [0, 1]])
     assert y_monomials(2, 2) == IntMatrix([[0, 1]])
+
+
+def test_y_monomials_are_the_coordinates_of_the_generator_products():
+    # the oracle: the y_lambda as SymElement products
+    for p in (2, 3, 5):
+        for n in range(15):
+            positions = {lam: i for i, lam in enumerate(partitions(n))}
+            rows = []
+            for lam in p_regular_partitions(n, p):
+                row = [0] * len(positions)
+                for index, coeff in series.y_monomial(lam, p).coeffs.items():
+                    row[positions[index]] = coeff
+                rows.append(tuple(row))
+            assert y_monomials(n, p).rows == tuple(rows)
+
+
+def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
+    half = SymElement.monomial(X, (2, 1), Fraction(1, 2))
+    with pytest.raises(AssertionError, match="non-integral"):
+        monomial_matrix(lambda j, v: half, 1, 1, 2, 3, {})
+    honest = modsym.y_explicit
+    monkeypatch.setattr(modsym, "y_explicit",
+                        lambda k, q: honest(k, q) + half if (k, q) == (3, 2) else honest(k, q))
+    modsym._y_products.cache_clear()
+    try:
+        assert cli.main(["sym", "verify", "--p", "2", "--max-degree", "3"]) == 3
+    finally:
+        modsym._y_products.cache_clear()
+
+
+def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(monkeypatch):
+    check_packable((1 << FIELD) - 1)
+    monkeypatch.setattr(modsym, "multipartitions", lambda *args, **kwargs: 1 / 0)
+    for build in (check_packable, lambda n: y_monomials(n, 2),
+                  lambda n: monomial_matrix(None, 1, 1, 2, n, {})):
+        with pytest.raises(ValueError, match="16 bits"):
+            build(1 << FIELD)
 
 
 def test_y_monomial_rows_lie_in_lattice():

@@ -173,7 +173,7 @@ def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
         y = honest(k, q)
         return y + SymElement.monomial(X, (4, 1)) if (k, q) == (n, p) else y
 
-    caches = (series.y_monomial, modsym._generators_linked)
+    caches = (series.y_monomial, modsym._generators_linked, modsym._y_products)
     monkeypatch.setattr(series, "y_explicit", corrupted)
     monkeypatch.setattr(modsym, "y_explicit", corrupted)
     for cache in caches:

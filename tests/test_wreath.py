@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from projrep import wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, integer_kernel, rational_constraints
-from projrep.modsym import (SYM_CHARACTERS, singular_constraints,
+from projrep.modsym import (FIELD, SYM_CHARACTERS, monomial_matrix, singular_constraints,
                             verify_theorem1)
 from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
 from projrep.series import y_explicit
@@ -485,6 +486,45 @@ def test_verify_theorem2_small(c2_table, s3_table, c3_table):
             report = verify_theorem2(table, p, n)
             assert report.verdict, (table.name, p, n)
             assert report.rank == report.expected_rank
+
+
+def product_chain_rows(table, lattice, p, n):
+    """The rows of the generator monomials as WreathElement products."""
+    positions = {mp: i for i, mp in enumerate(multipartitions(table.N, n))}
+    generators = {k: yk_generators(table, lattice, k, n) for k in range(1, lattice.M + 1)}
+    rows = []
+    for assignment in multipartitions(lattice.M, n, part_filter=lambda v: v % p != 0):
+        product = WreathElement.one(PHI, table.N)
+        for k0, lam in enumerate(assignment):
+            for part in lam.parts:
+                product = product * generators[k0 + 1][part]
+        row = [0] * len(positions)
+        for index, coeff in product.coeffs.items():
+            row[positions[index]] = coeff
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name", ["trivial_table", "c2_table", "c3_table", "s3_table",
+                                  "c4_table"])
+def test_monomial_rows_are_the_generator_products(request, name):
+    table = request.getfixturevalue(name)
+    for p in (2, 3):
+        lattice = e_lattice(table, p)
+        for n in range(5):
+            generators = {k: yk_generators(table, lattice, k, n)
+                          for k in range(1, lattice.M + 1)}
+            rows = monomial_matrix(lambda j, v: generators[j + 1][v], lattice.M, table.N,
+                                   p, n, {}).rows
+            assert rows == product_chain_rows(table, lattice, p, n)
+            report = verify_theorem2(table, p, n, lattice=lattice)
+            assert report.monomial_hnf == hnf_basis(IntMatrix(rows, report.monomial_hnf.ncols))
+
+
+def test_verify_theorem2_refuses_a_degree_that_overflows_a_key_field(monkeypatch, c2_table):
+    monkeypatch.setattr(wreath, "yk_generators", lambda *args: 1 / 0)
+    with pytest.raises(ValueError, match="16 bits"):
+        verify_theorem2(c2_table, 2, 1 << FIELD)
 
 
 def test_verify_theorem2_matches_theorem1_for_trivial_group(trivial_table):
