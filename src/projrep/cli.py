@@ -10,11 +10,11 @@ import argparse
 import hashlib
 import json
 import sys
-from functools import lru_cache
 from importlib import resources
 from math import isqrt
 
 from . import modsym, series, wreath
+from .exactlin import IntMatrix
 from .partitions import count_multipartitions, partitions
 from .symfunc import generator_powers, mn_character, render_terms
 
@@ -53,46 +53,53 @@ def resolve_table(spec):
         raise err
 
 
+def _row_items(row, ncols, sep):
+    """The entries of a matrix row of width ncols, given as its sparse row
+    (columns, values), as JSON joined by sep: json.dumps(dense row) holds
+    them between its brackets when sep is ", ".  Built from the nonzeros
+    alone: a run of k zeros is k copies of "0"."""
+    zeros = "0" + sep
+    pieces, at = [], 0
+    for column, value in zip(*row):
+        pieces.append(zeros * (column - at) + str(value))
+        at = column + 1
+    if at < ncols:
+        pieces.append(zeros * (ncols - at - 1) + "0")
+    return sep.join(pieces)
+
+
 def matrix_digest(matrix):
     """The first 12 hex digits of sha256(json.dumps(matrix.to_lists())),
     fed one row at a time, so no whole-matrix string is built."""
     digest = hashlib.sha256(b"[")
-    sep = b""
-    for row in matrix.rows:
-        digest.update(sep + json.dumps(row).encode())
-        sep = b", "
+    sep = ""
+    for row in matrix.sparse_rows:
+        digest.update((sep + "[" + _row_items(row, matrix.ncols, ", ") + "]").encode())
+        sep = ", "
     digest.update(b"]")
     return digest.hexdigest()[:12]
 
 
-_SCALARS = frozenset({int, str, float, bool, type(None)})
-
-
-@lru_cache(maxsize=None)
-def _row_encoder(pad):
-    """The C encoder of a list of scalars whose items start on lines `pad`."""
-    return json.JSONEncoder(separators=("," + pad, ": "), check_circular=False)
-
-
 def _shared_matrices(items):
-    """The ids of the lists of lists that are the value of two or more of the
+    """The ids of the matrices that are the value of two or more of the
     (key, value) pairs of one dict."""
     seen, shared = set(), set()
     for _, item in items:
-        if isinstance(item, list) and all(isinstance(row, list) for row in item):
+        if isinstance(item, IntMatrix):
             (shared if id(item) in seen else seen).add(id(item))
     return shared
 
 
 def json_chunks(value, pad="\n"):
-    """json.dumps(value, indent=2, sort_keys=True) in pieces, with str keys.
+    """json.dumps(value, indent=2, sort_keys=True) in pieces, with str keys,
+    where an IntMatrix is written as its to_lists().
 
-    Dicts and lists of containers are walked here, as the stdlib encoder does
-    when it indents; a list of bare scalars (a matrix row) is one call of the
-    C encoder and one piece.  pad is the newline and indent of value's line.
-    A list of lists under two keys of one dict (a structural report's one
-    matrix) is encoded once, and its pieces are written again for the second
-    key; the ids are safe as keys because value keeps every object alive."""
+    Dicts and lists are walked here, as the stdlib encoder does when it
+    indents; a matrix row is one piece, encoded by _row_items from its
+    nonzeros.  pad is the newline and indent of value's line.  A matrix
+    under two keys of one dict (a structural report's one matrix) is encoded
+    once, and its pieces are written again for the second key; the ids are
+    safe as keys because value keeps every object alive."""
     inner = pad + "  "
     if isinstance(value, dict):
         if not value:
@@ -113,11 +120,17 @@ def json_chunks(value, pad="\n"):
                     yield from json_chunks(item, inner)
                 sep = "," + inner
             yield pad + "}"
+    elif isinstance(value, IntMatrix):
+        row_pad = inner + "  "
+        sep = "[" + inner
+        for row in value.sparse_rows:
+            yield sep + ("[" + row_pad + _row_items(row, value.ncols, "," + row_pad)
+                         + inner + "]" if value.ncols else "[]")
+            sep = "," + inner
+        yield pad + "]" if value.nrows else "[]"
     elif isinstance(value, (list, tuple)):
         if not value:
             yield "[]"
-        elif set(map(type, value)) <= _SCALARS:
-            yield "[" + inner + _row_encoder(inner).encode(value)[1:-1] + pad + "]"
         else:
             sep = "[" + inner
             for item in value:

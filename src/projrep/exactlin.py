@@ -7,8 +7,8 @@ integers.  Everything is immutable and every function is pure.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import lcm
-from operator import itemgetter
 
 Rational = Fraction
 
@@ -271,15 +271,39 @@ def _integer(value):
     raise ValueError("not an integer: %r" % (value,))
 
 
+def _sparse_row(row):
+    """The sparse form (columns, values) of a dense row."""
+    columns = tuple(compress(range(len(row)), row))
+    return columns, tuple(filter(None, row))
+
+
+def _dense_row(row, ncols):
+    """The dense form of a sparse row (columns, values) of width ncols."""
+    dense = [0] * ncols
+    for column, value in zip(*row):
+        dense[column] = value
+    return tuple(dense)
+
+
 class IntMatrix:
     """An immutable matrix of arbitrary-precision integers.
 
+    A matrix is held as dense rows (int tuples of width ncols), as sparse
+    rows, or both.  A sparse row is a pair (columns, values): the columns of
+    its nonzero entries in increasing order and those entries, so the sparse
+    form is canonical.  A matrix built in one form derives the other on
+    first use and keeps it: `rows` is the dense form, `sparse_rows` the
+    sparse one.  Equality, hashing, the HNF inspection, the unit-pivot check
+    and the report writer read the sparse rows; the elimination, transpose
+    and products read the dense ones.
+
     The constructor is the one place that checks entries and shape.  Results
     computed from valid matrices (HNF and transform, transpose, products) are
-    built by _trusted, which skips the checks: their rows are int tuples of
-    one width by construction."""
+    built by _trusted from dense rows, or by _trusted_sparse from sparse
+    rows, which skip the checks: their rows are ints of one width by
+    construction."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("_dense", "_sparse", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(map(_integer, row)) for row in rows)
@@ -297,57 +321,71 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
-        object.__setattr__(self, "rows", rows)
+        self._hold(rows, None, ncols)
+
+    def _hold(self, dense, sparse, ncols):
+        object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_sparse", sparse)
+        object.__setattr__(self, "nrows", len(sparse if dense is None else dense))
         object.__setattr__(self, "ncols", ncols)
+        return self
 
     @classmethod
     def _trusted(cls, rows, ncols):
         """A matrix from rows that are int sequences of width ncols, unchecked."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "rows", tuple(map(tuple, rows)))
-        object.__setattr__(matrix, "ncols", ncols)
-        return matrix
+        return object.__new__(cls)._hold(tuple(map(tuple, rows)), None, ncols)
+
+    @classmethod
+    def _trusted_sparse(cls, rows, ncols):
+        """A matrix from sparse rows (columns, values) of width ncols, each a
+        pair of tuples with increasing columns and no zero value, unchecked."""
+        return object.__new__(cls)._hold(None, tuple(rows), ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    @property
+    def rows(self):
+        """The dense rows, built from the sparse ones on first use."""
+        if self._dense is None:
+            object.__setattr__(self, "_dense", tuple(
+                _dense_row(row, self.ncols) for row in self._sparse))
+        return self._dense
+
+    @property
+    def sparse_rows(self):
+        """The sparse rows, built from the dense ones on first use."""
+        if self._sparse is None:
+            object.__setattr__(self, "_sparse", tuple(map(_sparse_row, self._dense)))
+        return self._sparse
+
     @classmethod
     def identity(cls, n):
-        # one zero row, its 1 set and cleared again for each row
-        row, rows = [0] * n, []
-        for i in range(n):
-            row[i] = 1
-            rows.append(tuple(row))
-            row[i] = 0
-        return cls._trusted(rows, n)
+        return cls._trusted_sparse([((i,), (1,)) for i in range(n)], n)
 
     @classmethod
     def zero(cls, nrows, ncols):
-        return cls._trusted([(0,) * ncols] * nrows, ncols)
-
-    @property
-    def nrows(self):
-        return len(self.rows)
+        return cls._trusted_sparse([((), ())] * nrows, ncols)
 
     def __eq__(self, other):
-        return (isinstance(other, IntMatrix)
-                and self.ncols == other.ncols and self.rows == other.rows)
+        return self is other or (isinstance(other, IntMatrix) and self.ncols == other.ncols
+                                 and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.rows, self.ncols))
+        return hash((self.sparse_rows, self.ncols))
 
     def __getitem__(self, i):
         return self.rows[i]
 
     def transpose(self):
-        if self.rows:
+        if self.nrows:
             return IntMatrix._trusted(zip(*self.rows), self.nrows)
         return IntMatrix._trusted([()] * self.ncols, 0)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        cols = list(zip(*other.rows)) if other.rows else []
+        cols = list(zip(*other.rows)) if other.nrows else []
         return IntMatrix._trusted(
             [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.rows],
             other.ncols)
@@ -385,37 +423,34 @@ def _xgcd(a, b):
 
 
 def _echelon_pivots(rows):
-    """The pivot columns of the nonzero rows, if rows are in echelon form with
-    positive pivots and every zero row at the bottom; else None.  The scans
-    run in C: a row's pivot value is its first nonzero entry."""
+    """The pivot columns of the nonzero sparse rows, if rows are in echelon
+    form with positive pivots and every zero row at the bottom; else None.
+    A row's pivot is its first column."""
     pivots = []
-    for row in rows:
-        lead = next(filter(None, row), 0)
-        if lead <= 0:
+    for columns, values in rows:
+        if not columns or values[0] < 0:
             break
-        pivot = row.index(lead)
-        if pivots and pivot <= pivots[-1]:
+        if pivots and columns[0] <= pivots[-1]:
             return None
-        pivots.append(pivot)
+        pivots.append(columns[0])
     # the rows from the first without a positive pivot on must all be zero
-    if any(map(any, rows[len(pivots):])):
+    if any(columns for columns, _ in rows[len(pivots):]):
         return None
     return pivots
 
 
 def _is_hnf(rows):
-    """True iff rows are in row HNF: echelon form with positive pivots, zero
-    rows at the bottom, and every entry above a pivot in [0, pivot)."""
-    pivots = _echelon_pivots(rows)
-    if pivots is None:
+    """True iff the sparse rows are in row HNF: echelon form with positive
+    pivots, zero rows at the bottom, and every entry above a pivot in
+    [0, pivot).  The entries in pivot columns are found against a column ->
+    pivot map, and a row with none past its own pivot is passed in C."""
+    if _echelon_pivots(rows) is None:
         return False
-    if len(pivots) > 1:
-        pick = itemgetter(*pivots)
-        heads = [row[c] for row, c in zip(rows, pivots)]
-        for i, row in enumerate(rows[:len(pivots) - 1]):
-            above = pick(row)[i + 1:]
-            if any(above) and not all(0 <= v < d for v, d in zip(above, heads[i + 1:])):
-                return False
+    heads = {columns[0]: values[0] for columns, values in rows if columns}
+    for columns, values in rows:
+        if not heads.keys().isdisjoint(columns[1:]) and not all(
+                0 < v < heads[c] for c, v in zip(columns[1:], values[1:]) if c in heads):
+            return False
     return True
 
 
@@ -424,7 +459,7 @@ def hnf_with_transform(matrix):
 
     A matrix already in HNF is returned with the identity: the elimination
     performs no operation on it, so both results are the elimination's."""
-    if _is_hnf(matrix.rows):
+    if _is_hnf(matrix.sparse_rows):
         return matrix, IntMatrix.identity(matrix.nrows)
     return _eliminate(matrix)
 
@@ -473,7 +508,8 @@ def hnf(matrix):
 def hnf_basis(matrix):
     """HNF with zero rows dropped: the canonical basis of the row-span lattice."""
     h = hnf(matrix)
-    return IntMatrix._trusted([row for row in h.rows if any(row)], h.ncols)
+    rows = [(columns, values) for columns, values in h.sparse_rows if columns]
+    return h if len(rows) == h.nrows else IntMatrix._trusted_sparse(rows, h.ncols)
 
 
 def integer_kernel(matrix):
@@ -520,9 +556,9 @@ def is_unit_echelon(basis):
     """True iff basis is in echelon form with every pivot 1 and no zero row.
     Its pivot minor is then unitriangular, so Q*span(basis) meets Z^ncols in
     span(basis) alone: the row lattice is saturated."""
-    pivots = _echelon_pivots(basis.rows)
+    pivots = _echelon_pivots(basis.sparse_rows)
     return (pivots is not None and len(pivots) == basis.nrows
-            and all(row[c] == 1 for row, c in zip(basis.rows, pivots)))
+            and all(values[0] == 1 for _, values in basis.sparse_rows))
 
 
 def is_unimodular(matrix):

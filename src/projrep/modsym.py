@@ -76,11 +76,12 @@ def _key_product(a, b):
 
 
 def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
-    """The integer coordinates of the degree-n generator monomials, one row
-    per multipartition a of n over nfamilies with parts prime to p, in
-    multipartitions order: the product over j and the parts v of a_j of
-    generator(j, v), an element with int coefficients, over the
-    multipartitions(ncomp, n) (partitions for ncomp = 1) in that order.
+    """The integer coordinates of the degree-n generator monomials, as a
+    matrix of sparse rows (see IntMatrix), one row per multipartition a of n
+    over nfamilies with parts prime to p, in multipartitions order: the
+    product over j and the parts v of a_j of generator(j, v), an element
+    with int coefficients, over the multipartitions(ncomp, n) (partitions
+    for ncomp = 1) in that order.
 
     memo maps a tuple of factors (j, v) to its product as {packed key:
     coefficient}; a row's product is its first factor's times the memoised
@@ -101,17 +102,12 @@ def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
         return known
 
     positions = {_packed_key(mp): i for i, mp in enumerate(multipartitions(ncomp, n))}
-    # one zero row, written and cleared again for each row: no list per row
-    row, rows = [0] * len(positions), []
+    rows = []
     for a in multipartitions(nfamilies, n, part_filter=lambda v: v % p):
         terms = product(tuple((j, v) for j, lam in enumerate(a) for v in reversed(lam.parts)))
-        columns = [positions[key] for key in terms]
-        for column, coeff in zip(columns, terms.values()):
-            row[column] = coeff
-        rows.append(tuple(row))
-        for column in columns:
-            row[column] = 0
-    return IntMatrix._trusted(rows, len(positions))
+        entries = sorted(zip(map(positions.__getitem__, terms), terms.values()))
+        rows.append(tuple(zip(*entries)) or ((), ()))
+    return IntMatrix._trusted_sparse(rows, len(positions))
 
 
 @lru_cache(maxsize=None)
@@ -373,17 +369,16 @@ class VerificationReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self):
-        """The JSON form.  A structural report's two matrices are one object,
-        and so are their two lists, which the writer encodes once."""
-        monomial_hnf = self.monomial_hnf.to_lists()
+        """The JSON form, with the two matrices as IntMatrix objects, which
+        cli.json_chunks writes as lists of rows.  A structural report's two
+        matrices are one object, which the writer encodes once."""
         return {
             "degree": self.degree,
             "p": self.p,
             "rank": self.rank,
             "expected_rank": self.expected_rank,
-            "lattice_hnf": (monomial_hnf if self.lattice_hnf is self.monomial_hnf
-                            else self.lattice_hnf.to_lists()),
-            "monomial_hnf": monomial_hnf,
+            "lattice_hnf": self.lattice_hnf,
+            "monomial_hnf": self.monomial_hnf,
             "verdict": self.verdict,
             "method": self.method,
             "seconds": self.seconds,

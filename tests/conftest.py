@@ -12,6 +12,13 @@ def in_lattice(vector, basis):
     return hnf_basis(IntMatrix(basis.rows + (tuple(vector),), basis.ncols)) == hnf_basis(basis)
 
 
+def sparse_built(rows, ncols):
+    """The matrix of these dense rows, built from its sparse rows."""
+    return IntMatrix._trusted_sparse(
+        [(tuple(j for j, v in enumerate(row) if v), tuple(v for v in row if v))
+         for row in rows], ncols)
+
+
 def table_path(name):
     return str(resources.files("projrep") / "tables" / ("%s.json" % name))
 

@@ -10,14 +10,14 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from projrep import cli
+from projrep import cli, modsym, wreath
 from projrep.exactlin import IntMatrix, integer_kernel
 from projrep.modsym import SYM_CHARACTERS, singular_constraints, verify_theorem1
 from projrep.partitions import Partition, count_multipartitions, partitions
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, mn_character
 
-from conftest import table_path
+from conftest import sparse_built, table_path
 
 
 def run(capsys, *argv):
@@ -297,23 +297,82 @@ def shared_matrix_payloads(draw):
             nested: [{first: rows, second: rows, nested: other}, {first: other}]}
 
 
-@given(json_values | shared_matrix_payloads())
+matrix_rows = st.integers(0, 4).flatmap(lambda ncols: st.tuples(st.lists(
+    st.lists(st.integers(-2 ** 70, 2 ** 70) | st.just(0), min_size=ncols, max_size=ncols)
+    | st.just([0] * ncols), max_size=4), st.just(ncols)))
+
+
+@st.composite
+def sparse_matrix_payloads(draw):
+    """Matrices built from sparse rows: one under two keys of a dict, as in a
+    structural report, another beside it, in a list and in a nested dict."""
+    shared, other = (sparse_built(*draw(matrix_rows)) for _ in range(2))
+    first, second, nested = draw(st.lists(st.text(), min_size=3, max_size=3, unique=True))
+    return {first: shared, second: shared,
+            nested: [other, {first: other, second: draw(json_values)}]}
+
+
+def as_lists(value):
+    """value with each IntMatrix replaced by its to_lists()."""
+    if isinstance(value, IntMatrix):
+        return value.to_lists()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+# the matrix of a degree-0 report, under both keys as in a structural report
+DEGREE_ZERO = sparse_built([[1]], 1)
+
+
+@given(json_values | shared_matrix_payloads() | sparse_matrix_payloads())
 @example({})
 @example([])
 @example({"a\"\\\n\u00e9\u2603": [[], {}, (), [1, [2]], -2 ** 70, float("nan")]})
 @example([Pair(1, 2), [Pair(3, [4])], (True, False, None, float("inf"), -float("inf"))])
+@example({"zero rows": sparse_built([[0, 0, 0], [0, 0, 0]], 3),
+          "zero width": sparse_built([[], []], 0), "no rows": sparse_built([], 2)})
+@example({"lattice_hnf": DEGREE_ZERO, "monomial_hnf": DEGREE_ZERO, "degree": 0})
 def test_writer_matches_the_stdlib_encoder(value):
-    assert "".join(cli.json_chunks(value)) == json.dumps(value, indent=2, sort_keys=True)
+    written = "".join(cli.json_chunks(value))
+    assert written == json.dumps(as_lists(value), indent=2, sort_keys=True)
 
 
-@given(st.integers(0, 4).flatmap(lambda ncols: st.lists(
-    st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=ncols, max_size=ncols),
-    max_size=4).map(lambda rows: IntMatrix(rows, ncols))))
-@example(IntMatrix([], 3))
-@example(IntMatrix([[1, -2, 0]]))
-def test_matrix_digest_is_the_digest_of_the_whole_dump(matrix):
-    whole = json.dumps(matrix.to_lists()).encode()
-    assert cli.matrix_digest(matrix) == hashlib.sha256(whole).hexdigest()[:12]
+@given(matrix_rows)
+@example(([], 3))
+@example(([[1, -2, 0]], 3))
+@example(([[0, 0], [0, 5]], 2))
+@example(([[], []], 0))
+def test_matrix_digest_is_the_digest_of_the_whole_dump(drawn):
+    rows, ncols = drawn
+    whole = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:12]
+    assert cli.matrix_digest(sparse_built(rows, ncols)) == whole
+    assert cli.matrix_digest(IntMatrix(rows, ncols)) == whole
+
+
+@pytest.mark.parametrize("argv", [
+    ("sym", "verify", "--p", "3", "--max-degree", "12"),
+    ("wreath", "verify", "--table", "c4", "--p", "3", "--max-degree", "4")], ids=" ".join)
+def test_reports_read_no_dense_row_of_a_monomial_matrix(monkeypatch, capsys, argv):
+    # the monomial matrices are built as sparse rows, and the verification,
+    # the JSON writer and the text digests read those alone
+    built, dense_reads = [], []
+    original, rows = modsym.monomial_matrix, IntMatrix.rows
+
+    def recorded(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(modsym, "monomial_matrix", recorded)
+    monkeypatch.setattr(wreath, "monomial_matrix", recorded)
+    monkeypatch.setattr(IntMatrix, "rows",
+                        property(lambda self: dense_reads.append(self) or rows.fget(self)))
+    for fmt in ("json", "text"):
+        assert run(capsys, *argv, "--format", fmt)[0] == 0
+    assert len(built) == 2 * (int(argv[-1]) + 1)
+    assert not set(map(id, built)) & set(map(id, dense_reads))
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,10 +7,10 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-from conftest import in_lattice
+from conftest import in_lattice, sparse_built
 from projrep import exactlin
-from projrep.exactlin import (Cyclotomic, IntMatrix, _eliminate, euler_phi, hnf, hnf_basis,
-                              hnf_with_transform, integer_kernel, is_unimodular,
+from projrep.exactlin import (Cyclotomic, IntMatrix, _eliminate, _is_hnf, euler_phi, hnf,
+                              hnf_basis, hnf_with_transform, integer_kernel, is_unimodular,
                               is_unit_echelon, rational_kernel, unimodular_complete)
 
 
@@ -223,13 +223,57 @@ def test_hnf_inspection_returns_what_the_elimination_returns(matrix):
 ])
 def test_only_a_matrix_not_in_hnf_is_eliminated(monkeypatch, rows, eliminated):
     matrix = IntMatrix(rows)
+    expected = _eliminate(matrix)
     calls = []
     monkeypatch.setattr(exactlin, "_eliminate",
                         lambda m: calls.append(m) or _eliminate(m))
-    h, u = hnf_with_transform(matrix)
-    assert (h, u) == _eliminate(matrix)
-    assert calls == ([matrix] if eliminated else [])
-    assert (h == matrix) is not eliminated
+    for built in (matrix, sparse_built(rows, matrix.ncols)):
+        assert _is_hnf(built.sparse_rows) is not eliminated
+        assert is_unit_echelon(built) == unit_echelon_oracle(rows)
+        h, u = hnf_with_transform(built)
+        assert (h, u) == expected
+        assert calls == ([built] if eliminated else [])
+        assert (h == built) is not eliminated
+        calls.clear()
+
+
+def unit_echelon_oracle(rows):
+    """is_unit_echelon read off the dense rows."""
+    leads = [next((j for j, v in enumerate(row) if v), None) for row in rows]
+    return (None not in leads and all(a < b for a, b in zip(leads, leads[1:]))
+            and all(row[j] == 1 for row, j in zip(rows, leads)))
+
+
+@st.composite
+def dense_rows(draw):
+    """0-6 rows of 0-6 entries up to 2^70 in size, some of them zero rows,
+    as drawn or as the rows of their HNF, so that both answers of the
+    inspection occur."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = st.integers(-2 ** 70, 2 ** 70) | st.integers(-2, 2)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols)
+                         | st.just([0] * ncols), min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows = hnf(IntMatrix(rows, ncols)).rows
+    return [list(row) for row in rows], ncols
+
+
+@settings(deadline=None, max_examples=300)
+@given(dense_rows())
+def test_sparse_and_dense_forms_are_one_matrix(drawn):
+    rows, ncols = drawn
+    dense = IntMatrix(rows, ncols)
+    assert sparse_built(rows, ncols) == dense == sparse_built(rows, ncols)
+    assert hash(sparse_built(rows, ncols)) == hash(dense)
+    sparse = sparse_built(rows, ncols)
+    assert sparse.nrows == dense.nrows == len(rows)
+    assert sparse.rows == dense.rows and sparse.to_lists() == dense.to_lists() == rows
+    in_hnf = _eliminate(dense)[0] == dense
+    for built in (dense, sparse_built(rows, ncols)):
+        assert _is_hnf(built.sparse_rows) is in_hnf
+        assert is_unit_echelon(built) == unit_echelon_oracle(rows)
+    assert hnf_with_transform(sparse_built(rows, ncols)) == _eliminate(dense)
+    assert hnf_with_transform(dense) == _eliminate(dense)
 
 
 def _random_elementary_transform(rng, matrix):
