@@ -10,7 +10,7 @@ builder of the generator-monomial matrix serve both engines."""
 import time
 from collections import namedtuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from functools import lru_cache
 
 from .exactlin import IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel, is_unit_echelon
@@ -46,11 +46,13 @@ def _packed_key(index):
                for j, lam in enumerate(components) for v in lam.parts)
 
 
-def check_packable(n):
-    """Refuse a degree n whose multiplicities could carry out of a FIELD."""
-    if n >= 1 << FIELD:
-        raise ValueError("degree %d needs multiplicity fields wider than %d bits"
-                         % (n, FIELD))
+def check_packable(n, width=1):
+    """Refuse a degree n whose multiplicities could carry out of a FIELD, or
+    values of width phi(m) whose zeta_m exponents, up to 2 * width - 2 in a
+    product of packed class functions (see CycleWeight), could."""
+    if n >= 1 << FIELD or 2 * width - 2 >= 1 << FIELD:
+        raise ValueError("degree %d with values of width %d needs fields wider than %d bits"
+                         % (n, width, FIELD))
 
 
 def _pack(element):
@@ -134,7 +136,13 @@ A class of G wr S_n is a multiset of cycles, each with a length r and the
 class C_c of its cycle product; it is written as the sorted tuple of the
 labels r * N + c, N the number of classes of G.  S_n is the case G = 1:
 SYM_WEIGHT, one class and psi = 1, where a class is its sorted cycle
-lengths."""
+lengths.
+
+Packed, f of degree n is {key + s: F} on its nonzero F = (zeta_m^s part of
+f(mu)) * n! / aut(mu), aut(mu) the product of the m_l(mu)!, the key of mu
+_packed_key's for its cycle types (label r * N + c in field (r - 1) * N + c),
+one field up if phi(m) > 1.  The induction product (Macdonald I.7) of f and
+g, of degree n - j, is C(n, j) * _key_product(F_f, F_g), reduced (_reduced)."""
 
 SYM_WEIGHT = CycleWeight(((1,),), (1,), 1)
 
@@ -157,85 +165,65 @@ def _times(a, b, conductor):
     return tuple(prod[:d])
 
 
-@lru_cache(maxsize=None)
-def _automorphisms(cls):
-    """prod over the distinct labels of a class of (multiplicity)!."""
-    result = run = 1
-    for i in range(1, len(cls)):
-        run = run + 1 if cls[i] == cls[i - 1] else 1
-        result *= run
-    return result
+def _label_shift(label, ncls, width):
+    """The offset of the field of the cycle label r * N + c in a packed key
+    (see CycleWeight), for values of the given width."""
+    return FIELD * (label - ncls + (width > 1))
 
 
-def convolve(f, g, conductor):
-    """The induction product of two class functions of wreath products, each
-    a dict {class: value} (see CycleWeight) holding its nonzero values:
-        (f * g)(mu) = sum over sub-multisets nu of the cycles of mu of
-                      prod over labels l of C(m_l(mu), m_l(nu)) * f(nu) * g(mu - nu)
-    (Macdonald I.7 and I App. B).  The binomial product is
-    aut(mu) / (aut(nu) * aut(mu - nu)), aut the product of multiplicity
-    factorials."""
-    out = {}
-    g_terms = [(rho, b, _automorphisms(rho)) for rho, b in g.items()]
-    for nu, a in f.items():
-        aut_nu = _automorphisms(nu)
-        for rho, b, aut_rho in g_terms:
-            mu = tuple(sorted(nu + rho))
-            mult = _automorphisms(mu) // (aut_nu * aut_rho)
-            value = _times(a, b, conductor)
-            entry = out.get(mu)
-            if entry is None:
-                out[mu] = [mult * v for v in value]
-            else:
-                for t, v in enumerate(value):
-                    entry[t] += mult * v
-    return {mu: tuple(v) for mu, v in out.items() if any(v)}
+def _reduced(values, conductor):
+    """values, a packed class function (see CycleWeight) whose zeta_m
+    exponents may reach 2 * phi(m) - 2, as products leave them, with every
+    exponent s >= phi(m) reduced in place modulo the m-th cyclotomic
+    polynomial, the highest first; returned without its zero values."""
+    poly = cyclotomic_polynomial(conductor)
+    width = len(poly) - 1
+    for s in range(2 * width - 2, width - 1, -1):
+        for key in [key for key in values if key % (1 << FIELD) == s]:
+            value = values.pop(key)
+            for at, coeff in enumerate(poly[:width], key - width):
+                values[at] = values.get(at, 0) - coeff * value
+    return {key: value for key, value in values.items() if value}
 
 
 @lru_cache(maxsize=None)
 def cycle_products(weight, n):
     """The values of X_n, the character whose value on a class of G wr S_n is
-    the product of psi(C) over its cycles, as {class: value} on the classes
-    where it is nonzero.  X_n is x_n (value 1) for SYM_WEIGHT, and X_{k,n}
-    for the weight psi_k of wreath.cycle_weight."""
-    ncls = len(weight.values)
-    support = [c for c in range(ncls) if any(weight.values[c])]
-    out = {}
-
-    def descend(remaining, low, prefix, value):
-        if not remaining:
-            out[prefix] = value
-            return
-        for r in range(max(low // ncls, 1), remaining + 1):
-            for c in support:
-                label = r * ncls + c
-                if label >= low:
-                    descend(remaining - r, label, prefix + (label,),
-                            _times(value, weight.values[c], weight.conductor))
-
-    descend(n, 0, (), (1,) + (0,) * (len(weight.values[0]) - 1))
-    return out
+    the product of psi(C) over its cycles, packed (see CycleWeight).  X_n is
+    x_n (value 1) for SYM_WEIGHT, and X_{k,n} for the weight psi_k of
+    wreath.cycle_weight.  n * X_n = sum over r of r * (E_r * X_{n-r}), E_r
+    being psi(C) on the class of one r-cycle through C: packed, the key
+    products by E_r's values times r * C(n, r) * r! / n = (n - 1)! r / (n - r)!."""
+    ncls, width = len(weight.values), len(weight.values[0])
+    check_packable(n, width)
+    if not n:
+        return {0: 1}
+    acc = {}
+    for r in range(1, n + 1):
+        cycle = {(1 << _label_shift(r * ncls + c, ncls, width)) + s: v
+                 for c, coords in enumerate(weight.values) for s, v in enumerate(coords) if v}
+        scale = factorial(n - 1) * r // factorial(n - r)
+        for key, value in _key_product(cycle, cycle_products(weight, n - r)).items():
+            acc[key] = acc.get(key, 0) + scale * value
+    return _reduced(acc, weight.conductor)
 
 
 @lru_cache(maxsize=None)
 def generator_values(weight, p, n):
-    """The nonzero values of the generator y_n as {class: value}, from
+    """The nonzero values of the generator y_n, packed (see CycleWeight), from
     X(t) = S(t) * (1 + Y(t)) with X_j = cycle_products(weight, j) and S the
     part of X in degrees divisible by p:
         y_n = [p does not divide n] * X_n - sum over p | j, 0 < j < n of X_j * y_{n-j},
-    the product being the induction product (convolve).  Needs no table of
-    class values: degree n reads only the generators below it."""
-    acc = {}
-    if n % p:
-        acc = {mu: list(v) for mu, v in cycle_products(weight, n).items()}
+    the product being the induction product.  Needs no table of class
+    values: degree n reads only the generators below it."""
+    check_packable(n, len(weight.values[0]))
+    acc = dict(cycle_products(weight, n)) if n % p else {}
     for j in range(p, n, p):
-        for mu, value in convolve(cycle_products(weight, j),
-                                  generator_values(weight, p, n - j),
-                                  weight.conductor).items():
-            entry = acc.setdefault(mu, [0] * len(value))
-            for t, v in enumerate(value):
-                entry[t] -= v
-    return {mu: tuple(v) for mu, v in acc.items() if any(v)}
+        scale = comb(n, j)
+        for key, value in _key_product(cycle_products(weight, j),
+                                       generator_values(weight, p, n - j)).items():
+            acc[key] = acc.get(key, 0) - scale * value
+    return _reduced(acc, weight.conductor)
 
 
 def is_p_singular(cls, element_orders, p):
@@ -247,16 +235,28 @@ def is_p_singular(cls, element_orders, p):
                for label in cls)
 
 
+def _singular_mask(weight, p, n):
+    """The bits of the packed keys of degree n (see CycleWeight) that hold
+    the multiplicities of the p-singular cycle labels: a class is p-singular
+    iff its key meets them."""
+    ncls, width = len(weight.values), len(weight.values[0])
+    return sum(((1 << FIELD) - 1) << _label_shift(label, ncls, width)
+               for label in range(ncls, (n + 1) * ncls)
+               if is_p_singular((label,), weight.element_orders, p))
+
+
 @lru_cache(maxsize=None)
 def _vanishes_on_singular(weight, p, n):
-    return not any(is_p_singular(mu, weight.element_orders, p)
-                   for mu in generator_values(weight, p, n))
+    mask = _singular_mask(weight, p, n)
+    return not any(key & mask for key in generator_values(weight, p, n))
 
 
 def generators_vanish(weight, p, n):
     """Check (a') of the structural certificate: every generator y_k, k <= n,
     vanishes on the p-singular classes (those with a cycle of length divisible
-    by p, or in a p-singular class of G)."""
+    by p, or in a p-singular class of G), refusing first what check_packable
+    refuses."""
+    check_packable(n, len(weight.values[0]))
     return all(_vanishes_on_singular(weight, p, k) for k in range(1, n + 1))
 
 

@@ -1,17 +1,21 @@
-"""The structural certificate: generator class values by the induction-product
-convolution, checked against the class-value tables it replaces, and the
-link X = S * (1 + Y) that ties those values to the coordinates in the HNF."""
+"""The structural certificate: generator class values by the induction
+product on packed keys, checked against the class-value tables it replaces,
+and the link X = S * (1 + Y) that ties those values to the coordinates in the
+HNF."""
 
 from functools import lru_cache, reduce
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projrep import modsym, series, wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
-from projrep.modsym import (SYM_WEIGHT, CycleWeight, _times, class_labels, convolve,
+from projrep.modsym import (FIELD, SYM_WEIGHT, CycleWeight, _key_product, _label_shift,
+                            _reduced, _singular_mask, _times, check_packable, class_labels,
                             cycle_products, generator_values, generators_vanish,
-                            monomial_values, verify_theorem1, x_class_value_matrix)
+                            is_p_singular, monomial_values, verify_theorem1,
+                            x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
 from projrep.series import satisfies_quotient, x_generator_series, y_explicit
 from projrep.symfunc import SymElement, X
@@ -41,13 +45,40 @@ def character_weight(table, j):
                        tuple(c.element_order for c in table.classes), m)
 
 
+def values_on(values, weight, classes):
+    """The coordinates of a packed class function at each class (a label
+    tuple) of one degree: its F at the key of the class, divided by
+    n! / aut.  The classes must account for every key of values."""
+    ncls, width = len(weight.values), len(weight.values[0])
+    out = []
+    for cls in classes:
+        key = sum(1 << _label_shift(label, ncls, width) for label in cls)
+        scale = (factorial(sum(label // ncls for label in cls))
+                 // prod(factorial(cls.count(label)) for label in set(cls)))
+        coords = [values.get(key + t, 0) for t in range(width)]
+        assert all(v % scale == 0 for v in coords), cls
+        out.append(tuple(v // scale for v in coords))
+    assert len(values) == sum(map(bool, (v for coords in out for v in coords)))
+    return out
+
+
+def induction_product(factors, conductor):
+    """The packed induction product of the packed class functions in factors,
+    given as (degree, values) pairs."""
+    def times(f, g):
+        (j, a), (k, b) = f, g
+        scale = comb(j + k, j)
+        return j + k, _reduced({key: scale * v for key, v in _key_product(a, b).items()},
+                               conductor)
+    return reduce(times, factors, (0, {0: 1}))[1]
+
+
 def wreath_product_values(table, rho):
-    """Values of the Phi monomial rho by convolving its one-part factors."""
+    """Values of the Phi monomial rho, the induction product of its one-part
+    factors."""
     weights = [character_weight(table, j) for j in range(table.N)]
-    unit = {(): (1,) + (0,) * (len(weights[0].values[0]) - 1)}
-    return reduce(lambda f, g: convolve(f, g, table.conductor),
-                  [cycle_products(weights[j], v) for j, lam in enumerate(rho)
-                   for v in lam.parts], unit)
+    return induction_product([(v, cycle_products(weights[j], v)) for j, lam in enumerate(rho)
+                              for v in lam.parts], table.conductor)
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +92,11 @@ def test_sym_generator_values_are_the_values_of_y_explicit():
             coords = y_explicit(n, p).coeffs
             rows = [(table[i], int(coords[lam])) for i, lam in enumerate(partitions(n))
                     if lam in coords]
-            values = generator_values(SYM_WEIGHT, p, n)
+            values = values_on(generator_values(SYM_WEIGHT, p, n), SYM_WEIGHT,
+                               map(sym_key, partitions(n)))
             for j, mu in enumerate(partitions(n)):
                 expected = sum(c * row[j] for row, c in rows)
-                assert values.get(sym_key(mu), (0,)) == (expected,), (p, n, mu)
+                assert values[j] == (expected,), (p, n, mu)
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -78,14 +110,14 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
         for n in range(1, 5):
             coords = generators[n].coeffs
             index = multipartitions(table.N, n)
-            values = generator_values(weight, p, n)
-            for nu in index:
+            values = values_on(generator_values(weight, p, n), weight,
+                               map(class_labels, index))
+            for nu, value in zip(index, values):
                 rows = monomial_values(table.characters, class_labels(nu))
                 expected = tuple(sum(coords[rho] * row[i]
                                      for i, rho in enumerate(index) if rho in coords)
                                  for row in rows)
-                zero = (0,) * len(rows)
-                assert values.get(class_labels(nu), zero) == expected, (name, p, k, n, nu)
+                assert value == expected, (name, p, k, n, nu)
 
 
 @settings(deadline=None, max_examples=60)
@@ -94,10 +126,11 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
 def test_convolution_matches_the_permutation_character_table(case):
     n, i = case
     lam = partitions(n)[i]
-    values = reduce(lambda f, g: convolve(f, g, 1),
-                    [cycle_products(SYM_WEIGHT, v) for v in lam.parts])
+    values = values_on(induction_product([(v, cycle_products(SYM_WEIGHT, v))
+                                          for v in lam.parts], 1),
+                       SYM_WEIGHT, map(sym_key, partitions(n)))
     for j, mu in enumerate(partitions(n)):
-        assert values.get(sym_key(mu), (0,)) == (x_class_value_matrix(n)[i][j],)
+        assert values[j] == (x_class_value_matrix(n)[i][j],)
 
 
 @settings(deadline=None, max_examples=60)
@@ -108,11 +141,11 @@ def test_convolution_matches_the_wreath_class_values(case):
     name, n, i = case
     table = bundled(name)
     index = multipartitions(table.N, n)
-    values = wreath_product_values(table, index[i])
-    for nu in index:
+    values = values_on(wreath_product_values(table, index[i]), table.characters[0],
+                       map(class_labels, index))
+    for nu, value in zip(index, values):
         rows = monomial_values(table.characters, class_labels(nu))
-        expected = tuple(row[i] for row in rows)
-        assert values.get(class_labels(nu), (0,) * len(rows)) == expected
+        assert value == tuple(row[i] for row in rows)
 
 
 cyclotomic_coords = st.sampled_from((1, 3, 4, 5, 8, 12)).flatmap(lambda m: st.tuples(
@@ -129,13 +162,58 @@ def test_times_is_the_cyclotomic_product(case):
     assert product == tuple(map(int, (x * y).coeffs))
 
 
+@settings(deadline=None, max_examples=100)
+@given(cyclotomic_coords)
+@example((1, [7], [-9]))
+@example((12, [0, 0, 0, 5], [0, 0, 0, -3]))
+def test_the_reduced_key_product_is_the_cyclotomic_product(case):
+    # a value of the empty class: its keys are the zeta_m exponents alone
+    m, a, b = case
+    x, y = Cyclotomic(m, a), Cyclotomic(m, b)
+
+    def packed(z):
+        return {s: int(v) for s, v in enumerate(z.coeffs) if v}
+    assert _reduced(_key_product(packed(x), packed(y)), m) == packed(x * y)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_the_singular_mask_meets_the_keys_of_the_singular_classes(name):
+    table = bundled(name)
+    weight = table.characters[0]
+    width = len(weight.values[0])
+    for p in (2, 3, 5):
+        for n in range(1, 7):
+            mask = _singular_mask(weight, p, n)
+            for cls in map(class_labels, multipartitions(table.N, n)):
+                key = sum(1 << _label_shift(label, table.N, width) for label in cls)
+                assert bool(key & mask) == is_p_singular(cls, weight.element_orders, p)
+
+
+def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatch):
+    # 2 * width - 2 exponents must fit the zeta field: 2^15 does, 2^15 + 1 not
+    check_packable(1, 1 << FIELD - 1)
+    wide = CycleWeight(((0,) * ((1 << FIELD - 1) + 1),), (1,), 1)
+    monkeypatch.setattr(modsym, "_key_product", lambda *args: 1 / 0)
+    monkeypatch.setattr(modsym, "_vanishes_on_singular", lambda *args: 1 / 0)
+    for build in (lambda: check_packable(1, len(wide.values[0])),
+                  lambda: cycle_products(wide, 1), lambda: generator_values(wide, 2, 1),
+                  lambda: generators_vanish(wide, 2, 1)):
+        with pytest.raises(ValueError, match="width 32769 needs fields wider than 16 bits"):
+            build()
+    for build in (lambda: cycle_products(SYM_WEIGHT, 1 << FIELD),
+                  lambda: generator_values(SYM_WEIGHT, 2, 1 << FIELD),
+                  lambda: generators_vanish(SYM_WEIGHT, 2, 1 << FIELD)):
+        with pytest.raises(ValueError, match="16 bits"):
+            build()
+
+
 def test_generators_vanish_and_the_check_can_fail(c2_table):
     for p in (2, 3, 5):
         assert generators_vanish(SYM_WEIGHT, p, 16)
     # psi = the trivial character of C2 is no lattice row at p = 2: y_1 = X_1
     # is 1 on the class of one cycle of length 1 through the element of order 2
     weight = character_weight(c2_table, 0)
-    assert generator_values(weight, 2, 1) == {(2,): (1,), (3,): (1,)}
+    assert values_on(generator_values(weight, 2, 1), weight, [(2,), (3,)]) == [(1,), (1,)]
     assert not generators_vanish(weight, 2, 1)
 
 
