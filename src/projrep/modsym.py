@@ -10,14 +10,14 @@ builder of the generator-monomial matrix serve both engines."""
 import time
 from collections import namedtuple
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from functools import lru_cache
+from operator import floordiv
 
 from .exactlin import IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel, is_unit_echelon
 # unused here, but perfbench/layers.py patches modsym.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
-from .partitions import (MultiPartition, Partition, multipartitions, p_regular_partitions,
-                         partitions)
+from .partitions import Partition, multipartitions, p_regular_partitions, partitions
 from .series import satisfies_quotient, x_generator_series, y_explicit
 # unused here, but perfbench/layers.py patches modsym.y_monomial by name
 from .series import y_monomial  # noqa: F401
@@ -67,14 +67,15 @@ def _pack(element):
 
 
 def _key_product(a, b):
-    """The product of two elements held as {packed key: coefficient}."""
+    """The product of two elements held as {packed key: coefficient}, with
+    the zero coefficients of terms that cancel."""
     out = {}
     get = out.get
     for key, coeff in a.items():
         for other, value in b.items():
             at = key + other
             out[at] = get(at, 0) + coeff * value
-    return {key: coeff for key, coeff in out.items() if coeff}
+    return out
 
 
 def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
@@ -107,7 +108,7 @@ def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
     rows = []
     for a in multipartitions(nfamilies, n, part_filter=lambda v: v % p):
         terms = product(tuple((j, v) for j, lam in enumerate(a) for v in reversed(lam.parts)))
-        entries = sorted(zip(map(positions.__getitem__, terms), terms.values()))
+        entries = sorted((positions[key], value) for key, value in terms.items() if value)
         rows.append(tuple(zip(*entries)) or ((), ()))
     return IntMatrix._trusted_sparse(rows, len(positions))
 
@@ -133,36 +134,18 @@ CycleWeight.__doc__ = """A class function psi of a finite group G, the weight of
 values[c] holds the integer power-basis coordinates of psi(C_c) over
 Z[zeta_conductor], and element_orders[c] the order of the elements of C_c.
 A class of G wr S_n is a multiset of cycles, each with a length r and the
-class C_c of its cycle product; it is written as the sorted tuple of the
-labels r * N + c, N the number of classes of G.  S_n is the case G = 1:
-SYM_WEIGHT, one class and psi = 1, where a class is its sorted cycle
-lengths.
+class C_c of its cycle product, labelled r * N + c, N the number of classes
+of G.  The key of a class is one int (_class_key): _packed_key of the
+multipartition nu of its cycle lengths nu[c] through C_c, which holds the
+multiplicity of the label r * N + c in field (r - 1) * N + c, one field up
+if phi(m) > 1.  S_n is the case G = 1: SYM_WEIGHT, one class and psi = 1.
 
-Packed, f of degree n is {key + s: F} on its nonzero F = (zeta_m^s part of
-f(mu)) * n! / aut(mu), aut(mu) the product of the m_l(mu)!, the key of mu
-_packed_key's for its cycle types (label r * N + c in field (r - 1) * N + c),
-one field up if phi(m) > 1.  The induction product (Macdonald I.7) of f and
-g, of degree n - j, is C(n, j) * _key_product(F_f, F_g), reduced (_reduced)."""
+Packed, f of degree n is {key of mu + s: F} on its nonzero F = (zeta_m^s
+part of f(mu)) * n! / aut(mu), aut(mu) the product of the m_l(mu)! over the
+labels l of mu.  The induction product (Macdonald I.7) of f and g, of
+degree n - j, is C(n, j) * _key_product(F_f, F_g), reduced (_reduced)."""
 
 SYM_WEIGHT = CycleWeight(((1,),), (1,), 1)
-
-
-def _times(a, b, conductor):
-    """Product in Z[zeta_m] of two power-basis coordinate tuples."""
-    d = len(a)
-    if d == 1:
-        return (a[0] * b[0],)
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    poly = cyclotomic_polynomial(conductor)
-    for i in range(2 * d - 2, d - 1, -1):
-        if prod[i]:
-            for t in range(d):
-                prod[i - d + t] -= prod[i] * poly[t]
-    return tuple(prod[:d])
 
 
 def _label_shift(label, ncls, width):
@@ -177,12 +160,13 @@ def _reduced(values, conductor):
     exponent s >= phi(m) reduced in place modulo the m-th cyclotomic
     polynomial, the highest first; returned without its zero values."""
     poly = cyclotomic_polynomial(conductor)
-    width = len(poly) - 1
+    width, low = len(poly) - 1, (1 << FIELD) - 1
+    terms = [(at, coeff) for at, coeff in enumerate(poly[:width], -width) if coeff]
     for s in range(2 * width - 2, width - 1, -1):
-        for key in [key for key in values if key % (1 << FIELD) == s]:
+        for key in [key for key in values if key & low == s]:
             value = values.pop(key)
-            for at, coeff in enumerate(poly[:width], key - width):
-                values[at] = values.get(at, 0) - coeff * value
+            for at, coeff in terms:
+                values[key + at] = values.get(key + at, 0) - coeff * value
     return {key: value for key, value in values.items() if value}
 
 
@@ -226,13 +210,13 @@ def generator_values(weight, p, n):
     return _reduced(acc, weight.conductor)
 
 
-def is_p_singular(cls, element_orders, p):
-    """True iff the class cls of G wr S_n (a tuple of labels, see CycleWeight)
-    has a cycle whose length is divisible by p or whose product lies in a
-    class C_c of G of element order element_orders[c] divisible by p."""
+def is_p_singular(label, element_orders, p):
+    """True iff a cycle of label r * N + c (see CycleWeight) is p-singular:
+    its length r is divisible by p, or its product lies in a class C_c of G
+    of element order element_orders[c] divisible by p.  A class of G wr S_n
+    is p-singular iff one of its cycles is."""
     ncls = len(element_orders)
-    return any(label // ncls % p == 0 or element_orders[label % ncls] % p == 0
-               for label in cls)
+    return label // ncls % p == 0 or element_orders[label % ncls] % p == 0
 
 
 def _singular_mask(weight, p, n):
@@ -242,7 +226,7 @@ def _singular_mask(weight, p, n):
     ncls, width = len(weight.values), len(weight.values[0])
     return sum(((1 << FIELD) - 1) << _label_shift(label, ncls, width)
                for label in range(ncls, (n + 1) * ncls)
-               if is_p_singular((label,), weight.element_orders, p))
+               if is_p_singular(label, weight.element_orders, p))
 
 
 @lru_cache(maxsize=None)
@@ -269,71 +253,57 @@ def generators_vanish(weight, p, n):
 SYM_CHARACTERS = (SYM_WEIGHT,)
 
 
-def class_labels(nu):
-    """The class of G wr S_n with cycle lengths nu[c] through the class C_c of
-    G, for a multipartition nu, as its sorted tuple of labels r * N + c."""
-    return tuple(sorted(r * len(nu) + c for c, lam in enumerate(nu) for r in lam.parts))
+def _class_key(nu, width):
+    """The packed key (see CycleWeight) of the class of G wr S_n with cycle
+    lengths nu[c] through the class C_c of G, nu a multipartition."""
+    return _packed_key(nu) << FIELD * (width > 1)
 
 
-@lru_cache(maxsize=None)
-def _removals(ncls, n, r):
-    """For each rho in multipartitions(ncls, n): the pairs (j, terms), one per
-    component rho_j with a part v >= r, where terms lists (m_{rho_j}(v), index of
-    rho - r@(j, v) in multipartitions(ncls, n - r)) over those part values v, and
-    rho - r@(j, v) replaces one part v of rho_j by v - r (dropped if 0)."""
-    lower = {mp: i for i, mp in enumerate(multipartitions(ncls, n - r))}
-    out = []
+def singular_classes(characters, p, n):
+    """The p-singular classes of G wr S_n as multipartitions nu (see
+    _class_key), in multipartitions(N, n) order, for the N characters of G."""
+    width = len(characters[0].values[0])
+    mask = _singular_mask(characters[0], p, n)
+    return [nu for nu in multipartitions(len(characters), n) if _class_key(nu, width) & mask]
+
+
+def monomial_values(characters, n, p=None):
+    """For each rho in multipartitions(N, n) order, the values of the
+    character X_rho of G wr S_n on the p-singular classes of degree n (every
+    class if p is None), in multipartitions order: phi(m) integer coordinates
+    over Z[zeta_m] per class.  characters[j] is the CycleWeight of chi_j; for
+    SYM_CHARACTERS, X_rho is the permutation character x_lambda, rho = (lambda,).
+
+    X_rho is the induction product (Macdonald I.7, I App. B) over the parts v
+    of every rho_j of cycle_products(chi_j, v); the products below degree n
+    are memoised for this call.  check_packable runs before any product."""
+    ncls, width = len(characters), len(characters[0].values[0])
+    check_packable(n, width)
+    classes = multipartitions(ncls, n) if p is None else singular_classes(characters, p, n)
+    keys, scales = [], []
+    for nu in classes:
+        keys += (_class_key(nu, width) + t for t in range(width))
+        scales += [factorial(n) // prod(factorial(m) for lam in nu
+                                        for m in lam.multiplicities().values())] * width
+    zeros = [0] * len(keys)
+    memo = {(): (0, {0: 1})}
+
+    def product(factors):
+        known = memo.get(factors)
+        if known is None:
+            (j, v), (degree, rest) = factors[0], product(factors[1:])
+            small, large = sorted((cycle_products(characters[j], v), rest), key=len)
+            scale = comb(degree + v, v)  # folded into the smaller factor
+            known = degree + v, _reduced(_key_product(
+                {key: scale * value for key, value in small.items()}, large),
+                characters[0].conductor)
+            if known[0] < n:
+                memo[factors] = known
+        return known
+
     for rho in multipartitions(ncls, n):
-        entry = []
-        for j, lam in enumerate(rho):
-            terms = []
-            for v, mult in lam.multiplicities().items():
-                if v >= r:
-                    at = lam.parts.index(v)
-                    parts = lam.parts[:at] + lam.parts[at + 1:] + ((v - r,) if v > r else ())
-                    comps = list(rho.components)
-                    comps[j] = Partition._trusted(tuple(sorted(parts, reverse=True)))
-                    terms.append((mult, lower[MultiPartition._trusted(tuple(comps))]))
-            if terms:
-                entry.append((j, tuple(terms)))
-        out.append(tuple(entry))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def monomial_values(characters, cls):
-    """Values X_rho(cls) of the monomials of degree n, as characters of
-    G wr S_n, on the class cls (a tuple of labels, see CycleWeight), for every
-    rho in multipartitions(N, n) order.  characters[j] is the CycleWeight of
-    the irreducible chi_j, its integer coordinates over Z[zeta_m], m the
-    conductor; the result is phi(m) integer rows, row t holding the zeta_m^t
-    coordinates.  S_n is the case SYM_CHARACTERS, where X_rho is the
-    permutation character x_lambda induced from the Young subgroup S_lambda,
-    lambda the one component of rho.
-
-    X_rho is induced from the product of the G wr S_v over the parts v of every
-    rho_j, each carrying chi_j on every factor G.  The largest cycle of cls, of
-    length r through the class C = C_c, lies in one part v >= r of some rho_j,
-    which contributes chi_j(C) and leaves v - r:
-        X_rho(cls) = sum over j and part values v >= r of rho_j of
-                     m_{rho_j}(v) * chi_j(C) * X_{rho - r@(j,v)}(cls minus that cycle),
-    with m_{rho_j}(v) the multiplicity of v and X_empty(empty) = 1 (Macdonald
-    I App. B).  Degree n reads only the classes of lower degree."""
-    ncls, conductor = len(characters), characters[0].conductor
-    d = len(characters[0].values[0])
-    if not cls:
-        return ((1,),) + ((0,),) * (d - 1)
-    r, c = divmod(cls[-1], ncls)
-    sub = monomial_values(characters, cls[:-1])
-    values = []
-    for entry in _removals(ncls, sum(label // ncls for label in cls), r):
-        acc = [0] * d
-        for j, terms in entry:
-            shared = tuple(sum(mult * row[i] for mult, i in terms) for row in sub)
-            for t, v in enumerate(_times(characters[j].values[c], shared, conductor)):
-                acc[t] += v
-        values.append(acc)
-    return tuple(zip(*values))
+        values = product(tuple((j, v) for j, lam in enumerate(rho) for v in reversed(lam.parts)))
+        yield tuple(map(floordiv, map(values[1].get, keys, zeros), scales))
 
 
 @lru_cache(maxsize=None)
@@ -342,25 +312,15 @@ def x_class_value_matrix(n):
     of x_{lambda_i} on class mu_j, both indexed by partitions(n); the
     monomial_values of SYM_CHARACTERS, whose multipartitions(1, n) are
     partitions(n) in order."""
-    return tuple(zip(*(monomial_values(SYM_CHARACTERS, class_labels((mu,)))[0]
-                       for mu in partitions(n))))
-
-
-def singular_classes(characters, p, n):
-    """The p-singular classes of G wr S_n as label tuples, in
-    multipartitions(N, n) order, for the N characters of G."""
-    element_orders = characters[0].element_orders
-    return [cls for cls in map(class_labels, multipartitions(len(characters), n))
-            if is_p_singular(cls, element_orders, p)]
+    return tuple(monomial_values(SYM_CHARACTERS, n))
 
 
 def singular_constraints(characters, p, n):
     """The integer constraint matrix E of degree n, whose integer solutions
     are the vanishing lattice: the nonzero coordinate rows of monomial_values
-    on each p-singular class, in order.  Degree 1 is the lattice of G."""
-    return IntMatrix._trusted([row for cls in singular_classes(characters, p, n)
-                               for row in monomial_values(characters, cls) if any(row)],
-                              len(multipartitions(len(characters), n)))
+    on the p-singular classes, in order.  Degree 1 is the lattice of G."""
+    return IntMatrix._trusted([row for row in zip(*monomial_values(characters, n, p))
+                               if any(row)], len(multipartitions(len(characters), n)))
 
 
 class VerificationReport(namedtuple(

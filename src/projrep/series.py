@@ -148,8 +148,9 @@ def int_power(series, exponent):
     while exponent:
         if exponent & 1:
             result = result * base
-        base = base * base
         exponent >>= 1
+        if exponent:
+            base = base * base
     return result
 
 

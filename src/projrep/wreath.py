@@ -18,7 +18,7 @@ from .exactlin import (Cyclotomic, conj, hnf_basis, integer_kernel, is_unimodula
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
 from .modsym import (CycleWeight, VerificationReport, check_packable, generators_vanish,
-                     monomial_matrix, monomial_values, singular_classes, singular_constraints)
+                     monomial_matrix, monomial_values, singular_constraints)
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
 from .series import GradedSeries, exp, int_power, quotient_y, satisfies_quotient
 from .symfunc import GradedElement
@@ -374,9 +374,10 @@ def singular_index_rows(table, p, n):
     order of nu, times the xi_nu coefficients of the PHI monomials, so their
     integer solutions are the vanishing lattice; modsym.singular_constraints
     reads them off as integer coordinates."""
-    m = table.conductor
-    return [[Cyclotomic(m, coords) for coords in zip(*monomial_values(table.characters, cls))]
-            for cls in singular_classes(table.characters, p, n)]
+    m, width = table.conductor, len(table.characters[0].values[0])
+    rows = list(zip(*monomial_values(table.characters, n, p)))
+    return [[Cyclotomic(m, coords) for coords in zip(*rows[i:i + width])]
+            for i in range(0, len(rows), width)]
 
 
 def verify_theorem2(table, p, n, lattice=None):

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from projrep.exactlin import IntMatrix, hnf_basis
+from projrep.partitions import multipartitions, z
 from projrep.wreath import load_table
 
 
@@ -17,6 +18,22 @@ def sparse_built(rows, ncols):
     return IntMatrix._trusted_sparse(
         [(tuple(j for j, v in enumerate(row) if v), tuple(v for v in row if v))
          for row in rows], ncols)
+
+
+def centralizer_order(table, nu):
+    """Z_nu = prod over classes C of z(nu_C) * (|G|/|C|)^len(nu_C)."""
+    result = 1
+    for cls, lam in zip(table.classes, nu):
+        result *= z(lam) * (table.order // cls.size) ** len(lam)
+    return result
+
+
+def singular_indices(table, p, n):
+    """The p-singular classes nu: a cycle length divisible by p, or a cycle
+    through a class of G whose element order p divides."""
+    return [nu for nu in multipartitions(table.N, n)
+            if any(lam.parts and (cls.element_order % p == 0 or not lam.is_p_regular(p))
+                   for cls, lam in zip(table.classes, nu))]
 
 
 def table_path(name):

@@ -1,8 +1,10 @@
 """Every top-level import of a projrep module is used in that module or
 exported by its __all__: a dead import reads as a dependency that is none.
-And the command line imports no module it does not need."""
+Every top-level definition is referenced somewhere outside itself.  And the
+command line imports no module it does not need."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,10 @@ import projrep
 PINNED = {("modsym", "rational_kernel"), ("wreath", "rational_kernel"),
           ("modsym", "y_monomial")}
 MODULES = sorted(Path(projrep.__file__).parent.glob("*.py"))
+# where a definition may be referenced: the package, its tests and the
+# benchmark, which patches some names by string
+REFERENCING = sorted(MODULES + list(Path(__file__).parent.glob("*.py"))
+                     + list((Path(__file__).parent.parent / "perfbench").glob("*.py")))
 
 
 def imported_names(tree):
@@ -44,6 +50,63 @@ def test_every_import_is_used_or_exported(path):
     kept = used | exported_names(tree) | {name for module, name in PINNED
                                            if module == path.stem}
     assert [name for name in imported_names(tree) if name not in kept] == []
+
+
+def defined_names(tree):
+    """The functions, classes and constants that a module's top-level
+    statements define, dunder names aside, with the statement of each."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, node
+
+
+def referenced_names(node):
+    """The identifiers a statement mentions: as a name, as an attribute, or
+    inside a string that is not a docstring."""
+    docstrings = {id(sub.value) for sub in ast.walk(node) if isinstance(sub, ast.Expr)}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in docstrings):
+            yield from re.findall(r"\w+", sub.value)
+
+
+def unreferenced_definitions(modules, referencing):
+    """The (module, name) of each top-level definition of the modules that no
+    statement of the referencing files mentions, its own statement aside."""
+    mentions = {}
+    for path in referencing:
+        for node in ast.parse(path.read_text()).body:
+            for name in set(referenced_names(node)):
+                mentions.setdefault(name, set()).add((path, node.lineno))
+    dead = []
+    for path in modules:
+        for name, node in defined_names(ast.parse(path.read_text())):
+            if not mentions.get(name, set()) - {(path, node.lineno)}:
+                dead.append((path.stem, name))
+    return dead
+
+
+def test_every_definition_is_referenced():
+    assert unreferenced_definitions(MODULES, REFERENCING) == []
+
+
+def test_an_unreferenced_definition_is_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("LIMIT = 3\n\n\ndef used():\n    return LIMIT\n\n\n"
+                      "def recursive(n):\n    return n and recursive(n - 1)\n")
+    caller = tmp_path / "caller.py"
+    caller.write_text("import module\nmodule.used()\n")
+    assert unreferenced_definitions([module], [module, caller]) == [("module", "recursive")]
+    caller.write_text("import module\nmodule.used()\nPATCHED = ('module', 'recursive')\n")
+    assert unreferenced_definitions([module], [module, caller]) == []
 
 
 def test_the_command_line_does_not_import_dataclasses():

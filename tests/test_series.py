@@ -192,6 +192,27 @@ def test_int_power_examples():
             assert_round_trips(s)
 
 
+def test_int_power_squares_only_while_bits_remain(monkeypatch):
+    s = scalar_series(1, 2, -1, 3, 0, 1)
+    for e in range(-3, 7):
+        base = s if e >= 0 else inverse(s)
+        expected = s.one()
+        for _ in range(abs(e)):
+            expected = expected * base
+        assert int_power(s, e) == expected, e
+    products = []
+    multiply = GradedSeries.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return multiply(a, b)
+    monkeypatch.setattr(GradedSeries, "__mul__", counted)
+    for k in range(5):
+        products.clear()
+        int_power(s, 2 ** k)
+        assert len(products) <= k + 1, k
+
+
 def test_int_power_requires_unit_constant_term():
     with pytest.raises(ValueError):
         int_power(scalar_series(2, 1), 2)

@@ -1,7 +1,7 @@
-"""The structural certificate: generator class values by the induction
-product on packed keys, checked against the class-value tables it replaces,
-and the link X = S * (1 + Y) that ties those values to the coordinates in the
-HNF."""
+"""The structural certificate: generator and monomial class values by the
+induction product on packed keys, checked against the permutation characters
+and the xi expansion, and the link X = S * (1 + Y) that ties those values to
+the coordinates in the HNF."""
 
 from functools import lru_cache, reduce
 from math import comb, factorial, prod
@@ -11,19 +11,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from projrep import modsym, series, wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
-from projrep.modsym import (FIELD, SYM_WEIGHT, CycleWeight, _key_product, _label_shift,
-                            _reduced, _singular_mask, _times, check_packable, class_labels,
+from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, _key_product,
+                            _label_shift, _reduced, _singular_mask, check_packable,
                             cycle_products, generator_values, generators_vanish,
-                            is_p_singular, monomial_values, verify_theorem1,
-                            x_class_value_matrix)
+                            is_p_singular, monomial_values, singular_classes,
+                            singular_constraints, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
 from projrep.series import satisfies_quotient, x_generator_series, y_explicit
-from projrep.symfunc import SymElement, X
+from projrep.symfunc import SymElement, X, perm_char_value
 from projrep.wreath import (PHI, ELatticeBasis, WreathElement, cycle_weight, e_lattice,
-                            load_table, verify_theorem2, xk_closed_series, xk_series,
-                            yk_generators)
+                            load_table, verify_theorem2, xi_from_phi, xk_closed_series,
+                            xk_series, yk_generators)
 
-from conftest import table_path
+from conftest import centralizer_order, singular_indices, table_path
 
 TABLES = ("trivial", "c2", "c3", "c4", "s3")
 
@@ -35,6 +35,12 @@ def bundled(name):
 
 def sym_key(mu):
     return tuple(reversed(mu.parts))
+
+
+def labels(nu):
+    """The class of G wr S_n with cycle lengths nu[c] through the class C_c
+    of G, as its sorted tuple of cycle labels r * N + c."""
+    return tuple(sorted(r * len(nu) + c for c, lam in enumerate(nu) for r in lam.parts))
 
 
 def character_weight(table, j):
@@ -73,6 +79,17 @@ def induction_product(factors, conductor):
     return reduce(times, factors, (0, {0: 1}))[1]
 
 
+def xi_values(table, element):
+    """The coordinates of the PHI element's values on every class nu of its
+    degree, in multipartitions order: its xi_nu coefficient times the
+    centralizer order of nu."""
+    expansion = xi_from_phi(element, table).coeffs
+    zero = Cyclotomic.from_rational(0)
+    return [tuple(map(int, (centralizer_order(table, nu) * expansion.get(nu, zero))
+                      .lift(table.conductor).rational_coords()))
+            for nu in multipartitions(table.N, element.degree)]
+
+
 def wreath_product_values(table, rho):
     """Values of the Phi monomial rho, the induction product of its one-part
     factors."""
@@ -82,20 +99,17 @@ def wreath_product_values(table, rho):
 
 
 # ---------------------------------------------------------------------------
-# the values against the class-value tables
+# the values against the permutation characters and the xi expansion
 
 
 def test_sym_generator_values_are_the_values_of_y_explicit():
     for p in (2, 3, 5):
         for n in range(1, 11):
-            table = x_class_value_matrix(n)
             coords = y_explicit(n, p).coeffs
-            rows = [(table[i], int(coords[lam])) for i, lam in enumerate(partitions(n))
-                    if lam in coords]
             values = values_on(generator_values(SYM_WEIGHT, p, n), SYM_WEIGHT,
                                map(sym_key, partitions(n)))
             for j, mu in enumerate(partitions(n)):
-                expected = sum(c * row[j] for row, c in rows)
+                expected = sum(int(c) * perm_char_value(lam, mu) for lam, c in coords.items())
                 assert values[j] == (expected,), (p, n, mu)
 
 
@@ -110,14 +124,10 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
         for n in range(1, 5):
             coords = generators[n].coeffs
             index = multipartitions(table.N, n)
-            values = values_on(generator_values(weight, p, n), weight,
-                               map(class_labels, index))
-            for nu, value in zip(index, values):
-                rows = monomial_values(table.characters, class_labels(nu))
-                expected = tuple(sum(coords[rho] * row[i]
-                                     for i, rho in enumerate(index) if rho in coords)
-                                 for row in rows)
-                assert value == expected, (name, p, k, n, nu)
+            values = values_on(generator_values(weight, p, n), weight, map(labels, index))
+            expected = xi_values(table, generators[n])
+            for nu, value, want in zip(index, values, expected):
+                assert value == want, (name, p, k, n, nu)
 
 
 @settings(deadline=None, max_examples=60)
@@ -130,7 +140,7 @@ def test_convolution_matches_the_permutation_character_table(case):
                                           for v in lam.parts], 1),
                        SYM_WEIGHT, map(sym_key, partitions(n)))
     for j, mu in enumerate(partitions(n)):
-        assert values[j] == (x_class_value_matrix(n)[i][j],)
+        assert values[j] == (perm_char_value(lam, mu),)
 
 
 @settings(deadline=None, max_examples=60)
@@ -142,24 +152,33 @@ def test_convolution_matches_the_wreath_class_values(case):
     table = bundled(name)
     index = multipartitions(table.N, n)
     values = values_on(wreath_product_values(table, index[i]), table.characters[0],
-                       map(class_labels, index))
-    for nu, value in zip(index, values):
-        rows = monomial_values(table.characters, class_labels(nu))
-        assert value == tuple(row[i] for row in rows)
+                       map(labels, index))
+    assert values == xi_values(table, WreathElement(PHI, n, table.N, {index[i]: 1}))
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_monomial_values_are_the_scaled_xi_coefficients_on_every_class(name):
+    table = bundled(name)
+    width = len(table.characters[0].values[0])
+    for n in range(5):
+        index = multipartitions(table.N, n)
+        columns = list(monomial_values(table.characters, n))
+        assert len(columns) == len(index)
+        for rho, column in zip(index, columns):
+            values = [column[i:i + width] for i in range(0, len(column), width)]
+            assert values == xi_values(table, WreathElement(PHI, n, table.N, {rho: 1})), rho
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_singular_classes_are_the_singular_indices(name):
+    table = bundled(name)
+    for p in (2, 3, 5):
+        for n in range(7):
+            assert singular_classes(table.characters, p, n) == singular_indices(table, p, n)
 
 
 cyclotomic_coords = st.sampled_from((1, 3, 4, 5, 8, 12)).flatmap(lambda m: st.tuples(
     st.just(m), *[st.lists(st.integers(-9, 9), min_size=m, max_size=m)] * 2))
-
-
-@settings(deadline=None, max_examples=100)
-@given(cyclotomic_coords)
-@example((1, [7], [-9]))
-def test_times_is_the_cyclotomic_product(case):
-    m, a, b = case
-    x, y = Cyclotomic(m, a), Cyclotomic(m, b)
-    product = _times(tuple(map(int, x.coeffs)), tuple(map(int, y.coeffs)), m)
-    assert product == tuple(map(int, (x * y).coeffs))
 
 
 @settings(deadline=None, max_examples=100)
@@ -184,9 +203,10 @@ def test_the_singular_mask_meets_the_keys_of_the_singular_classes(name):
     for p in (2, 3, 5):
         for n in range(1, 7):
             mask = _singular_mask(weight, p, n)
-            for cls in map(class_labels, multipartitions(table.N, n)):
+            for cls in map(labels, multipartitions(table.N, n)):
                 key = sum(1 << _label_shift(label, table.N, width) for label in cls)
-                assert bool(key & mask) == is_p_singular(cls, weight.element_orders, p)
+                assert bool(key & mask) == any(is_p_singular(label, weight.element_orders, p)
+                                               for label in cls)
 
 
 def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatch):
@@ -203,6 +223,17 @@ def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatc
     for build in (lambda: cycle_products(SYM_WEIGHT, 1 << FIELD),
                   lambda: generator_values(SYM_WEIGHT, 2, 1 << FIELD),
                   lambda: generators_vanish(SYM_WEIGHT, 2, 1 << FIELD)):
+        with pytest.raises(ValueError, match="16 bits"):
+            build()
+
+
+def test_a_monomial_degree_that_could_overflow_is_refused_before_any_product(monkeypatch):
+    monkeypatch.setattr(modsym, "_key_product", lambda *args: 1 / 0)
+    monkeypatch.setattr(modsym, "multipartitions", lambda *args: 1 / 0)
+    for build in (lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD)),
+                  lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD, 2)),
+                  lambda: singular_constraints(SYM_CHARACTERS, 2, 1 << FIELD),
+                  lambda: x_class_value_matrix(1 << FIELD)):
         with pytest.raises(ValueError, match="16 bits"):
             build()
 

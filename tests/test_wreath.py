@@ -10,7 +10,7 @@ from projrep import wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, integer_kernel, rational_constraints
 from projrep.modsym import (FIELD, SYM_CHARACTERS, monomial_matrix, singular_constraints,
                             verify_theorem1)
-from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
+from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, x_to_c
 from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, TableError,
@@ -19,6 +19,9 @@ from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, Tabl
                             p_regular_classes, phi_c_in_xi, phi_x_in_xi,
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
                             yk_generators)
+
+from conftest import centralizer_order, singular_indices
+
 
 def xi_mono(ncomp, placements, coeff=1):
     comps = [EMPTY] * ncomp
@@ -335,22 +338,6 @@ def test_wreath_elements_of_different_algebras_do_not_mix():
         assert xi != other
 
 
-def centralizer_order(table, nu):
-    """Z_nu = prod over classes C of z(nu_C) * (|G|/|C|)^len(nu_C)."""
-    result = 1
-    for cls, lam in zip(table.classes, nu):
-        result *= z(lam) * (table.order // cls.size) ** len(lam)
-    return result
-
-
-def singular_indices(table, p, n):
-    """The p-singular classes nu: a cycle length divisible by p, or a cycle
-    through a class of G whose element order p divides."""
-    return [nu for nu in multipartitions(table.N, n)
-            if any(lam.parts and (cls.element_order % p == 0 or not lam.is_p_regular(p))
-                   for cls, lam in zip(table.classes, nu))]
-
-
 @pytest.mark.parametrize("name", ["trivial_table", "c2_table", "c3_table", "s3_table",
                                   "c4_table"])
 def test_singular_index_rows_are_scaled_xi_coefficients(request, name):
@@ -519,6 +506,20 @@ def test_monomial_rows_are_the_generator_products(request, name):
             assert rows == product_chain_rows(table, lattice, p, n)
             report = verify_theorem2(table, p, n, lattice=lattice)
             assert report.monomial_hnf == hnf_basis(IntMatrix(rows, report.monomial_hnf.ncols))
+
+
+def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
+    # generators A + B and A - B of degree 1: their product A^2 - B^2 has a
+    # zero coefficient at AB, which a sparse row must not hold
+    a, b = MultiPartition([Partition((1,)), EMPTY]), MultiPartition([EMPTY, Partition((1,))])
+    generators = {(0, 1): {a: 1, b: 1}, (1, 1): {a: 1, b: -1},
+                  (0, 2): {MultiPartition([Partition((2,)), EMPTY]): 1},
+                  (1, 2): {MultiPartition([EMPTY, Partition((2,))]): 1}}
+    matrix = monomial_matrix(lambda j, v: WreathElement(PHI, v, 2, generators[j, v]),
+                             2, 2, 5, 2, {})
+    assert all(0 not in values for columns, values in matrix.sparse_rows)
+    assert matrix == IntMatrix([[1, 0, 0, 0, 0], [0, 1, 2, 0, 1], [0, 1, 0, 0, -1],
+                                [0, 0, 0, 1, 0], [0, 1, -2, 0, 1]])
 
 
 def test_verify_theorem2_refuses_a_degree_that_overflows_a_key_field(monkeypatch, c2_table):
