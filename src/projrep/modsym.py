@@ -332,17 +332,7 @@ class VerificationReport(namedtuple(
         """The JSON form, with the two matrices as IntMatrix objects, which
         cli.json_chunks writes as lists of rows.  A structural report's two
         matrices are one object, which the writer encodes once."""
-        return {
-            "degree": self.degree,
-            "p": self.p,
-            "rank": self.rank,
-            "expected_rank": self.expected_rank,
-            "lattice_hnf": self.lattice_hnf,
-            "monomial_hnf": self.monomial_hnf,
-            "verdict": self.verdict,
-            "method": self.method,
-            "seconds": self.seconds,
-        }
+        return self._asdict()
 
     @classmethod
     def decide(cls, degree, p, build_constraints, monomial_hnf, expected, start,

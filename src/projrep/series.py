@@ -7,10 +7,11 @@ beyond it.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import factorial, prod
 from operator import add
 
 from . import symfunc
-from .partitions import Partition
+from .partitions import Partition, partitions
 from .symfunc import SymElement
 
 
@@ -176,33 +177,28 @@ def x_generator_series(order, basis=symfunc.X):
     return GradedSeries(gens)
 
 
+def power_coefficient(e, lam):
+    """The coefficient of x_lam in H(t)^e, H = 1 + sum_i x_i t^i, for any
+    integer e.  (1 + u)^e = sum_l (e)_l u^l / l! with (e)_l the falling
+    factorial, so it is (e)_l / prod over part values v of m_v(lam)!, l the
+    number of parts: a generalized binomial times a multinomial, an integer."""
+    return (prod(range(e, e - len(lam), -1))
+            // prod(map(factorial, lam.multiplicities().values())))
+
+
 @lru_cache(maxsize=None)
 def y_explicit(n, p):
-    """Degree-n generator by the explicit composition sum.
-
-    Sums (-1)^k x_{l_0}...x_{l_k} over ordered tuples (l_0,...,l_k) of
-    positive integers with total n, l_0 coprime to p and every later entry
-    divisible by p.  Zero when p divides n.
-    """
+    """Degree-n generator in closed form.  With S the part of H in degrees
+    divisible by p, 1 + Y = H / S, so Y = (H - S) / S, and 1 / S is H^{-1}
+    on the generators x_{pj} alone.  So y_n is the sum, over h = n mod p
+    with p not dividing h and over the partitions nu of (n - h) / p, of
+    power_coefficient(-1, nu) x_{(h) + p nu}: one monomial per term, h
+    being its one part prime to p.  Zero when p divides n."""
     if n < 1:
         raise ValueError("n must be positive")
-    coeffs = {}
-
-    def extend(remaining, picked_parts, sign):
-        if remaining == 0:
-            key = tuple(sorted(picked_parts, reverse=True))
-            coeffs[key] = coeffs.get(key, 0) + sign
-            return
-        for step in range(p, remaining + 1, p):
-            extend(remaining - step, picked_parts + (step,), -sign)
-
-    for head in range(1, n + 1):
-        if head % p == 0:
-            continue
-        extend(n - head, (head,), 1)
-    # sorted tuples of positive parts: partitions by construction
-    return SymElement(symfunc.X, n, {Partition._trusted(parts): coeff
-                                     for parts, coeff in coeffs.items()})
+    return SymElement(symfunc.X, n, {
+        tuple(sorted((h, *(p * v for v in nu)), reverse=True)): power_coefficient(-1, nu)
+        for h in range(n % p, n + 1, p) if h % p for nu in partitions((n - h) // p)})
 
 
 def y_from_quotient(max_degree, p, basis=symfunc.X):

@@ -10,17 +10,18 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, conj, hnf_basis, integer_kernel, is_unimodular,
-                       unimodular_complete)
+from .exactlin import (Cyclotomic, conj, euler_phi, hnf_basis, integer_kernel,
+                       is_unimodular, unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
 from .modsym import (CycleWeight, VerificationReport, check_packable, generators_vanish,
                      monomial_matrix, monomial_values, singular_constraints)
 from .partitions import EMPTY, MultiPartition, Partition, multipartitions
-from .series import GradedSeries, exp, int_power, quotient_y, satisfies_quotient
+from .series import (GradedSeries, exp, int_power, power_coefficient, quotient_y,
+                     satisfies_quotient)
 from .symfunc import GradedElement
 
 XI = "xi"
@@ -62,6 +63,13 @@ class CharTable:
             raise TableError("group order must be positive")
         if self.conductor < 1:
             raise TableError("conductor must be >= 1")
+        # phi(m) >= sqrt(m / 2) > 2^15 once m > 2^31: so wide a conductor is
+        # refused on m itself, which bounds phi(m), without factoring it
+        m = self.conductor
+        try:
+            check_packable(1, euler_phi(m) if m <= 1 << 31 else m)
+        except ValueError as err:
+            raise TableError("conductor %d is too large: %s" % (m, err))
         if not self.classes:
             raise TableError("no classes")
         if len(self.irreducibles) != len(self.classes):
@@ -92,7 +100,6 @@ class CharTable:
         # A value on a class of element order e lies in Q(zeta_e), which meets
         # Q(zeta_m) in Q(zeta_d), d = gcd(e, m): the field fixed by every
         # zeta_m -> zeta_m^k with k a unit modulo m and k = 1 modulo d.
-        m = self.conductor
         for j, c in enumerate(self.classes):
             d = gcd(c.element_order, m)
             fixing = [k for k in range(1, m + 1) if gcd(k, m) == 1 and (k - 1) % d == 0]
@@ -344,19 +351,12 @@ def cycle_weight(table, lattice, k):
 def xk_closed_form(table, lattice, k, n):
     """X_{k,n} for a lattice row k <= M, with no series arithmetic.  X_k is the
     product over j of H_j^{e_j}, H_j = sum_i Phi_j(x_i) t^i and e_j = phi_{kj},
-    and (1 + u)^e = sum_l (e)_l u^l / l! with (e)_l the falling factorial, so
-    the coefficient of the Phi monomial rho is
-        prod over j of (e_j)_{l(rho_j)} / prod over part values v of m_v(rho_j)!,
-    an integer (a generalized binomial times a multinomial)."""
+    so the coefficient of the Phi monomial rho is the product over j of
+    power_coefficient(e_j, rho_j)."""
     exponents = lattice.phi.rows[k - 1]
-    coeffs = {}
-    for rho in multipartitions(table.N, n, component_filter=lambda j: exponents[j] != 0):
-        coeff = 1
-        for e, lam in zip(exponents, rho):
-            coeff *= (prod(range(e, e - len(lam), -1))
-                      // prod(map(factorial, lam.multiplicities().values())))
-        coeffs[rho] = coeff
-    return WreathElement(PHI, n, table.N, coeffs)
+    return WreathElement(PHI, n, table.N, {
+        rho: prod(map(power_coefficient, exponents, rho))
+        for rho in multipartitions(table.N, n, component_filter=lambda j: exponents[j] != 0)})
 
 
 def xk_closed_series(table, lattice, k, order):

@@ -210,6 +210,29 @@ def test_table_value_outside_its_field_exits_2(c4_misplaced_zeta4, capsys):
     assert "does not lie in Q(zeta_2)" in err
 
 
+@pytest.mark.parametrize("conductor, width", [(32771, 32770), (10 ** 5, 40000),
+                                              (10 ** 6, 400000),
+                                              pytest.param(10 ** 18 + 3, 10 ** 18 + 3,
+                                                           id="10**18+3")])
+def test_a_conductor_too_wide_to_pack_exits_2_at_load(tmp_path, capsys, conductor, width):
+    # phi(32771) = 32770 is past the widest values a packed key holds; the
+    # table is refused before the Galois check, whose cost grows with the
+    # conductor, and the prime 10**18 + 3, too large to factor, by its size
+    with open(table_path("trivial")) as handle:
+        data = json.load(handle)
+    data["conductor"] = conductor
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "wreath", "verify", "--table", str(wide),
+                         "--p", "2", "--max-degree", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err == ("table error: conductor %d is too large: degree 1 with values of width "
+                   "%d needs fields wider than 16 bits\n" % (conductor, width))
+
+
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     from projrep import modsym
 

@@ -52,6 +52,12 @@ def test_every_import_is_used_or_exported(path):
     assert [name for name in imported_names(tree) if name not in kept] == []
 
 
+def test_every_pinned_import_is_still_patched():
+    # a pin outlives its reason once the benchmark no longer patches the name
+    layers = (Path(__file__).parent.parent / "perfbench" / "layers.py").read_text()
+    assert sorted(pin for pin in PINNED if '(%s, "%s"' % pin not in layers) == []
+
+
 def defined_names(tree):
     """The functions, classes and constants that a module's top-level
     statements define, dunder names aside, with the statement of each."""

@@ -7,8 +7,8 @@ import pytest
 from projrep.exactlin import Cyclotomic
 from projrep.partitions import MultiPartition, multipartitions, partitions
 from projrep.series import (GradedSeries, exp, int_power, inverse,
-                            one_series, p_split, quotient_y, x_generator_series,
-                            y_explicit, y_from_quotient, y_monomial)
+                            one_series, p_split, power_coefficient, quotient_y,
+                            x_generator_series, y_explicit, y_from_quotient, y_monomial)
 from projrep.symfunc import C, SymElement, X, x_to_c
 from projrep.wreath import XI, WreathElement
 
@@ -222,6 +222,17 @@ def test_int_power_requires_unit_constant_term():
 # the y generators
 
 
+def test_power_coefficient_is_the_coefficient_of_the_series_power():
+    # int_power inverts the series for e < 0, so it shares no code with the
+    # binomial series that power_coefficient reads off
+    xs = x_generator_series(6)
+    for e in range(-3, 4):
+        power = int_power(xs, e)
+        for n in range(7):
+            for lam in partitions(n):
+                assert power_coefficient(e, lam) == power[n].coeffs.get(lam, 0), (e, lam)
+
+
 def test_y_explicit_examples():
     for p in (2, 3, 5):
         assert y_explicit(1, p) == SymElement.generator(X, 1)
@@ -242,9 +253,9 @@ def test_y_known_list_for_p2():
 
 
 def test_y_quotient_matches_explicit():
-    for p in (2, 3, 5):
-        quotient = y_from_quotient(12, p)
-        for n in range(1, 13):
+    for p, order in ((2, 41), (3, 30), (5, 30)):
+        quotient = y_from_quotient(order, p)
+        for n in range(1, order + 1):
             if n % p == 0:
                 assert quotient[n].is_zero()
             else:
