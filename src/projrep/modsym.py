@@ -1,11 +1,9 @@
-"""Symmetric-group engine: the lattice of virtual characters vanishing on
-p-singular classes, the polynomial generators y_n and their class values,
-and per-degree verification that the generator monomials span exactly that
-lattice (structurally, or by Hermite normal form equality with the
-computed kernel).  S_n is the case G = 1 of G wr S_n, and the class-value
-routines here (of the generators and of every monomial), the p-singular
-class predicate, the constraint matrix of the vanishing lattice and the
-builder of the generator-monomial matrix serve both engines."""
+"""Class values on packed keys (of X_n, of the generators and of every
+monomial), the constraint matrix of the vanishing lattice, the
+generator-monomial matrix and the verification report.  S_n is the case
+G = 1 of G wr S_n, so verify_theorem1 is one call of the one engine,
+wreath.verify_degree, which builds WreathElements; wreath imports this
+module, so verify_theorem1 imports the engine when it runs."""
 
 import time
 from collections import namedtuple
@@ -14,18 +12,17 @@ from math import comb, factorial, prod
 from functools import lru_cache
 from operator import floordiv
 
-from .exactlin import IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel, is_unit_echelon
-# unused here, but perfbench/layers.py patches modsym.rational_kernel by name
-from .exactlin import rational_kernel  # noqa: F401
-from .partitions import Partition, multipartitions, p_regular_partitions, partitions
-from .series import satisfies_quotient, x_generator_series, y_explicit
-# unused here, but perfbench/layers.py patches modsym.y_monomial by name
-from .series import y_monomial  # noqa: F401
+from .exactlin import IntMatrix, cyclotomic_polynomial, integer_kernel, is_unit_echelon
+from .partitions import Partition, multipartitions, partitions
+from .series import y_explicit
 from .symfunc import SymElement, X, class_values, schur_in_x
+# unused here, but perfbench/layers.py patches these modsym names
+from .exactlin import hnf_basis, rational_kernel  # noqa: F401
+from .series import y_monomial  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
-# the monomial matrices of both engines, from products on packed keys
+# the monomial matrices of the engine, from products on packed keys
 
 
 # Bits of one multiplicity field of a packed key.  A multiplicity in degree n
@@ -34,16 +31,14 @@ FIELD = 16
 
 
 def _packed_key(index):
-    """The monomial index (a Partition, or a MultiPartition of N families) as
-    one int: field (v - 1) * N + j, FIELD bits wide, holds the multiplicity
-    of the part v in component j (the CycleWeight labels, from 0, with N = 1
-    for a Partition).  The index of a product of monomials is the multiset
-    union of theirs (x_lambda x_mu = x_(lambda u mu), Macdonald I.2), so its
-    key is the sum of their keys."""
-    components = (index,) if isinstance(index, Partition) else index.components
-    ncomp = len(components)
+    """The monomial index, a MultiPartition of N families, as one int: field
+    (v - 1) * N + j, FIELD bits wide, holds the multiplicity of the part v in
+    component j (the CycleWeight labels, from 0).  The index of a product of
+    monomials is the multiset union of theirs (x_lambda x_mu =
+    x_(lambda u mu), Macdonald I.2), so its key is the sum of their keys."""
+    ncomp = len(index)
     return sum(1 << FIELD * ((v - 1) * ncomp + j)
-               for j, lam in enumerate(components) for v in lam.parts)
+               for j, lam in enumerate(index.components) for v in lam.parts)
 
 
 def check_packable(n, width=1):
@@ -57,7 +52,7 @@ def check_packable(n, width=1):
 
 def _pack(element):
     """{packed key: coefficient} of an element whose coefficients are ints,
-    as SymElement stores integral values and the Phi basis stores all."""
+    as the Phi basis stores them."""
     packed = {}
     for index, coeff in element.coeffs.items():
         if type(coeff) is not int:
@@ -111,17 +106,6 @@ def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
         entries = sorted((positions[key], value) for key, value in terms.items() if value)
         rows.append(tuple(zip(*entries)) or ((), ()))
     return IntMatrix._trusted_sparse(rows, len(positions))
-
-
-@lru_cache(maxsize=None)
-def _y_products(p):
-    """The memo of y_monomials at the prime p, kept across degrees."""
-    return {}
-
-
-def y_monomials(n, p):
-    """Rows: x-basis coordinates of y_lambda over the p-regular partitions of n."""
-    return monomial_matrix(lambda j, v: y_explicit(v, p), 1, 1, p, n, _y_products(p))
 
 
 # ---------------------------------------------------------------------------
@@ -361,22 +345,10 @@ class VerificationReport(namedtuple(
                    verdict, method, time.perf_counter() - start)
 
 
-@lru_cache(maxsize=None)
-def _generators_linked(n, p):
-    """satisfies_quotient for the y_explicit in every degree <= n, checking
-    one new degree per call."""
-    return n == 0 or (_generators_linked(n - 1, p) and satisfies_quotient(
-        x_generator_series(n), [y_explicit(k, p) for k in range(1, n + 1)], p, (n,)))
-
-
 def verify_theorem1(n, p):
     """Check that the y-monomials span exactly the vanishing lattice in degree n."""
-    start = time.perf_counter()
-    monomial_hnf = hnf_basis(y_monomials(n, p))
-    generators = generators_vanish(SYM_WEIGHT, p, n) if _generators_linked(n, p) else None
-    return VerificationReport.decide(
-        n, p, lambda: singular_constraints(SYM_CHARACTERS, p, n),
-        monomial_hnf, len(p_regular_partitions(n, p)), start, generators)
+    from .wreath import verify_degree
+    return verify_degree(SYM_CHARACTERS, ((1,),), p, n)
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,10 @@ class MultiPartition:
                                                  other.components)))
 
 
-def count_multipartitions(k, n):
-    """Number of MultiPartitions of total size n over k components, by convolution."""
+def count_multipartitions(k, n, part_filter=None):
+    """Number of MultiPartitions of size n over k components with parts part_filter allows."""
     counts = [1] + [0] * n
-    for part in range(1, n + 1):
+    for part in filter(part_filter, range(1, n + 1)):
         for s in range(part, n + 1):
             counts[s] += counts[s - part]
     total = [1 if s == 0 else 0 for s in range(n + 1)]

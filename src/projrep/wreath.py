@@ -1,9 +1,9 @@
 """Wreath-product engine: character-table ingestion, the graded algebra of the
 wreath products G wr S_n in the xi- and Phi-monomial bases, the vanishing
 lattice of G (degree 1 of the wreath lattice) with unimodular completion,
-the X_k/Y_k generator series, and per-degree verification of the
-polynomial-ring statement.  The class values and the constraint matrix of
-the fallback come from modsym, shared with S_n."""
+the X_k/Y_k generator series, and the one per-degree verification engine,
+which also runs S_n as the case G = 1.  The class values and the
+constraint matrix of the fallback come from modsym."""
 
 import json
 import time
@@ -19,9 +19,9 @@ from .exactlin import (Cyclotomic, conj, euler_phi, hnf_basis, integer_kernel,
 from .exactlin import rational_kernel  # noqa: F401
 from .modsym import (CycleWeight, VerificationReport, check_packable, generators_vanish,
                      monomial_matrix, monomial_values, singular_constraints)
-from .partitions import EMPTY, MultiPartition, Partition, multipartitions
+from .partitions import EMPTY, MultiPartition, Partition, count_multipartitions, partitions
 from .series import (GradedSeries, exp, int_power, power_coefficient, quotient_y,
-                     satisfies_quotient)
+                     satisfies_quotient, y_explicit)
 from .symfunc import GradedElement
 
 XI = "xi"
@@ -298,14 +298,12 @@ def _phi_x_generator_series(table, j, order):
                            for i in range(1, order + 1)])
 
 
-@lru_cache(maxsize=None)
 def xk_series(table, lattice, k, order):
     """The k-th generator series X_k(t); k is 1-based, 1 <= k <= N.
 
     For k <= M this is the product over all irreducibles j of the x-generator
     series raised to the integer exponent phi_{j,k}; for k > M it is the
-    plain linear combination with those coefficients.  Cached, so the
-    generators and the exchange check of a degree share one series.
+    plain linear combination with those coefficients.
     """
     if not 1 <= k <= table.N:
         raise ValueError("k out of range")
@@ -328,42 +326,108 @@ def yk_generators(table, lattice, k, order):
 # per-degree verification
 
 
-def count_regular_classes(table, p, n):
-    """Number of p-regular classes of G wr S_n."""
-    return len(multipartitions(table.N, n,
-                               part_filter=lambda v: v % p != 0,
-                               component_filter=lambda idx: table.classes[idx].element_order % p))
+def cycle_weight(characters, exponents):
+    """psi_k = sum_j e_j chi_j for the row e = phi_k, as a CycleWeight: X_{k,n}
+    is prod psi_k(C) over the cycles of a class.  (SYM_CHARACTERS, (1,)) gives SYM_WEIGHT."""
+    first = characters[0]
+    values = tuple(tuple(sum(e * chi.values[c][t] for e, chi in zip(exponents, characters))
+                         for t in range(len(first.values[0])))
+                   for c in range(len(first.values)))
+    return CycleWeight(values, first.element_orders, first.conductor)
 
 
-def cycle_weight(table, lattice, k):
-    """psi_k = sum_j phi_{kj} chi_j, the k-th lattice row as a virtual
-    character of G, as a CycleWeight: the value of X_{k,n} on a class of
-    G wr S_n is the product of psi_k(C) over its cycles, because the series
-    of the Phi_j(x_i) is multiplicative in the character chi_j."""
-    row = lattice.phi.rows[k - 1]
-    d = len(table.characters[0].values[0])
-    values = tuple(tuple(sum(e * chi.values[c][t] for e, chi in zip(row, table.characters))
-                         for t in range(d))
-                   for c in range(table.N))
-    return CycleWeight(values, table.characters[0].element_orders, table.conductor)
+def _nonzero_support(exponents, n):
+    """The rho of degree n whose power_coefficient(e_j, rho_j) are all nonzero:
+    rho_j has at most e_j parts where e_j >= 0."""
+    e, rest = exponents[0], exponents[1:]
+    tails = {s: list(_nonzero_support(rest, n - s)) if rest else [()]
+             for s in (range(n + 1) if rest else (n,))}
+    return [(lam,) + tail for s in tails for lam in partitions(s)
+            if e < 0 or len(lam) <= e for tail in tails[s]]
 
 
-def xk_closed_form(table, lattice, k, n):
-    """X_{k,n} for a lattice row k <= M, with no series arithmetic.  X_k is the
-    product over j of H_j^{e_j}, H_j = sum_i Phi_j(x_i) t^i and e_j = phi_{kj},
-    so the coefficient of the Phi monomial rho is the product over j of
-    power_coefficient(e_j, rho_j)."""
-    exponents = lattice.phi.rows[k - 1]
-    return WreathElement(PHI, n, table.N, {
-        rho: prod(map(power_coefficient, exponents, rho))
-        for rho in multipartitions(table.N, n, component_filter=lambda j: exponents[j] != 0)})
+@lru_cache(maxsize=None)
+def xk_closed_form(exponents, n):
+    """X_{k,n} for the row e = phi_k, k <= M: X_k = prod_j H_j^{e_j}, H_j = sum_i
+    Phi_j(x_i) t^i, so rho has the coefficient prod_j power_coefficient(e_j, rho_j)."""
+    return WreathElement(PHI, n, len(exponents), {
+        MultiPartition._trusted(rho): prod(map(power_coefficient, exponents, rho))
+        for rho in _nonzero_support(exponents, n)})
 
 
-def xk_closed_series(table, lattice, k, order):
-    """X_k(t) to the given order from xk_closed_form: independent of the
-    series arithmetic that computes the generators, and with the value
-    prod psi_k(C) over the cycles that modsym.generator_values evaluates."""
-    return GradedSeries([xk_closed_form(table, lattice, k, i) for i in range(order + 1)])
+@lru_cache(maxsize=None)
+def _x_monomial(exponents, parts):
+    """x_parts with each x_i replaced by X_{k,i}: one product per new call."""
+    first = xk_closed_form(exponents, parts[0])
+    return first * _x_monomial(exponents, parts[1:]) if parts[1:] else first
+
+
+@lru_cache(maxsize=None)
+def yk_closed_form(exponents, p, n):
+    """y_{k,n}: y_explicit(n, p) with each x_i replaced by X_{k,i}, a ring map
+    taking H to X_k, S to S_k and so 1 + Y = H / S to 1 + Y_k = X_k / S_k."""
+    coeffs = {}
+    for lam, coeff in y_explicit(n, p).coeffs.items():
+        for rho, value in _x_monomial(exponents, lam.parts).coeffs.items():
+            coeffs[rho] = coeffs.get(rho, 0) + coeff * value
+    return WreathElement(PHI, n, len(exponents), coeffs)
+
+
+def _power_rule(x, j, e):
+    """True iff x = X_{k,0..n} satisfies the degree-n part of H_j D_j X_k =
+    e_j X_k D H_j, sum_i Phi_j(x_i) (D_j - e_j i) X_{k,n-i} = 0, D_j
+    multiplying the Phi monomial rho by |rho_j|, as X_k = prod_j H_j^{e_j}
+    does.  Its term i = 0 is D_j X_{k,n}, so with X_{k,0} = 1 the rule for
+    every j fixes X_{k,n} from the lower degrees, with no power_coefficient."""
+    total = {}
+    for i, lower in enumerate(reversed(x)):
+        h = MultiPartition([(i,) if t == j else () for t in range(lower.ncomp)]) if i else None
+        for rho, c in lower.coeffs.items():
+            key = rho.merge(h) if i else rho
+            total[key] = total.get(key, 0) + c * (rho[j].size - e * i)
+    return not any(total.values())
+
+
+@lru_cache(maxsize=None)
+def _linked(exponents, p, n):
+    """The closed forms are the true X_k and Y_k in every degree <= n,
+    checking one new degree per call: X_{k,n} by _power_rule for every j,
+    then y_{k,n} by the link X_k = S_k * (1 + Y_k) (series.satisfies_quotient)."""
+    x = [xk_closed_form(exponents, i) for i in range(n + 1)]
+    if n == 0:
+        return x[0] == WreathElement.one(PHI, len(exponents))
+    return (_linked(exponents, p, n - 1)
+            and all(_power_rule(x, j, e) for j, e in enumerate(exponents))
+            and satisfies_quotient(GradedSeries(x), [yk_closed_form(exponents, p, i)
+                                                     for i in range(1, n + 1)], p, (n,)))
+
+
+@lru_cache(maxsize=None)
+def _monomial_memo(rows, p):
+    """The product memo of generator_monomials, kept for the run: a row's
+    product after its first factor is a row of a lower degree."""
+    return {}
+
+
+def generator_monomials(rows, p, n):
+    """The coordinates of the degree-n monomials in the y_{k,v} of the rows."""
+    return monomial_matrix(lambda j, v: yk_closed_form(rows[j], p, v), len(rows),
+                           len(rows[0]), p, n, _monomial_memo(rows, p))
+
+
+def verify_degree(characters, rows, p, n):
+    """The report on degree n of G wr S_n, G given by its integer characters and
+    lattice rows phi_k, k <= M, as tuples (S_n: SYM_CHARACTERS and the row (1,))."""
+    start = time.perf_counter()
+    monomial_hnf = hnf_basis(generator_monomials(rows, p, n))
+    generators = None
+    if all(_linked(row, p, n) for row in rows):
+        generators = all(generators_vanish(cycle_weight(characters, row), p, n)
+                         for row in rows)
+    regular = sum(order % p != 0 for order in characters[0].element_orders)
+    return VerificationReport.decide(
+        n, p, lambda: singular_constraints(characters, p, n), monomial_hnf,
+        count_multipartitions(regular, n, lambda v: v % p), start, generators)
 
 
 def singular_index_rows(table, p, n):
@@ -383,23 +447,9 @@ def singular_index_rows(table, p, n):
 def verify_theorem2(table, p, n, lattice=None):
     """Check that the degree-n Y-monomials span exactly the lattice of integer
     PHI combinations whose xi-expansion is supported on p-regular indices."""
-    start = time.perf_counter()
-    check_packable(n)  # before the generator series, not only in monomial_matrix
     if lattice is None:
         lattice = e_lattice(table, p)
-    generators = {k: yk_generators(table, lattice, k, n)
-                  for k in range(1, lattice.M + 1)}
-    monomials = monomial_matrix(lambda j, v: generators[j + 1][v], lattice.M, table.N,
-                                p, n, {})
-    vanish = None
-    if all(satisfies_quotient(xk_closed_series(table, lattice, k, n), y[1:], p)
-           for k, y in generators.items()):
-        vanish = all(generators_vanish(cycle_weight(table, lattice, k), p, n)
-                     for k in generators)
-    return VerificationReport.decide(
-        n, p, lambda: singular_constraints(table.characters, p, n),
-        hnf_basis(monomials),
-        count_regular_classes(table, p, n), start, vanish)
+    return verify_degree(table.characters, lattice.phi.rows[:lattice.M], p, n)
 
 
 def generator_exchange_check(table, lattice, n):

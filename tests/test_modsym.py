@@ -4,13 +4,19 @@ import pytest
 import sympy
 
 from conftest import in_lattice
-from projrep import cli, modsym, series
+from projrep import cli, modsym, series, wreath
 from projrep.exactlin import IntMatrix, integer_kernel
 from projrep.modsym import (FIELD, SYM_CHARACTERS, check_packable, monomial_matrix,
                             singular_constraints, worked_examples_check, verify_theorem1,
-                            x_class_value_matrix, y_monomials)
+                            x_class_value_matrix)
 from projrep.partitions import Partition, p_regular_partitions, partitions
 from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
+
+
+def y_monomials(n, p):
+    """The engine's matrix of the y-monomials of degree n: the generator
+    monomials of the one lattice row (1,) of the one-class group."""
+    return wreath.generator_monomials(((1,),), p, n)
 
 
 def reg_lattice(n, p):
@@ -66,14 +72,19 @@ def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
     half = SymElement.monomial(X, (2, 1), Fraction(1, 2))
     with pytest.raises(AssertionError, match="non-integral"):
         monomial_matrix(lambda j, v: half, 1, 1, 2, 3, {})
-    honest = modsym.y_explicit
-    monkeypatch.setattr(modsym, "y_explicit",
+    honest = wreath.y_explicit
+    monkeypatch.setattr(wreath, "y_explicit",
                         lambda k, q: honest(k, q) + half if (k, q) == (3, 2) else honest(k, q))
-    modsym._y_products.cache_clear()
+    caches = (wreath.yk_closed_form, wreath._linked, wreath._monomial_memo)
+    for cache in caches:
+        cache.cache_clear()
     try:
+        with pytest.raises(AssertionError, match="non-integ"):
+            y_monomials(3, 2)
         assert cli.main(["sym", "verify", "--p", "2", "--max-degree", "3"]) == 3
     finally:
-        modsym._y_products.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(monkeypatch):

@@ -9,7 +9,7 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projrep import modsym, series, wreath
+from projrep import modsym, wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
 from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, _key_product,
                             _label_shift, _reduced, _singular_mask, check_packable,
@@ -17,11 +17,11 @@ from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, _key
                             is_p_singular, monomial_values, singular_classes,
                             singular_constraints, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
-from projrep.series import satisfies_quotient, x_generator_series, y_explicit
+from projrep.series import GradedSeries, satisfies_quotient, x_generator_series, y_explicit
 from projrep.symfunc import SymElement, X, perm_char_value
 from projrep.wreath import (PHI, ELatticeBasis, WreathElement, cycle_weight, e_lattice,
-                            load_table, verify_theorem2, xi_from_phi, xk_closed_series,
-                            xk_series, yk_generators)
+                            load_table, verify_theorem2, xi_from_phi, xk_series,
+                            yk_closed_form, yk_generators)
 
 from conftest import centralizer_order, singular_indices, table_path
 
@@ -119,7 +119,7 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
     table = bundled(name)
     lattice = e_lattice(table, p)
     for k in range(1, lattice.M + 1):
-        weight = cycle_weight(table, lattice, k)
+        weight = cycle_weight(table.characters, lattice.phi.rows[k - 1])
         generators = yk_generators(table, lattice, k, 4)
         for n in range(1, 5):
             coords = generators[n].coeffs
@@ -252,14 +252,26 @@ def test_generators_vanish_and_the_check_can_fail(c2_table):
 # the link X = S * (1 + Y): a corrupted coordinate is never certified
 
 
+def closed_series(exponents, order):
+    """X_k(t) to the given order from its closed form (as the engine reads it)."""
+    return GradedSeries([wreath.xk_closed_form(exponents, i) for i in range(order + 1)])
+
+
+# the caches of the verify engine that hold generators or link verdicts
+ENGINE_CACHES = (wreath._x_monomial, wreath.yk_closed_form, wreath._linked,
+                 wreath._monomial_memo)
+
+
 @pytest.mark.parametrize("phi", [((2, -1), (1, 0)), ((-3, 1), (1, 0)), ((1, 0), (-2, 1))])
 def test_closed_form_of_xk_matches_the_series_arithmetic(phi, c2_table):
     # every class of C2 is 3-regular, so any unimodular matrix is a lattice basis
     lattice = ELatticeBasis(3, 2, IntMatrix(phi))
     for k in (1, 2):
         series_xk = xk_series(c2_table, lattice, k, 6)
-        assert xk_closed_series(c2_table, lattice, k, 6) == series_xk
-        assert satisfies_quotient(series_xk, yk_generators(c2_table, lattice, k, 6)[1:], 3)
+        generators = yk_generators(c2_table, lattice, k, 6)
+        assert closed_series(phi[k - 1], 6) == series_xk
+        assert satisfies_quotient(series_xk, generators[1:], 3)
+        assert [yk_closed_form(phi[k - 1], 3, n) for n in range(1, 7)] == list(generators[1:])
 
 
 @pytest.mark.parametrize("name, p", [(name, p) for name in ("c3_table", "c4_table", "s3_table")
@@ -267,31 +279,34 @@ def test_closed_form_of_xk_matches_the_series_arithmetic(phi, c2_table):
 def test_closed_form_of_xk_matches_the_series_on_the_vanishing_lattices(request, name, p):
     # the lattice rows the wreath link reads X_k from: zero exponents phi_kj,
     # and rows such as (1, 1, 1, 1) that multiply several H_j
+    # y_{k,n} by substitution into y_explicit against the series quotient
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)
     for k in range(1, lattice.M + 1):
-        assert xk_closed_series(table, lattice, k, 4) == xk_series(table, lattice, k, 4)
+        row = lattice.phi.rows[k - 1]
+        assert closed_series(row, 4) == xk_series(table, lattice, k, 4)
+        generators = yk_generators(table, lattice, k, 4)
+        for n in range(1, 5):
+            assert yk_closed_form(row, p, n) == generators[n], (k, n)
 
 
 def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
     n, p = 5, 2
-    honest = series.y_explicit
+    honest = wreath.y_explicit
 
     def corrupted(k, q):
         # one coordinate of y_5 off by one: x4*x1 is not a projective class
         y = honest(k, q)
         return y + SymElement.monomial(X, (4, 1)) if (k, q) == (n, p) else y
 
-    caches = (series.y_monomial, modsym._generators_linked, modsym._y_products)
-    monkeypatch.setattr(series, "y_explicit", corrupted)
-    monkeypatch.setattr(modsym, "y_explicit", corrupted)
-    for cache in caches:
+    monkeypatch.setattr(wreath, "y_explicit", corrupted)
+    for cache in ENGINE_CACHES:
         cache.cache_clear()
     try:
         report = verify_theorem1(n, p)
         assert not satisfies_quotient(x_generator_series(n),
                                       [corrupted(k, p) for k in range(1, n + 1)], p)
-        assert not modsym._generators_linked(n, p)
+        assert not wreath._linked((1,), p, n)
         # without the link, (a'), (b) and (c') would all have held
         assert generators_vanish(SYM_WEIGHT, p, n)
         assert is_unit_echelon(report.monomial_hnf)
@@ -299,38 +314,74 @@ def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
         assert report.method == "kernel" and not report.verdict
         assert report.lattice_hnf != report.monomial_hnf
     finally:
-        for cache in caches:
+        for cache in ENGINE_CACHES:
             cache.cache_clear()
 
 
 def test_a_corrupted_wreath_generator_coordinate_is_not_certified(monkeypatch, c2_table):
     p, n = 2, 3
     lattice = e_lattice(c2_table, p)
-    honest = wreath.yk_generators
+    row = lattice.phi.rows[0]
+    honest = wreath.yk_closed_form
     # the coordinate of Phi_triv(x_2)*Phi_triv(x_1) in y_{1,3}, off by one
     extra = WreathElement(PHI, n, 2, {((2, 1), ()): 1})
 
-    def corrupted(table, lat, k, order):
-        y = list(honest(table, lat, k, order))
-        if k == 1 and order >= n:
-            y[n] = y[n] + extra
-        return tuple(y)
+    def corrupted(exponents, q, v):
+        y = honest(exponents, q, v)
+        return y + extra if (exponents, q, v) == (row, p, n) else y
 
-    monkeypatch.setattr(wreath, "yk_generators", corrupted)
-    assert not satisfies_quotient(xk_closed_series(c2_table, lattice, 1, n),
-                                  corrupted(c2_table, lattice, 1, n)[1:], p)
-    report = verify_theorem2(c2_table, p, n, lattice=lattice)
-    assert generators_vanish(cycle_weight(c2_table, lattice, 1), p, n)
-    assert is_unit_echelon(report.monomial_hnf)
-    assert report.monomial_hnf.nrows == report.expected_rank
-    assert report.method == "kernel" and not report.verdict
+    monkeypatch.setattr(wreath, "yk_closed_form", corrupted)
+    for cache in ENGINE_CACHES:
+        cache.cache_clear()
+    try:
+        assert not satisfies_quotient(closed_series(row, n),
+                                      [corrupted(row, p, v) for v in range(1, n + 1)], p)
+        report = verify_theorem2(c2_table, p, n, lattice=lattice)
+        assert not wreath._linked(row, p, n)
+        assert generators_vanish(cycle_weight(c2_table.characters, row), p, n)
+        assert is_unit_echelon(report.monomial_hnf)
+        assert report.monomial_hnf.nrows == report.expected_rank
+        assert report.method == "kernel" and not report.verdict
+    finally:
+        for cache in ENGINE_CACHES:
+            cache.cache_clear()
+
+
+def test_a_corrupted_closed_form_of_xk_is_not_certified(monkeypatch, c2_table):
+    # one extra term in X_{1,n}: the substituted Y_k still satisfies
+    # X_k = S_k (1 + Y_k), an identity in the x_i, so only the power rule
+    # H_j D_j X_k = e_j X_k D H_j refuses the closed form
+    p = 2
+    lattice = e_lattice(c2_table, p)
+    honest = wreath.xk_closed_form
+    cases = [((1,), 5, WreathElement(PHI, 5, 1, {((4, 1),): 1}), SYM_WEIGHT,
+              lambda: verify_theorem1(5, p)),
+             (lattice.phi.rows[0], 3, WreathElement(PHI, 3, 2, {((2, 1), ()): 1}),
+              cycle_weight(c2_table.characters, lattice.phi.rows[0]),
+              lambda: verify_theorem2(c2_table, p, 3, lattice=lattice))]
+    for row, n, extra, weight, verify in cases:
+        monkeypatch.setattr(wreath, "xk_closed_form", lambda e, v, row=row, n=n, extra=extra:
+                            honest(e, v) + extra if (e, v) == (row, n) else honest(e, v))
+        for cache in ENGINE_CACHES:
+            cache.cache_clear()
+        try:
+            report = verify()
+            assert satisfies_quotient(closed_series(row, n), [
+                wreath.yk_closed_form(row, p, v) for v in range(1, n + 1)], p)
+            assert wreath._linked(row, p, n - 1) and not wreath._linked(row, p, n)
+            assert generators_vanish(weight, p, n)
+            assert is_unit_echelon(report.monomial_hnf)
+            assert report.monomial_hnf.nrows == report.expected_rank
+            assert report.method == "kernel" and not report.verdict
+        finally:
+            for cache in ENGINE_CACHES:
+                cache.cache_clear()
 
 
 def test_a_generator_off_the_lattice_makes_the_verdict_false(monkeypatch, c2_table):
     honest = [verify_theorem1(4, 2)]
     lattice = e_lattice(c2_table, 2)
     honest.append(verify_theorem2(c2_table, 2, 3, lattice=lattice))
-    monkeypatch.setattr(modsym, "generators_vanish", lambda *args: False)
     monkeypatch.setattr(wreath, "generators_vanish", lambda *args: False)
     for report, expected in zip([verify_theorem1(4, 2),
                                  verify_theorem2(c2_table, 2, 3, lattice=lattice)], honest):

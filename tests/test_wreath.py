@@ -10,11 +10,12 @@ from projrep import wreath
 from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, integer_kernel, rational_constraints
 from projrep.modsym import (FIELD, SYM_CHARACTERS, monomial_matrix, singular_constraints,
                             verify_theorem1)
-from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions
+from projrep.partitions import (EMPTY, MultiPartition, Partition, count_multipartitions,
+                                multipartitions)
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, x_to_c
 from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, TableError,
-                            WreathElement, count_regular_classes, cycle_weight, e_lattice,
+                            WreathElement, cycle_weight, e_lattice,
                             generator_exchange_check, xk_exp_identity_check, load_table,
                             p_regular_classes, phi_c_in_xi, phi_x_in_xi,
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
@@ -258,7 +259,7 @@ def test_characters_are_the_lifted_table_values(trivial_table, c2_table, c3_tabl
         for p in (2, 3):
             lattice = e_lattice(table, p)
             for k, row in enumerate(lattice.phi.rows, 1):
-                weight = cycle_weight(table, lattice, k)
+                weight = cycle_weight(table.characters, row)
                 for c in range(table.N):
                     total = sum((e * irr.values[c] for e, irr in zip(row, table.irreducibles)),
                                 Cyclotomic.from_rational(0))
@@ -523,7 +524,8 @@ def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
 
 
 def test_verify_theorem2_refuses_a_degree_that_overflows_a_key_field(monkeypatch, c2_table):
-    monkeypatch.setattr(wreath, "yk_generators", lambda *args: 1 / 0)
+    monkeypatch.setattr(wreath, "yk_closed_form", lambda *args: 1 / 0)
+    monkeypatch.setattr(wreath, "_linked", lambda *args: 1 / 0)
     with pytest.raises(ValueError, match="16 bits"):
         verify_theorem2(c2_table, 2, 1 << FIELD)
 
@@ -575,12 +577,19 @@ def test_verdict_independent_of_lattice_basis(c2_table, s3_table):
         assert report.monomial_hnf == reference.monomial_hnf
 
 
-def test_dimension_consistency(c2_table, s3_table):
-    for table, p, n in ((c2_table, 2, 4), (s3_table, 2, 2)):
-        monomial_count = len(multipartitions(
-            e_lattice(table, p).M, n, part_filter=lambda v: v % p != 0))
-        report = verify_theorem2(table, p, n)
-        assert monomial_count == count_regular_classes(table, p, n) == report.rank
+def test_dimension_consistency(c2_table, s3_table, c4_table):
+    # the counted expected rank against the enumerated p-regular classes
+    cases = [(c2_table, 2, 4), (s3_table, 2, 2)]
+    cases += [(table, p, 4) for table in (s3_table, c4_table) for p in (2, 3, 5)]
+    for table, p, n in cases:
+        lattice = e_lattice(table, p)
+        monomial_count = len(multipartitions(lattice.M, n, part_filter=lambda v: v % p != 0))
+        regular = len(multipartitions(
+            table.N, n, part_filter=lambda v: v % p != 0,
+            component_filter=lambda idx: table.classes[idx].element_order % p))
+        counted = count_multipartitions(lattice.M, n, lambda v: v % p != 0)
+        report = verify_theorem2(table, p, n, lattice=lattice)
+        assert monomial_count == regular == counted == report.expected_rank == report.rank
 
 
 def test_generator_exchange(trivial_table, c2_table, c3_table):
