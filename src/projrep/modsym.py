@@ -2,14 +2,15 @@
 monomial), the constraint matrix of the vanishing lattice, the
 generator-monomial matrix and the verification report.  S_n is the case
 G = 1 of G wr S_n, so verify_theorem1 is one call of the one engine,
-wreath.verify_degree, which builds WreathElements; wreath imports this
-module, so verify_theorem1 imports the engine when it runs."""
+wreath.verify_degree; wreath imports this module, so verify_theorem1
+imports the engine when it runs."""
 
 import time
 from collections import namedtuple
 from fractions import Fraction
 from math import comb, factorial, prod
 from functools import lru_cache
+from itertools import islice
 from operator import floordiv
 
 from .exactlin import IntMatrix, cyclotomic_polynomial, integer_kernel, is_unit_echelon
@@ -50,21 +51,10 @@ def check_packable(n, width=1):
                          % (n, width, FIELD))
 
 
-def _pack(element):
-    """{packed key: coefficient} of an element whose coefficients are ints,
-    as the Phi basis stores them."""
-    packed = {}
-    for index, coeff in element.coeffs.items():
-        if type(coeff) is not int:
-            raise AssertionError("non-integral coordinate at %s" % (index,))
-        packed[_packed_key(index)] = coeff
-    return packed
-
-
-def _key_product(a, b):
+def _key_product(a, b, out=None):
     """The product of two elements held as {packed key: coefficient}, with
-    the zero coefficients of terms that cancel."""
-    out = {}
+    the zero coefficients of terms that cancel; added into out if given."""
+    out = {} if out is None else out
     get = out.get
     for key, coeff in a.items():
         for other, value in b.items():
@@ -73,37 +63,73 @@ def _key_product(a, b):
     return out
 
 
+@lru_cache(maxsize=None)
+def _partition_keys(ncomp, p, size):
+    """The keys (see _packed_key) of the partitions of size, parts prime to p
+    unless p is None, in component 0 of ncomp and partitions order, and for
+    each cap the index of the first with no part above cap: those with first
+    part v extend the tail of the list of size - v from the index of cap v."""
+    if not size:
+        return (0,), (0,)
+    keys, starts = [], [0] * (size + 1)
+    for v in range(size, 0, -1):
+        starts[v] = len(keys)
+        if p is None or v % p:
+            low, low_starts = _partition_keys(ncomp, p, size - v)
+            unit = 1 << FIELD * (v - 1) * ncomp
+            keys += [unit + key for key in islice(low, low_starts[min(v, size - v)], None)]
+    starts[0] = len(keys)
+    return tuple(keys), tuple(starts)
+
+
+def multipartition_keys(ncomp, n, p=None):
+    """The _packed_key of each of multipartitions(ncomp, n, part_filter) in
+    that order, part_filter keeping the parts prime to p (all if p is None),
+    building no MultiPartition: component j's keys are component 0's shifted."""
+    def component(j, size):
+        return [key << FIELD * j for key in _partition_keys(ncomp, p, size)[0]]
+
+    @lru_cache(maxsize=None)
+    def tails(j, size):
+        """The keys over the components from j on, of total size size."""
+        if j == ncomp - 1:
+            return component(j, size)
+        return [key + tail for s in range(size, -1, -1) for key in component(j, s)
+                for tail in tails(j + 1, size - s)]
+
+    return tails(0, n)
+
+
 def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
     """The integer coordinates of the degree-n generator monomials, as a
     matrix of sparse rows (see IntMatrix), one row per multipartition a of n
     over nfamilies with parts prime to p, in multipartitions order: the
-    product over j and the parts v of a_j of generator(j, v), an element
-    with int coefficients, over the multipartitions(ncomp, n) (partitions
-    for ncomp = 1) in that order.
+    product over j and the parts v of a_j of generator(j, v), held as
+    {packed key: int}, over the multipartitions(ncomp, n) in that order,
+    rows and columns enumerated as their keys (multipartition_keys).
 
-    memo maps a tuple of factors (j, v) to its product as {packed key:
-    coefficient}; a row's product is its first factor's times the memoised
-    product of the rest, so each row costs one product.  A row's factors run
-    from its smallest part up, so that product is by its smallest generator,
-    the one with the fewest terms.  A degree whose multiplicities could
-    overflow a FIELD is refused before anything is built."""
+    memo maps a row's key to its product: the generator of its lowest field
+    (its smallest part, the generator with the fewest terms) times the
+    memoised product of the rest, one product per row.  A degree whose
+    multiplicities could overflow a FIELD is refused before anything is built."""
     check_packable(n)
 
-    def product(factors):
-        known = memo.get(factors)
+    def product(key):
+        known = memo.get(key)
         if known is None:
-            if len(factors) > 1:
-                known = _key_product(product(factors[:1]), product(factors[1:]))
-            else:
-                known = _pack(generator(*factors[0])) if factors else {0: 1}
-            memo[factors] = known
+            field = ((key & -key).bit_length() - 1) // FIELD
+            rest = key - (1 << FIELD * field)
+            known = generator(field % nfamilies, field // nfamilies + 1)
+            if rest:
+                known = _key_product(known, product(rest))
+            memo[key] = known
         return known
 
-    positions = {_packed_key(mp): i for i, mp in enumerate(multipartitions(ncomp, n))}
+    memo.setdefault(0, {0: 1})
+    positions = {key: i for i, key in enumerate(multipartition_keys(ncomp, n))}
     rows = []
-    for a in multipartitions(nfamilies, n, part_filter=lambda v: v % p):
-        terms = product(tuple((j, v) for j, lam in enumerate(a) for v in reversed(lam.parts)))
-        entries = sorted((positions[key], value) for key, value in terms.items() if value)
+    for key in multipartition_keys(nfamilies, n, p):
+        entries = sorted((positions[at], value) for at, value in product(key).items() if value)
         rows.append(tuple(zip(*entries)) or ((), ()))
     return IntMatrix._trusted_sparse(rows, len(positions))
 

@@ -83,22 +83,28 @@ class Partition:
 EMPTY = Partition(())
 
 
+def parts_at_most(n, count, cap):
+    """The partitions of n into at most count parts, none above cap, as
+    tuples of parts, in decreasing lexicographic order."""
+    out = []
+
+    def descend(remaining, count, cap, prefix):
+        if not remaining:
+            out.append(prefix)
+        elif count:
+            for v in range(min(cap, remaining), 0, -1):
+                descend(remaining - v, count - 1, v, prefix + (v,))
+
+    descend(n, count, cap, ())
+    return out
+
+
 @lru_cache(maxsize=None)
 def partitions(n):
     """All partitions of n, in decreasing lexicographic order, starting at (n)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = []
-
-    def descend(remaining, cap, prefix):
-        if remaining == 0:
-            out.append(Partition._trusted(prefix))
-            return
-        for v in range(min(cap, remaining), 0, -1):
-            descend(remaining - v, v, prefix + (v,))
-
-    descend(n, n, ())
-    return tuple(out)
+    return tuple(map(Partition._trusted, parts_at_most(n, n, n)))
 
 
 def p_regular_partitions(n, p):

@@ -6,9 +6,8 @@ beyond it.
 """
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import factorial, prod
-from operator import add
 
 from . import symfunc
 from .partitions import Partition, partitions
@@ -109,23 +108,6 @@ def p_split(series, p):
     singular = [c if i % p == 0 else c * 0 for i, c in enumerate(series.coeffs)]
     regular = [c if i % p != 0 else c * 0 for i, c in enumerate(series.coeffs)]
     return GradedSeries(singular), GradedSeries(regular)
-
-
-def satisfies_quotient(x_series, generators, p, degrees=None):
-    """True iff the generators y_1..y_D (generators[i - 1] = y_i) satisfy the
-    degree-i part of X(t) = S(t) * (1 + Y(t)) for every i in degrees (by
-    default 1..D, D the order of x_series), S the part of X in degrees
-    divisible by p:
-        x_i = sum over p | j, 0 <= j <= i of x_j * y_{i-j},  y_0 = 1.
-    The equations for i = 1..D determine Y, so they tie coordinates computed
-    by any route to the values that modsym.generator_values derives from
-    the same X."""
-    one_plus_y = (x_series[0],) + tuple(generators)
-    for i in range(1, x_series.order + 1) if degrees is None else degrees:
-        if reduce(add, [x_series[j] * one_plus_y[i - j]
-                        for j in range(0, i + 1, p)]) != x_series[i]:
-            return False
-    return True
 
 
 def inverse(series):

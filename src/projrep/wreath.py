@@ -10,18 +10,18 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, prod
+from math import gcd
 from operator import add, mul
 
 from .exactlin import (Cyclotomic, conj, euler_phi, hnf_basis, integer_kernel,
                        is_unimodular, unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
-from .modsym import (CycleWeight, VerificationReport, check_packable, generators_vanish,
-                     monomial_matrix, monomial_values, singular_constraints)
-from .partitions import EMPTY, MultiPartition, Partition, count_multipartitions, partitions
-from .series import (GradedSeries, exp, int_power, power_coefficient, quotient_y,
-                     satisfies_quotient, y_explicit)
+from .modsym import (FIELD, CycleWeight, VerificationReport, _key_product, check_packable,
+                     generators_vanish, monomial_matrix, monomial_values,
+                     singular_constraints)
+from .partitions import EMPTY, MultiPartition, Partition, count_multipartitions, parts_at_most
+from .series import GradedSeries, exp, int_power, power_coefficient, quotient_y, y_explicit
 from .symfunc import GradedElement
 
 XI = "xi"
@@ -336,70 +336,92 @@ def cycle_weight(characters, exponents):
     return CycleWeight(values, first.element_orders, first.conductor)
 
 
-def _nonzero_support(exponents, n):
-    """The rho of degree n whose power_coefficient(e_j, rho_j) are all nonzero:
-    rho_j has at most e_j parts where e_j >= 0."""
-    e, rest = exponents[0], exponents[1:]
-    tails = {s: list(_nonzero_support(rest, n - s)) if rest else [()]
-             for s in (range(n + 1) if rest else (n,))}
-    return [(lam,) + tail for s in tails for lam in partitions(s)
-            if e < 0 or len(lam) <= e for tail in tails[s]]
+@lru_cache(maxsize=None)
+def _power_form(e, j, ncomp, size):
+    """Degree size of H_j^e, H_j = sum_i Phi_j(x_i) t^i, packed in component j
+    of ncomp: rho_j has the coefficient power_coefficient(e, rho_j), built only
+    where nonzero, with at most e parts if e >= 0, as (e)_l = 0 for 0 <= e < l."""
+    return {sum(1 << FIELD * ((v - 1) * ncomp + j) for v in parts):
+            power_coefficient(e, Partition._trusted(parts))
+            for parts in parts_at_most(size, size if e < 0 else e, size)}
 
 
 @lru_cache(maxsize=None)
+def _power_product(exponents, j, n):
+    """Degree n of the product over t >= j of H_t^{e_t}, packed."""
+    ncomp = len(exponents)
+    if j == ncomp - 1:
+        return _power_form(exponents[j], j, ncomp, n)
+    out = {}
+    for s in range(n + 1):
+        _key_product(_power_form(exponents[j], j, ncomp, s),
+                     _power_product(exponents, j + 1, n - s), out)
+    return out
+
+
 def xk_closed_form(exponents, n):
-    """X_{k,n} for the row e = phi_k, k <= M: X_k = prod_j H_j^{e_j}, H_j = sum_i
-    Phi_j(x_i) t^i, so rho has the coefficient prod_j power_coefficient(e_j, rho_j)."""
-    return WreathElement(PHI, n, len(exponents), {
-        MultiPartition._trusted(rho): prod(map(power_coefficient, exponents, rho))
-        for rho in _nonzero_support(exponents, n)})
+    """X_{k,n} for the row e = phi_k, k <= M, as {packed key: int}: X_k = prod_j
+    H_j^{e_j}, so rho has the coefficient prod_j power_coefficient(e_j, rho_j)."""
+    check_packable(n)
+    return _power_product(exponents, 0, n)
 
 
 @lru_cache(maxsize=None)
 def _x_monomial(exponents, parts):
-    """x_parts with each x_i replaced by X_{k,i}: one product per new call."""
+    """x_parts with each x_i replaced by X_{k,i}, packed: one product per new call."""
     first = xk_closed_form(exponents, parts[0])
-    return first * _x_monomial(exponents, parts[1:]) if parts[1:] else first
+    return _key_product(first, _x_monomial(exponents, parts[1:])) if parts[1:] else first
 
 
 @lru_cache(maxsize=None)
 def yk_closed_form(exponents, p, n):
-    """y_{k,n}: y_explicit(n, p) with each x_i replaced by X_{k,i}, a ring map
-    taking H to X_k, S to S_k and so 1 + Y = H / S to 1 + Y_k = X_k / S_k."""
+    """y_{k,n} as {packed key: int}: y_explicit(n, p), whose coefficients must be
+    ints, with each x_i replaced by X_{k,i}, a ring map taking H to X_k, S to
+    S_k and so 1 + Y = H / S to 1 + Y_k = X_k / S_k."""
+    check_packable(n)
     coeffs = {}
     for lam, coeff in y_explicit(n, p).coeffs.items():
-        for rho, value in _x_monomial(exponents, lam.parts).coeffs.items():
-            coeffs[rho] = coeffs.get(rho, 0) + coeff * value
-    return WreathElement(PHI, n, len(exponents), coeffs)
+        if type(coeff) is not int:
+            raise AssertionError("non-integral coordinate %s at %s" % (coeff, lam))
+        _key_product({0: coeff}, _x_monomial(exponents, lam.parts), coeffs)
+    return {rho: value for rho, value in coeffs.items() if value}
 
 
-def _power_rule(x, j, e):
-    """True iff x = X_{k,0..n} satisfies the degree-n part of H_j D_j X_k =
-    e_j X_k D H_j, sum_i Phi_j(x_i) (D_j - e_j i) X_{k,n-i} = 0, D_j
-    multiplying the Phi monomial rho by |rho_j|, as X_k = prod_j H_j^{e_j}
-    does.  Its term i = 0 is D_j X_{k,n}, so with X_{k,0} = 1 the rule for
-    every j fixes X_{k,n} from the lower degrees, with no power_coefficient."""
-    total = {}
+def _power_rule(x, exponents):
+    """True iff x = X_{k,0..n}, packed, satisfies for every j the degree-n
+    part of H_j D_j X_k = e_j X_k D H_j, sum_i Phi_j(x_i) (D_j - e_j i)
+    X_{k,n-i} = 0, D_j multiplying the Phi monomial rho by |rho_j|, read
+    from its key (field (v - 1) * N + j holds the multiplicity of v in
+    rho_j), as X_k = prod_j H_j^{e_j} does.  Its term i = 0 is D_j X_{k,n},
+    so with X_{k,0} = 1 the rule for every j fixes X_{k,n} from the lower
+    degrees, with no power_coefficient."""
+    ncomp, low, total = len(exponents), (1 << FIELD) - 1, {}
     for i, lower in enumerate(reversed(x)):
-        h = MultiPartition([(i,) if t == j else () for t in range(lower.ncomp)]) if i else None
-        for rho, c in lower.coeffs.items():
-            key = rho.merge(h) if i else rho
-            total[key] = total.get(key, 0) + c * (rho[j].size - e * i)
+        for rho, c in lower.items():
+            fields = [rho >> FIELD * f & low for f in range(-(-rho.bit_length() // FIELD))]
+            for j, e in enumerate(exponents):
+                size = sum(v * m for v, m in enumerate(fields[j::ncomp], 1))
+                at = j, rho + (1 << FIELD * ((i - 1) * ncomp + j) if i else 0)
+                total[at] = total.get(at, 0) + c * (size - e * i)
     return not any(total.values())
 
 
 @lru_cache(maxsize=None)
 def _linked(exponents, p, n):
     """The closed forms are the true X_k and Y_k in every degree <= n,
-    checking one new degree per call: X_{k,n} by _power_rule for every j,
-    then y_{k,n} by the link X_k = S_k * (1 + Y_k) (series.satisfies_quotient)."""
+    checking one new degree per call, on packed keys: X_{k,n} by
+    _power_rule, then y_{k,n} by the degree-n part of the link X_k = S_k *
+    (1 + Y_k), X_{k,n} = sum over p | j of X_{k,j} y_{k,n-j}, y_{k,0} = 1."""
+    check_packable(n)
     x = [xk_closed_form(exponents, i) for i in range(n + 1)]
-    if n == 0:
-        return x[0] == WreathElement.one(PHI, len(exponents))
-    return (_linked(exponents, p, n - 1)
-            and all(_power_rule(x, j, e) for j, e in enumerate(exponents))
-            and satisfies_quotient(GradedSeries(x), [yk_closed_form(exponents, p, i)
-                                                     for i in range(1, n + 1)], p, (n,)))
+    if not n:
+        return x[0] == {0: 1}
+    if not (_linked(exponents, p, n - 1) and _power_rule(x, exponents)):
+        return False
+    total = {}
+    for j in range(0, n + 1, p):
+        _key_product(x[j], yk_closed_form(exponents, p, n - j) if j < n else {0: 1}, total)
+    return {rho: value for rho, value in total.items() if value} == x[n]
 
 
 @lru_cache(maxsize=None)
@@ -456,19 +478,13 @@ def generator_exchange_check(table, lattice, n):
     """True iff, in every degree i <= n, the linear parts of the X_{k,i} in the
     Phi_j(x_i) form exactly the (unimodular) completed lattice matrix, so the
     X's generate the same graded ring over Z."""
-    n_irr = table.N
     if not is_unimodular(lattice.phi):
         return False
-    series = [xk_series(table, lattice, k, n) for k in range(1, n_irr + 1)]
-    for i in range(1, n + 1):
-        for k in range(1, n_irr + 1):
-            coeff = series[k - 1][i]
-            for j in range(n_irr):
-                comps = [EMPTY] * n_irr
-                comps[j] = Partition((i,))
-                if coeff.coeffs.get(MultiPartition(comps), 0) != lattice.phi.rows[k - 1][j]:
-                    return False
-    return True
+    series = [xk_series(table, lattice, k, n) for k in range(1, table.N + 1)]
+    return all(series[k][i].coeffs.get(
+        MultiPartition([(i,) if t == j else () for t in range(table.N)]), 0) == e
+        for i in range(1, n + 1) for k, row in enumerate(lattice.phi.rows)
+        for j, e in enumerate(row))
 
 
 def xk_exp_identity_check(table, lattice, k, order):

@@ -1,10 +1,13 @@
 import json
+from functools import reduce
 from importlib import resources
+from operator import add
 
 import pytest
 
 from projrep.exactlin import IntMatrix, hnf_basis
-from projrep.partitions import multipartitions, z
+from projrep.modsym import _packed_key
+from projrep.partitions import MultiPartition, multipartitions, z
 from projrep.wreath import load_table
 
 
@@ -18,6 +21,26 @@ def sparse_built(rows, ncols):
     return IntMatrix._trusted_sparse(
         [(tuple(j for j, v in enumerate(row) if v), tuple(v for v in row if v))
          for row in rows], ncols)
+
+
+def packed(element):
+    """{packed key: coefficient} of a SymElement or WreathElement, the form
+    of the engine's closed forms and monomial_matrix's generators: a
+    partition index is the multipartition with that one component."""
+    return {_packed_key(index if isinstance(index, MultiPartition) else MultiPartition((index,))):
+            coeff for index, coeff in element.coeffs.items()}
+
+
+def satisfies_quotient(x_series, generators, p):
+    """The oracle of the link: True iff the generators y_1..y_D
+    (generators[i - 1] = y_i) satisfy every degree i <= D, the order of
+    x_series, of X(t) = S(t) * (1 + Y(t)), S the part of X in degrees
+    divisible by p:
+        x_i = sum over p | j, 0 <= j <= i of x_j * y_{i-j},  y_0 = 1,
+    on graded elements, by series arithmetic."""
+    one_plus_y = (x_series[0],) + tuple(generators)
+    return all(reduce(add, [x_series[j] * one_plus_y[i - j] for j in range(0, i + 1, p)])
+               == x_series[i] for i in range(1, x_series.order + 1))
 
 
 def centralizer_order(table, nu):

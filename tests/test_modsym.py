@@ -6,10 +6,10 @@ import sympy
 from conftest import in_lattice
 from projrep import cli, modsym, series, wreath
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import (FIELD, SYM_CHARACTERS, check_packable, monomial_matrix,
-                            singular_constraints, worked_examples_check, verify_theorem1,
-                            x_class_value_matrix)
-from projrep.partitions import Partition, p_regular_partitions, partitions
+from projrep.modsym import (FIELD, SYM_CHARACTERS, _packed_key, check_packable, monomial_matrix,
+                            multipartition_keys, singular_constraints, worked_examples_check,
+                            verify_theorem1, x_class_value_matrix)
+from projrep.partitions import Partition, multipartitions, p_regular_partitions, partitions
 from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
 
 
@@ -69,9 +69,8 @@ def test_y_monomials_are_the_coordinates_of_the_generator_products():
 
 
 def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
+    # refused where the generator is first packed: its substitution into X_k
     half = SymElement.monomial(X, (2, 1), Fraction(1, 2))
-    with pytest.raises(AssertionError, match="non-integral"):
-        monomial_matrix(lambda j, v: half, 1, 1, 2, 3, {})
     honest = wreath.y_explicit
     monkeypatch.setattr(wreath, "y_explicit",
                         lambda k, q: honest(k, q) + half if (k, q) == (3, 2) else honest(k, q))
@@ -79,6 +78,8 @@ def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
     for cache in caches:
         cache.cache_clear()
     try:
+        with pytest.raises(AssertionError, match="non-integral"):
+            wreath.yk_closed_form((1,), 2, 3)
         with pytest.raises(AssertionError, match="non-integ"):
             y_monomials(3, 2)
         assert cli.main(["sym", "verify", "--p", "2", "--max-degree", "3"]) == 3
@@ -89,11 +90,28 @@ def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
 
 def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(monkeypatch):
     check_packable((1 << FIELD) - 1)
-    monkeypatch.setattr(modsym, "multipartitions", lambda *args, **kwargs: 1 / 0)
+    for owner, name in ((modsym, "multipartitions"), (modsym, "_partition_keys"),
+                        (wreath, "_power_product"), (wreath, "_x_monomial"),
+                        (wreath, "y_explicit"), (wreath, "_key_product")):
+        monkeypatch.setattr(owner, name, lambda *args, **kwargs: 1 / 0)
+    # the closed forms and the link refuse it themselves, not only the matrix
     for build in (check_packable, lambda n: y_monomials(n, 2),
-                  lambda n: monomial_matrix(None, 1, 1, 2, n, {})):
+                  lambda n: monomial_matrix(None, 1, 1, 2, n, {}),
+                  lambda n: wreath.xk_closed_form((1,), n),
+                  lambda n: wreath.yk_closed_form((1,), 2, n),
+                  lambda n: wreath._linked((1,), 2, n)):
         with pytest.raises(ValueError, match="16 bits"):
             build(1 << FIELD)
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5])
+def test_the_key_enumeration_is_the_multipartitions_order(p):
+    # the rows (parts prime to p) and columns of monomial_matrix, as keys
+    part_filter = None if p is None else (lambda v: v % p)
+    for k in range(1, 5):
+        for n in range(9):
+            assert multipartition_keys(k, n, p) == [
+                _packed_key(mp) for mp in multipartitions(k, n, part_filter)], (k, n)
 
 
 def test_y_monomial_rows_lie_in_lattice():

@@ -17,13 +17,13 @@ from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, _key
                             is_p_singular, monomial_values, singular_classes,
                             singular_constraints, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
-from projrep.series import GradedSeries, satisfies_quotient, x_generator_series, y_explicit
+from projrep.series import GradedSeries, x_generator_series, y_explicit, y_from_quotient
 from projrep.symfunc import SymElement, X, perm_char_value
 from projrep.wreath import (PHI, ELatticeBasis, WreathElement, cycle_weight, e_lattice,
-                            load_table, verify_theorem2, xi_from_phi, xk_series,
-                            yk_closed_form, yk_generators)
+                            load_table, verify_theorem2, xi_from_phi, xk_closed_form,
+                            xk_series, yk_closed_form, yk_generators)
 
-from conftest import centralizer_order, singular_indices, table_path
+from conftest import centralizer_order, packed, satisfies_quotient, singular_indices, table_path
 
 TABLES = ("trivial", "c2", "c3", "c4", "s3")
 
@@ -252,14 +252,37 @@ def test_generators_vanish_and_the_check_can_fail(c2_table):
 # the link X = S * (1 + Y): a corrupted coordinate is never certified
 
 
+def unpacked(terms, ncomp, degree):
+    """The Phi-basis WreathElement of degree-degree terms held as {packed key:
+    coefficient}, each key read off the multipartitions it packs."""
+    index = {modsym._packed_key(mp): mp for mp in multipartitions(ncomp, degree)}
+    return WreathElement(PHI, degree, ncomp, {index[key]: c for key, c in terms.items()})
+
+
+def plus(a, b):
+    """The sum of two elements held as {packed key: coefficient}."""
+    return {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
+
+
 def closed_series(exponents, order):
     """X_k(t) to the given order from its closed form (as the engine reads it)."""
-    return GradedSeries([wreath.xk_closed_form(exponents, i) for i in range(order + 1)])
+    return GradedSeries([unpacked(wreath.xk_closed_form(exponents, i), len(exponents), i)
+                         for i in range(order + 1)])
 
 
 # the caches of the verify engine that hold generators or link verdicts
 ENGINE_CACHES = (wreath._x_monomial, wreath.yk_closed_form, wreath._linked,
                  wreath._monomial_memo)
+
+
+def assert_closed_forms_match(row, p, series_xk, generators, order):
+    """The packed closed forms of X_{k,n} and y_{k,n}, n <= order, are the
+    series' coefficients packed, term for term: no term is missing, and none
+    is built whose coefficient is zero."""
+    for n in range(order + 1):
+        assert xk_closed_form(row, n) == packed(series_xk[n]), (row, n)
+    for n in range(1, order + 1):
+        assert yk_closed_form(row, p, n) == packed(generators[n]), (row, p, n)
 
 
 @pytest.mark.parametrize("phi", [((2, -1), (1, 0)), ((-3, 1), (1, 0)), ((1, 0), (-2, 1))])
@@ -269,9 +292,8 @@ def test_closed_form_of_xk_matches_the_series_arithmetic(phi, c2_table):
     for k in (1, 2):
         series_xk = xk_series(c2_table, lattice, k, 6)
         generators = yk_generators(c2_table, lattice, k, 6)
-        assert closed_series(phi[k - 1], 6) == series_xk
         assert satisfies_quotient(series_xk, generators[1:], 3)
-        assert [yk_closed_form(phi[k - 1], 3, n) for n in range(1, 7)] == list(generators[1:])
+        assert_closed_forms_match(phi[k - 1], 3, series_xk, generators, 6)
 
 
 @pytest.mark.parametrize("name, p", [(name, p) for name in ("c3_table", "c4_table", "s3_table")
@@ -283,11 +305,15 @@ def test_closed_form_of_xk_matches_the_series_on_the_vanishing_lattices(request,
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)
     for k in range(1, lattice.M + 1):
-        row = lattice.phi.rows[k - 1]
-        assert closed_series(row, 4) == xk_series(table, lattice, k, 4)
-        generators = yk_generators(table, lattice, k, 4)
-        for n in range(1, 5):
-            assert yk_closed_form(row, p, n) == generators[n], (k, n)
+        assert_closed_forms_match(lattice.phi.rows[k - 1], p, xk_series(table, lattice, k, 6),
+                                  yk_generators(table, lattice, k, 6), 6)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_closed_form_of_the_row_1_is_the_sym_generator_series(p):
+    # the one-class group: X = H, whose closed form holds one term per degree
+    assert_closed_forms_match((1,), p, x_generator_series(6), y_from_quotient(6, p), 6)
+    assert all(len(xk_closed_form((1,), n)) == 1 for n in range(30))
 
 
 def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
@@ -324,18 +350,18 @@ def test_a_corrupted_wreath_generator_coordinate_is_not_certified(monkeypatch, c
     row = lattice.phi.rows[0]
     honest = wreath.yk_closed_form
     # the coordinate of Phi_triv(x_2)*Phi_triv(x_1) in y_{1,3}, off by one
-    extra = WreathElement(PHI, n, 2, {((2, 1), ()): 1})
+    extra = packed(WreathElement(PHI, n, 2, {((2, 1), ()): 1}))
 
     def corrupted(exponents, q, v):
         y = honest(exponents, q, v)
-        return y + extra if (exponents, q, v) == (row, p, n) else y
+        return plus(y, extra) if (exponents, q, v) == (row, p, n) else y
 
     monkeypatch.setattr(wreath, "yk_closed_form", corrupted)
     for cache in ENGINE_CACHES:
         cache.cache_clear()
     try:
-        assert not satisfies_quotient(closed_series(row, n),
-                                      [corrupted(row, p, v) for v in range(1, n + 1)], p)
+        assert not satisfies_quotient(closed_series(row, n), [
+            unpacked(corrupted(row, p, v), 2, v) for v in range(1, n + 1)], p)
         report = verify_theorem2(c2_table, p, n, lattice=lattice)
         assert not wreath._linked(row, p, n)
         assert generators_vanish(cycle_weight(c2_table.characters, row), p, n)
@@ -354,20 +380,21 @@ def test_a_corrupted_closed_form_of_xk_is_not_certified(monkeypatch, c2_table):
     p = 2
     lattice = e_lattice(c2_table, p)
     honest = wreath.xk_closed_form
-    cases = [((1,), 5, WreathElement(PHI, 5, 1, {((4, 1),): 1}), SYM_WEIGHT,
+    cases = [((1,), 5, packed(WreathElement(PHI, 5, 1, {((4, 1),): 1})), SYM_WEIGHT,
               lambda: verify_theorem1(5, p)),
-             (lattice.phi.rows[0], 3, WreathElement(PHI, 3, 2, {((2, 1), ()): 1}),
+             (lattice.phi.rows[0], 3, packed(WreathElement(PHI, 3, 2, {((2, 1), ()): 1})),
               cycle_weight(c2_table.characters, lattice.phi.rows[0]),
               lambda: verify_theorem2(c2_table, p, 3, lattice=lattice))]
     for row, n, extra, weight, verify in cases:
         monkeypatch.setattr(wreath, "xk_closed_form", lambda e, v, row=row, n=n, extra=extra:
-                            honest(e, v) + extra if (e, v) == (row, n) else honest(e, v))
+                            plus(honest(e, v), extra) if (e, v) == (row, n) else honest(e, v))
         for cache in ENGINE_CACHES:
             cache.cache_clear()
         try:
             report = verify()
             assert satisfies_quotient(closed_series(row, n), [
-                wreath.yk_closed_form(row, p, v) for v in range(1, n + 1)], p)
+                unpacked(wreath.yk_closed_form(row, p, v), len(row), v)
+                for v in range(1, n + 1)], p)
             assert wreath._linked(row, p, n - 1) and not wreath._linked(row, p, n)
             assert generators_vanish(weight, p, n)
             assert is_unit_echelon(report.monomial_hnf)

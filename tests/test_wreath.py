@@ -21,7 +21,7 @@ from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, Tabl
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
                             yk_generators)
 
-from conftest import centralizer_order, singular_indices
+from conftest import centralizer_order, packed, singular_indices
 
 
 def xi_mono(ncomp, placements, coeff=1):
@@ -502,8 +502,8 @@ def test_monomial_rows_are_the_generator_products(request, name):
         for n in range(5):
             generators = {k: yk_generators(table, lattice, k, n)
                           for k in range(1, lattice.M + 1)}
-            rows = monomial_matrix(lambda j, v: generators[j + 1][v], lattice.M, table.N,
-                                   p, n, {}).rows
+            rows = monomial_matrix(lambda j, v: packed(generators[j + 1][v]), lattice.M,
+                                   table.N, p, n, {}).rows
             assert rows == product_chain_rows(table, lattice, p, n)
             report = verify_theorem2(table, p, n, lattice=lattice)
             assert report.monomial_hnf == hnf_basis(IntMatrix(rows, report.monomial_hnf.ncols))
@@ -516,7 +516,7 @@ def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
     generators = {(0, 1): {a: 1, b: 1}, (1, 1): {a: 1, b: -1},
                   (0, 2): {MultiPartition([Partition((2,)), EMPTY]): 1},
                   (1, 2): {MultiPartition([EMPTY, Partition((2,))]): 1}}
-    matrix = monomial_matrix(lambda j, v: WreathElement(PHI, v, 2, generators[j, v]),
+    matrix = monomial_matrix(lambda j, v: packed(WreathElement(PHI, v, 2, generators[j, v])),
                              2, 2, 5, 2, {})
     assert all(0 not in values for columns, values in matrix.sparse_rows)
     assert matrix == IntMatrix([[1, 0, 0, 0, 0], [0, 1, 2, 0, 1], [0, 1, 0, 0, -1],
