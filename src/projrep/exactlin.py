@@ -1,14 +1,14 @@
 """Exact scalars (rationals, cyclotomics) and integer/rational linear algebra.
 
-All arithmetic is exact: rationals are fractions.Fraction, cyclotomics are
-canonical power-basis vectors over Q, matrices hold arbitrary-precision
-integers.  Everything is immutable and every function is pure.
+All arithmetic is exact: rationals are ints or fractions.Fraction,
+cyclotomics are canonical power-basis vectors over Q, matrices hold
+arbitrary-precision integers.  Everything is immutable and every function is pure.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import lcm
+from math import lcm, prod
 
 Rational = Fraction
 
@@ -17,62 +17,76 @@ Rational = Fraction
 # cyclotomic fields
 
 
+def _prime_factors(m):
+    """The distinct prime factors of m >= 1, by trial division."""
+    primes, d = [], 2
+    while d * d <= m:
+        if m % d == 0:
+            primes.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    return primes + [m] if m > 1 else primes
+
+
 @lru_cache(maxsize=None)
 def euler_phi(m):
     result = m
-    d = 2
-    n = m
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            result -= result // d
-        d += 1
-    if n > 1:
-        result -= result // n
+    for q in _prime_factors(m):
+        result -= result // q
     return result
-
-
-def _poly_div_exact(num, den):
-    """Exact division of integer polynomials (ascending coefficients), den monic."""
-    num = list(num)
-    deg = len(den) - 1
-    quot = [0] * (len(num) - deg)
-    for i in range(len(num) - 1, deg - 1, -1):
-        c = num[i]
-        if c:
-            quot[i - deg] = c
-            for j, d in enumerate(den):
-                num[i - deg + j] -= c * d
-    if any(num):
-        raise ArithmeticError("polynomial division not exact")
-    return quot
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m):
-    """Coefficients of the m-th cyclotomic polynomial, ascending, monic."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+    """Coefficients of the m-th cyclotomic polynomial, ascending, monic.
+
+    Phi_m is the product over d | m of (x^d - 1)^mu(m/d) (Moebius inversion
+    of x^m - 1 = prod over d | m of Phi_d), and mu(m/d) is nonzero only for
+    m/d a product of distinct primes of m.  So Phi_m is the product of the
+    binomials with mu = 1, divided exactly by those with mu = -1: each step
+    costs one pass over the coefficients."""
+    primes = _prime_factors(m)
+    binomials = ([], [])
+    for mask in range(1 << len(primes)):
+        chosen = [q for i, q in enumerate(primes) if mask >> i & 1]
+        binomials[len(chosen) % 2].append(m // prod(chosen))
+    poly = [1]
+    for d in binomials[0]:
+        # times x^d - 1
+        poly = [high - low for high, low in zip([0] * d + poly, poly + [0] * d)]
+    for d in binomials[1]:
+        # divided by x^d - 1: poly[i] = quot[i - d] - quot[i]
+        quot = []
+        for i in range(len(poly) - d):
+            quot.append((quot[i - d] if i >= d else 0) - poly[i])
+        if poly[len(quot):] != ([0] * d + quot)[len(quot):]:
+            raise ArithmeticError("polynomial division not exact")
+        poly = quot
     return tuple(poly)
 
 
+def _rational(value):
+    """A coordinate that is not an int in canonical form: an int when
+    integral, else a Fraction."""
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _reduce_power_basis(m, coeffs):
-    """Reduce sum coeffs[i]*zeta_m^i modulo Phi_m to the canonical degree-<phi(m) form."""
+    """Reduce sum coeffs[i]*zeta_m^i modulo Phi_m to the canonical degree-<phi(m)
+    form, whose coordinates are ints where integral (see _rational)."""
     deg = euler_phi(m)
     phi_m = cyclotomic_polynomial(m)
-    work = [Fraction(c) for c in coeffs]
+    work = [c if type(c) is int else _rational(c) for c in coeffs]
     for i in range(len(work) - 1, deg - 1, -1):
         c = work[i]
         if c:
-            work[i] = Fraction(0)
             for j in range(deg):
                 work[i - deg + j] -= c * phi_m[j]
     work = work[:deg]
-    work.extend([Fraction(0)] * (deg - len(work)))
-    return tuple(work)
+    work.extend([0] * (deg - len(work)))
+    return tuple([c if type(c) is int else _rational(c) for c in work])
 
 
 class Cyclotomic:
@@ -81,6 +95,10 @@ class Cyclotomic:
     The conductor of a sum or product is the lcm of the operand conductors;
     no automatic descent to subfields is performed, so elements are compared
     by lifting to a common conductor.  Unhashable by design.
+
+    A coordinate is an int where it is integral and a Fraction otherwise, so
+    the form stays canonical, the coordinates of an algebraic integer are all
+    ints, and arithmetic on them builds no Fraction.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -102,14 +120,14 @@ class Cyclotomic:
 
     @classmethod
     def from_rational(cls, value, conductor=1):
-        return cls(conductor, [Fraction(value)])
+        return cls(conductor, [value])
 
     @staticmethod
     def _coerce(value):
         if isinstance(value, Cyclotomic):
             return value
         if isinstance(value, (int, Fraction)):
-            return Cyclotomic(1, [Fraction(value)])
+            return Cyclotomic(1, [value])
         return NotImplemented
 
     def lift(self, conductor):
@@ -119,7 +137,7 @@ class Cyclotomic:
         if conductor % self.conductor != 0:
             raise ValueError("can only lift to a multiple of the conductor")
         step = conductor // self.conductor
-        out = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        out = [0] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             out[i * step] = c
         return Cyclotomic(conductor, out)
@@ -161,14 +179,14 @@ class Cyclotomic:
         if pair is None:
             return NotImplemented
         a, b = pair
-        prod = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+        out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if not x:
                 continue
             for j, y in enumerate(b.coeffs):
                 if y:
-                    prod[i + j] += x * y
-        return Cyclotomic(a.conductor, prod)
+                    out[i + j] += x * y
+        return Cyclotomic(a.conductor, out)
 
     __rmul__ = __mul__
 
@@ -192,7 +210,7 @@ class Cyclotomic:
     def galois(self, k):
         """The automorphism zeta_m -> zeta_m^k, for k coprime to the conductor m."""
         m = self.conductor
-        out = [Fraction(0)] * m
+        out = [0] * m
         for i, c in enumerate(self.coeffs):
             out[i * k % m] += c
         return Cyclotomic(m, out)
@@ -222,7 +240,7 @@ class Cyclotomic:
         return self.coeffs[0]
 
     def rational_coords(self):
-        """Canonical coordinates over Q: phi(conductor) rationals."""
+        """Canonical coordinates over Q: phi(conductor) rationals, ints where integral."""
         return self.coeffs
 
     def __repr__(self):

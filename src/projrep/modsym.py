@@ -63,6 +63,13 @@ def _key_product(a, b, out=None):
     return out
 
 
+def _scaled_product(scale, a, b, out=None):
+    """scale * _key_product(a, b), the scale folded into the smaller factor;
+    added into out if given."""
+    small, large = sorted((a, b), key=len)
+    return _key_product({key: scale * value for key, value in small.items()}, large, out)
+
+
 @lru_cache(maxsize=None)
 def _partition_keys(ncomp, p, size):
     """The keys (see _packed_key) of the partitions of size, parts prime to p
@@ -196,9 +203,8 @@ def cycle_products(weight, n):
     for r in range(1, n + 1):
         cycle = {(1 << _label_shift(r * ncls + c, ncls, width)) + s: v
                  for c, coords in enumerate(weight.values) for s, v in enumerate(coords) if v}
-        scale = factorial(n - 1) * r // factorial(n - r)
-        for key, value in _key_product(cycle, cycle_products(weight, n - r)).items():
-            acc[key] = acc.get(key, 0) + scale * value
+        _scaled_product(factorial(n - 1) * r // factorial(n - r), cycle,
+                        cycle_products(weight, n - r), acc)
     return _reduced(acc, weight.conductor)
 
 
@@ -213,10 +219,8 @@ def generator_values(weight, p, n):
     check_packable(n, len(weight.values[0]))
     acc = dict(cycle_products(weight, n)) if n % p else {}
     for j in range(p, n, p):
-        scale = comb(n, j)
-        for key, value in _key_product(cycle_products(weight, j),
-                                       generator_values(weight, p, n - j)).items():
-            acc[key] = acc.get(key, 0) - scale * value
+        _scaled_product(-comb(n, j), cycle_products(weight, j),
+                        generator_values(weight, p, n - j), acc)
     return _reduced(acc, weight.conductor)
 
 
@@ -302,10 +306,8 @@ def monomial_values(characters, n, p=None):
         known = memo.get(factors)
         if known is None:
             (j, v), (degree, rest) = factors[0], product(factors[1:])
-            small, large = sorted((cycle_products(characters[j], v), rest), key=len)
-            scale = comb(degree + v, v)  # folded into the smaller factor
-            known = degree + v, _reduced(_key_product(
-                {key: scale * value for key, value in small.items()}, large),
+            known = degree + v, _reduced(_scaled_product(
+                comb(degree + v, v), cycle_products(characters[j], v), rest),
                 characters[0].conductor)
             if known[0] < n:
                 memo[factors] = known

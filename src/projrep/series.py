@@ -178,8 +178,10 @@ def y_explicit(n, p):
     being its one part prime to p.  Zero when p divides n."""
     if n < 1:
         raise ValueError("n must be positive")
-    return SymElement(symfunc.X, n, {
-        tuple(sorted((h, *(p * v for v in nu)), reverse=True)): power_coefficient(-1, nu)
+    # built unchecked: each index is a partition by construction
+    return SymElement.one(symfunc.X)._trusted(n, {
+        Partition._trusted(tuple(sorted((h, *(p * v for v in nu)), reverse=True))):
+        power_coefficient(-1, nu)
         for h in range(n % p, n + 1, p) if h % p for nu in partitions((n - h) // p)})
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, conj, euler_phi, hnf_basis, integer_kernel,
+from .exactlin import (Cyclotomic, euler_phi, hnf_basis, integer_kernel,
                        is_unimodular, unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
@@ -47,18 +47,18 @@ class CharTable:
         self.conductor = conductor
         self.classes = tuple(classes)
         self.irreducibles = tuple(irreducibles)
-        self._validate()
         element_orders = tuple(c.element_order for c in self.classes)
         self.characters = tuple(
-            CycleWeight(tuple(tuple(map(int, v.lift(conductor).rational_coords()))
-                              for v in irr.values), element_orders, conductor)
-            for irr in self.irreducibles)
+            CycleWeight(tuple(v.rational_coords() for v in row), element_orders, conductor)
+            for row in self._validate())
 
     @property
     def N(self):
         return len(self.classes)
 
     def _validate(self):
+        """Check the table, and return its values lifted to Q(zeta_m), m the
+        conductor, each once; none before the width of m is checked."""
         if self.order < 1:
             raise TableError("group order must be positive")
         if self.conductor < 1:
@@ -99,24 +99,30 @@ class CharTable:
                         % (irr.label,))
         # A value on a class of element order e lies in Q(zeta_e), which meets
         # Q(zeta_m) in Q(zeta_d), d = gcd(e, m): the field fixed by every
-        # zeta_m -> zeta_m^k with k a unit modulo m and k = 1 modulo d.
+        # zeta_m -> zeta_m^k with k a unit modulo m and k = 1 modulo d.  A
+        # rational value lies in every field, so only the others are checked.
         for j, c in enumerate(self.classes):
+            irrational = [irr for irr in self.irreducibles if not irr.values[j].is_rational()]
+            if not irrational:
+                continue
             d = gcd(c.element_order, m)
             fixing = [k for k in range(1, m + 1) if gcd(k, m) == 1 and (k - 1) % d == 0]
-            for irr in self.irreducibles:
+            for irr in irrational:
                 if any(irr.values[j].galois(k) != irr.values[j] for k in fixing):
                     raise TableError(
                         "value of %s on class %s (element order %d) does not lie "
                         "in Q(zeta_%d)" % (irr.label, c.label, c.element_order, d))
+        values = [[v.lift(m) for v in irr.values] for irr in self.irreducibles]
+        # each |C| * value and each conjugate once, not once per pair of rows
+        sized = [[c.size * v for c, v in zip(self.classes, row)] for row in values]
+        conjugates = [[v.conjugate() for v in row] for row in values]
+        zero, order = Cyclotomic.from_rational(0, m), Cyclotomic.from_rational(self.order, m)
         for i, a in enumerate(self.irreducibles):
             for j, b in enumerate(self.irreducibles):
-                total = Cyclotomic.from_rational(0)
-                for c, av, bv in zip(self.classes, a.values, b.values):
-                    total = total + c.size * av * conj(bv)
-                expected = self.order if i == j else 0
-                if total != expected:
+                if sum(map(mul, sized[i], conjugates[j]), zero) != (order if i == j else zero):
                     raise TableError(
                         "row orthogonality fails for %s and %s" % (a.label, b.label))
+        return values
 
     def __repr__(self):
         return "CharTable(%r, order=%d, N=%d)" % (self.name, self.order, self.N)
@@ -326,6 +332,7 @@ def yk_generators(table, lattice, k, order):
 # per-degree verification
 
 
+@lru_cache(maxsize=None)
 def cycle_weight(characters, exponents):
     """psi_k = sum_j e_j chi_j for the row e = phi_k, as a CycleWeight: X_{k,n}
     is prod psi_k(C) over the cycles of a class.  (SYM_CHARACTERS, (1,)) gives SYM_WEIGHT."""
@@ -477,14 +484,20 @@ def verify_theorem2(table, p, n, lattice=None):
 def generator_exchange_check(table, lattice, n):
     """True iff, in every degree i <= n, the linear parts of the X_{k,i} in the
     Phi_j(x_i) form exactly the (unimodular) completed lattice matrix, so the
-    X's generate the same graded ring over Z."""
+    X's generate the same graded ring over Z.
+
+    For a lattice row k <= M, _linked certifies X_{k,0..n} = xk_closed_form
+    by the power rule, and the coefficient of Phi_j(x_i) is read off the
+    closed form at its key.  A row k > M is sum_j e_j Phi_j(x_i) by the
+    definition of xk_series, so its linear part is the row itself and there
+    is nothing to check."""
     if not is_unimodular(lattice.phi):
         return False
-    series = [xk_series(table, lattice, k, n) for k in range(1, table.N + 1)]
-    return all(series[k][i].coeffs.get(
-        MultiPartition([(i,) if t == j else () for t in range(table.N)]), 0) == e
-        for i in range(1, n + 1) for k, row in enumerate(lattice.phi.rows)
-        for j, e in enumerate(row))
+    ncomp = table.N
+    return all(_linked(row, lattice.p, n) and all(
+        xk_closed_form(row, i).get(1 << FIELD * ((i - 1) * ncomp + j), 0) == e
+        for i in range(1, n + 1) for j, e in enumerate(row))
+        for row in lattice.phi.rows[:lattice.M])
 
 
 def xk_exp_identity_check(table, lattice, k, order):

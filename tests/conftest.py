@@ -5,10 +5,10 @@ from operator import add
 
 import pytest
 
-from projrep.exactlin import IntMatrix, hnf_basis
+from projrep.exactlin import IntMatrix, hnf_basis, is_unimodular
 from projrep.modsym import _packed_key
 from projrep.partitions import MultiPartition, multipartitions, z
-from projrep.wreath import load_table
+from projrep.wreath import load_table, xk_series
 
 
 def in_lattice(vector, basis):
@@ -41,6 +41,20 @@ def satisfies_quotient(x_series, generators, p):
     one_plus_y = (x_series[0],) + tuple(generators)
     return all(reduce(add, [x_series[j] * one_plus_y[i - j] for j in range(0, i + 1, p)])
                == x_series[i] for i in range(1, x_series.order + 1))
+
+
+def exchange_oracle(table, lattice, n):
+    """The generator exchange check on the series arithmetic: True iff the
+    completed lattice matrix is unimodular and, in every degree i <= n, the
+    coefficient of Phi_j(x_i) in xk_series for every row k, lattice rows and
+    the rest, is phi_kj."""
+    if not is_unimodular(lattice.phi):
+        return False
+    series = [xk_series(table, lattice, k, n) for k in range(1, table.N + 1)]
+    return all(series[k][i].coeffs.get(
+        MultiPartition([(i,) if t == j else () for t in range(table.N)]), 0) == e
+        for i in range(1, n + 1) for k, row in enumerate(lattice.phi.rows)
+        for j, e in enumerate(row))
 
 
 def centralizer_order(table, nu):

@@ -2,9 +2,12 @@ import argparse
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -231,6 +234,60 @@ def test_a_conductor_too_wide_to_pack_exits_2_at_load(tmp_path, capsys, conducto
     assert out == ""
     assert err == ("table error: conductor %d is too large: degree 1 with values of width "
                    "%d needs fields wider than 16 bits\n" % (conductor, width))
+
+
+# Runs cli.main on its arguments in a fresh interpreter, so that no cache
+# filled by another test hides a code path, and prints the exit code, then
+# the kinds and the number of the Fractions and WreathElements it built.
+CONSTRUCTION_PROBE = """
+import contextlib, fractions, io, sys
+sys.path.insert(0, %r)
+from projrep import cli
+from projrep.wreath import WreathElement
+built = []
+new, init = fractions.Fraction.__new__, WreathElement.__init__
+
+def counted_new(cls, *args, **kwargs):
+    built.append("Fraction")
+    return new(cls, *args, **kwargs)
+
+def counted_init(self, *args, **kwargs):
+    built.append("WreathElement")
+    return init(self, *args, **kwargs)
+
+fractions.Fraction.__new__ = counted_new
+WreathElement.__init__ = counted_init
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, sorted(set(built)), len(built) > 0)
+""" % str(Path(cli.__file__).parent.parent)
+
+
+def constructions(*argv):
+    return subprocess.run([sys.executable, "-c", CONSTRUCTION_PROBE, *argv],
+                          capture_output=True, text=True, check=True).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ("sym", "verify", "--p", "2", "--max-degree", "8"),
+    ("sym", "verify", "--p", "3", "--max-degree", "8"),
+    ("wreath", "verify", "--table", "c4", "--p", "3", "--max-degree", "5"),
+    ("wreath", "verify", "--table", "s3", "--p", "2", "--max-degree", "5"),
+    ("wreath", "verify", "--table", "s3", "--p", "3", "--max-degree", "5"),
+    ("wreath", "verify", "--table", "c2", "--p", "2", "--max-degree", "5"),
+    ("wreath", "verify", "--table", "c3", "--p", "2", "--max-degree", "5"),
+    ("wreath", "verify", "--table", "trivial", "--p", "2", "--max-degree", "5")],
+    ids=" ".join)
+def test_the_verify_commands_build_no_fraction_and_no_wreath_element(argv):
+    # a table loads in int coordinates, and the exchange check reads the
+    # certified closed forms, not the series of WreathElements
+    assert constructions(*argv, "--format", "json") == "0 [] False\n"
+
+
+def test_the_construction_probe_counts():
+    assert constructions("examples") == "0 ['Fraction'] True\n"
+    assert constructions("wreath", "generators", "--table", "c2", "--p", "2",
+                         "--max-degree", "2") == "0 ['WreathElement'] True\n"
 
 
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):

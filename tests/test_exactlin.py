@@ -9,7 +9,8 @@ from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
 from conftest import in_lattice, sparse_built
 from projrep import exactlin
-from projrep.exactlin import (Cyclotomic, IntMatrix, _eliminate, _is_hnf, euler_phi, hnf,
+from projrep.exactlin import (Cyclotomic, IntMatrix, _eliminate, _is_hnf,
+                              cyclotomic_polynomial, euler_phi, hnf,
                               hnf_basis, hnf_with_transform, integer_kernel, is_unimodular,
                               is_unit_echelon, rational_kernel, unimodular_complete)
 
@@ -92,6 +93,64 @@ def test_lift_to_the_own_conductor_is_the_element_itself(monkeypatch):
     assert (z4 == Cyclotomic.zeta(2)) is False
     assert Cyclotomic.zeta(4) * Cyclotomic.zeta(3) == Cyclotomic.zeta(12, 7)
     assert lifts == [(2, 4), (4, 12), (3, 12)]
+
+
+def test_integral_coordinates_are_ints():
+    # an int coordinate stays an int, and an integral Fraction becomes one
+    values = [Cyclotomic(4, [Fraction(3, 1), 2, Fraction(4, 2), True]),
+              Cyclotomic.zeta(12, 7) * Cyclotomic.zeta(3) + 5,
+              Cyclotomic.from_rational(Fraction(6, 3), 4), Cyclotomic.zeta(9).galois(2),
+              Cyclotomic.zeta(4).lift(8), Cyclotomic.zeta(5).conjugate() * -2,
+              Cyclotomic(4, [Fraction(1, 2), 0, Fraction(1, 2)])]
+    for value in values:
+        assert all(type(q) is int for q in value.rational_coords()), value
+    assert Cyclotomic(4, [Fraction(3, 1), 2, Fraction(4, 2), True]).coeffs == (1, 1)
+    assert Cyclotomic.from_rational(Fraction(6, 3)).rational_value() == 2
+
+
+def test_non_integral_coordinates_stay_fractions():
+    value = Cyclotomic(4, [Fraction(1, 2), Fraction(2, 3), 1])
+    assert value.coeffs == (Fraction(-1, 2), Fraction(2, 3))
+    assert [type(q) for q in value.coeffs] == [Fraction, Fraction]
+    assert (value * 2).coeffs == (-1, Fraction(4, 3))
+    assert [type(q) for q in (value * 2).coeffs] == [int, Fraction]
+    assert (value / 3).coeffs == (Fraction(-1, 6), Fraction(2, 9))
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 5, 12])
+def test_int_coordinates_print_and_compare_as_fraction_coordinates(m):
+    # str, repr and equality of a value built from ints are those of the
+    # same value built from Fractions
+    rng = random.Random(m)
+    for _ in range(10):
+        coords = [rng.randint(-4, 4) for _ in range(m)]
+        from_ints = Cyclotomic(m, coords)
+        from_fractions = Cyclotomic(m, [Fraction(q) for q in coords])
+        assert str(from_ints) == str(from_fractions)
+        assert repr(from_ints) == repr(from_fractions)
+        assert from_ints == from_fractions and not from_ints != from_fractions
+        assert from_ints.coeffs == from_fractions.coeffs
+        assert (from_ints == from_fractions + 1) is False
+    assert repr(Cyclotomic(4, [1, Fraction(-1, 2)])) == "Cyclotomic(4, ['1', '-1/2'])"
+    assert str(Cyclotomic(4, [Fraction(2), Fraction(-1, 2)])) == "2 + -1/2*z4^1"
+
+
+def test_the_cyclotomic_polynomials_multiply_to_x_to_the_m_minus_one():
+    # prod over d | m of Phi_d = x^m - 1, an identity independent of the
+    # Moebius product that builds each Phi_m
+    for m in range(1, 301):
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                phi_d = cyclotomic_polynomial(d)
+                assert len(phi_d) == euler_phi(d) + 1 and phi_d[-1] == 1
+                out = [0] * (len(product) + len(phi_d) - 1)
+                for i, a in enumerate(phi_d):
+                    if a:
+                        for j, b in enumerate(product):
+                            out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (m - 1) + [1], m
 
 
 # ---------------------------------------------------------------------------

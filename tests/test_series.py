@@ -245,6 +245,15 @@ def test_y_explicit_examples():
     assert y_explicit(4, 2).is_zero()
 
 
+def test_y_explicit_indices_pass_the_checking_constructor():
+    # y_explicit builds its indices unchecked, as partitions by construction
+    for p in (2, 3, 5):
+        for n in range(1, 25):
+            y = y_explicit(n, p)
+            assert y.basis == X and y.degree == n
+            assert SymElement(X, n, {lam.parts: c for lam, c in y.coeffs.items()}) == y
+
+
 def test_y_known_list_for_p2():
     x = lambda *parts: SymElement.monomial(X, parts)
     assert y_explicit(3, 2) == x(3) - x(2, 1)

@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from projrep import wreath
-from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, integer_kernel, rational_constraints
+from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf_basis, integer_kernel,
+                              rational_constraints)
 from projrep.modsym import (FIELD, SYM_CHARACTERS, monomial_matrix, singular_constraints,
                             verify_theorem1)
 from projrep.partitions import (EMPTY, MultiPartition, Partition, count_multipartitions,
@@ -21,7 +22,7 @@ from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, Tabl
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
                             yk_generators)
 
-from conftest import centralizer_order, packed, singular_indices
+from conftest import centralizer_order, exchange_oracle, packed, singular_indices
 
 
 def xi_mono(ncomp, placements, coeff=1):
@@ -124,6 +125,22 @@ def test_load_rejects_non_integers_and_booleans(tmp_path, edit, message):
     bad.write_text(json.dumps(payload))
     with pytest.raises(TableError, match=re.escape(message)):
         load_table(str(bad))
+
+
+@pytest.mark.parametrize("conductor", [16000, 69996])
+def test_a_wide_conductor_loads(tmp_path, conductor):
+    # loads that took 2 s (16000) and more than a minute (69996) while Phi_m
+    # was x^m - 1 divided by every Phi_d; it is now one product of binomials
+    # (x^d - 1)^mu(m/d), and a rational value needs no Galois check
+    payload = _table_payload()
+    payload["conductor"] = conductor
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(payload))
+    table = load_table(str(wide))
+    zeros = (0,) * (euler_phi(conductor) - 1)
+    assert [chi.values for chi in table.characters] == [((1,) + zeros, (1,) + zeros),
+                                                        ((1,) + zeros, (-1,) + zeros)]
+    assert all(chi.conductor == conductor for chi in table.characters)
 
 
 def test_load_rejects_malformed(tmp_path):
@@ -601,6 +618,48 @@ def test_generator_exchange(trivial_table, c2_table, c3_table):
 def test_generator_exchange_rejects_a_non_unimodular_lattice(c2_table):
     lattice = ELatticeBasis(2, 1, IntMatrix([[1, 1], [0, 2]]))
     assert not generator_exchange_check(c2_table, lattice, 2)
+
+
+@pytest.mark.parametrize("name", ["trivial_table", "c2_table", "c3_table", "c4_table",
+                                  "s3_table"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_exchange_check_on_the_closed_forms_agrees_with_the_series(request, name, p):
+    table = request.getfixturevalue(name)
+    lattice = e_lattice(table, p)
+    for n in range(7):
+        assert generator_exchange_check(table, lattice, n) == exchange_oracle(table, lattice, n)
+
+
+@pytest.mark.parametrize("term, trust_the_link, passes", [
+    ("linear", False, False), ("linear", True, False),
+    ("square", False, False), ("square", True, True)])
+def test_a_corrupted_closed_form_fails_the_exchange_check(monkeypatch, c2_table, term,
+                                                          trust_the_link, passes):
+    # one term of X_{1,2} off by one, Phi_sgn(x_2) or Phi_triv(x_1)^2: the
+    # power rule refuses either closed form; with the link taken on trust,
+    # the linear coefficient read off the closed form refuses the first
+    lattice = e_lattice(c2_table, 2)
+    row = lattice.phi.rows[0]
+    honest = wreath.xk_closed_form
+    key = {"linear": 1 << FIELD * ((2 - 1) * 2 + 1), "square": 2}[term]
+
+    def corrupted(exponents, v):
+        x = dict(honest(exponents, v))
+        if (exponents, v) == (row, 2):
+            x[key] = x.get(key, 0) + 1
+        return x
+
+    linked = wreath._linked
+    monkeypatch.setattr(wreath, "xk_closed_form", corrupted)
+    if trust_the_link:
+        monkeypatch.setattr(wreath, "_linked", lambda *args: True)
+    linked.cache_clear()
+    try:
+        assert generator_exchange_check(c2_table, lattice, 1)
+        for n in (2, 4):
+            assert generator_exchange_check(c2_table, lattice, n) == passes
+    finally:
+        linked.cache_clear()
 
 
 def test_phi_coefficients_are_integers():
