@@ -7,7 +7,6 @@ bug in projrep, not a counterexample).
 """
 
 import argparse
-import hashlib
 import json
 import sys
 from importlib import resources
@@ -70,7 +69,10 @@ def _row_items(row, ncols, sep):
 
 def matrix_digest(matrix):
     """The first 12 hex digits of sha256(json.dumps(matrix.to_lists())),
-    fed one row at a time, so no whole-matrix string is built."""
+    fed one row at a time, so no whole-matrix string is built.  hashlib is
+    imported here, as only the text reports need it and loading it costs a
+    few ms and MB at start-up."""
+    import hashlib
     digest = hashlib.sha256(b"[")
     sep = ""
     for row in matrix.sparse_rows:

@@ -91,10 +91,12 @@ def _partition_keys(ncomp, p, size):
 
 def multipartition_keys(ncomp, n, p=None):
     """The _packed_key of each of multipartitions(ncomp, n, part_filter) in
-    that order, part_filter keeping the parts prime to p (all if p is None),
-    building no MultiPartition: component j's keys are component 0's shifted."""
+    that order, as a tuple, part_filter keeping the parts prime to p (all if
+    p is None), building no MultiPartition: component j's keys are component
+    0's shifted, and component 0's are _partition_keys' own ints."""
     def component(j, size):
-        return [key << FIELD * j for key in _partition_keys(ncomp, p, size)[0]]
+        keys = _partition_keys(ncomp, p, size)[0]
+        return keys if not j else [key << FIELD * j for key in keys]
 
     @lru_cache(maxsize=None)
     def tails(j, size):
@@ -104,10 +106,19 @@ def multipartition_keys(ncomp, n, p=None):
         return [key + tail for s in range(size, -1, -1) for key in component(j, s)
                 for tail in tails(j + 1, size - s)]
 
-    return tails(0, n)
+    return tuple(tails(0, n))
 
 
-def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
+@lru_cache(maxsize=None)
+def _degree_keys(nfamilies, ncomp, p, n):
+    """The keys of the rows of monomial_matrix in degree n, as a map from
+    each to its row index in row order, and of its columns: enumerated once
+    for the run, as every higher degree reads the rows of this one."""
+    rows = multipartition_keys(nfamilies, n, p)
+    return {key: i for i, key in enumerate(rows)}, multipartition_keys(ncomp, n)
+
+
+def monomial_matrix(generator, nfamilies, ncomp, p, n, lower):
     """The integer coordinates of the degree-n generator monomials, as a
     matrix of sparse rows (see IntMatrix), one row per multipartition a of n
     over nfamilies with parts prime to p, in multipartitions order: the
@@ -115,30 +126,33 @@ def monomial_matrix(generator, nfamilies, ncomp, p, n, memo):
     {packed key: int}, over the multipartitions(ncomp, n) in that order,
     rows and columns enumerated as their keys (multipartition_keys).
 
-    memo maps a row's key to its product: the generator of its lowest field
-    (its smallest part, the generator with the fewest terms) times the
-    memoised product of the rest, one product per row.  A degree whose
-    multiplicities could overflow a FIELD is refused before anything is built."""
+    lower(d) is this matrix in degree d < n.  A row is the generator of its
+    lowest field (its smallest part, the generator with the fewest terms)
+    times the row of the rest, read from lower at its degree.  The lower
+    degrees are asked for in ascending order, so a cold lower builds each
+    from those below it.  A degree whose multiplicities could overflow a
+    FIELD is refused before anything is built."""
     check_packable(n)
-
-    def product(key):
-        known = memo.get(key)
-        if known is None:
-            field = ((key & -key).bit_length() - 1) // FIELD
-            rest = key - (1 << FIELD * field)
-            known = generator(field % nfamilies, field // nfamilies + 1)
-            if rest:
-                known = _key_product(known, product(rest))
-            memo[key] = known
-        return known
-
-    memo.setdefault(0, {0: 1})
-    positions = {key: i for i, key in enumerate(multipartition_keys(ncomp, n))}
+    if not n:
+        return IntMatrix.identity(1)
+    below = [(lower(d).sparse_rows,) + _degree_keys(nfamilies, ncomp, p, d) for d in range(n)]
+    row_index, columns = _degree_keys(nfamilies, ncomp, p, n)
+    positions = {key: i for i, key in enumerate(columns)}
     rows = []
-    for key in multipartition_keys(nfamilies, n, p):
-        entries = sorted((positions[at], value) for at, value in product(key).items() if value)
+    for key in row_index:
+        field = ((key & -key).bit_length() - 1) // FIELD
+        v = field // nfamilies + 1
+        sparse, index, keys = below[n - v]
+        rest_columns, rest_values = sparse[index[key - (1 << FIELD * field)]]
+        product = {}
+        get = product.get
+        for gkey, g in generator(field % nfamilies, v).items():
+            for rkey, x in zip(map(keys.__getitem__, rest_columns), rest_values):
+                at = gkey + rkey
+                product[at] = get(at, 0) + g * x
+        entries = sorted((positions[at], value) for at, value in product.items() if value)
         rows.append(tuple(zip(*entries)) or ((), ()))
-    return IntMatrix._trusted_sparse(rows, len(positions))
+    return IntMatrix._trusted_sparse(rows, len(columns))
 
 
 # ---------------------------------------------------------------------------

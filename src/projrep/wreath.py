@@ -432,16 +432,11 @@ def _linked(exponents, p, n):
 
 
 @lru_cache(maxsize=None)
-def _monomial_memo(rows, p):
-    """The product memo of generator_monomials, kept for the run: a row's
-    product after its first factor is a row of a lower degree."""
-    return {}
-
-
 def generator_monomials(rows, p, n):
-    """The coordinates of the degree-n monomials in the y_{k,v} of the rows."""
+    """The coordinates of the degree-n monomials in the y_{k,v} of the rows,
+    kept for the run: each degree's rows are read from the lower degrees'."""
     return monomial_matrix(lambda j, v: yk_closed_form(rows[j], p, v), len(rows),
-                           len(rows[0]), p, n, _monomial_memo(rows, p))
+                           len(rows[0]), p, n, lambda d: generator_monomials(rows, p, d))
 
 
 def verify_degree(characters, rows, p, n):

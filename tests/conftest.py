@@ -6,7 +6,7 @@ from operator import add
 import pytest
 
 from projrep.exactlin import IntMatrix, hnf_basis, is_unimodular
-from projrep.modsym import _packed_key
+from projrep.modsym import _packed_key, monomial_matrix
 from projrep.partitions import MultiPartition, multipartitions, z
 from projrep.wreath import load_table, xk_series
 
@@ -29,6 +29,19 @@ def packed(element):
     partition index is the multipartition with that one component."""
     return {_packed_key(index if isinstance(index, MultiPartition) else MultiPartition((index,))):
             coeff for index, coeff in element.coeffs.items()}
+
+
+def monomial_rows(generator, nfamilies, ncomp, p, n):
+    """monomial_matrix of these generators in degree n, each lower degree it
+    reads built from the same generators and kept for this call."""
+    built = {}
+
+    def lower(d):
+        if d not in built:
+            built[d] = monomial_matrix(generator, nfamilies, ncomp, p, d, lower)
+        return built[d]
+
+    return lower(n)
 
 
 def satisfies_quotient(x_series, generators, p):

@@ -284,6 +284,29 @@ def test_the_verify_commands_build_no_fraction_and_no_wreath_element(argv):
     assert constructions(*argv, "--format", "json") == "0 [] False\n"
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_json_report_holds_the_engines_own_matrix(monkeypatch, p):
+    # on the structural path hnf_basis returns its input, so in JSON mode the
+    # report's monomial_hnf is the one copy the run keeps of each matrix
+    payloads = []
+    monkeypatch.setattr(cli, "emit", lambda args, payload, lines: payloads.append(payload))
+    assert cli.main(["sym", "verify", "--p", str(p), "--max-degree", "10",
+                     "--format", "json"]) == 0
+    for n, report in enumerate(payloads[0]["reports"]):
+        assert report["method"] == "structural"
+        assert report["monomial_hnf"] is wreath.generator_monomials(((1,),), p, n)
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    # only the text digests use hashlib, and loading it costs start-up time
+    probe = ("import sys; sys.path.insert(0, %r); before = set(sys.modules); "
+             "import projrep.cli; print(sorted({'hashlib', '_hashlib'} & before), "
+             "sorted({'hashlib', '_hashlib'} & (set(sys.modules) - before)))"
+             % str(Path(cli.__file__).parent.parent))
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True).stdout == "[] []\n"
+
+
 def test_the_construction_probe_counts():
     assert constructions("examples") == "0 ['Fraction'] True\n"
     assert constructions("wreath", "generators", "--table", "c2", "--p", "2",
@@ -449,7 +472,9 @@ def test_reports_read_no_dense_row_of_a_monomial_matrix(monkeypatch, capsys, arg
     monkeypatch.setattr(wreath, "monomial_matrix", recorded)
     monkeypatch.setattr(IntMatrix, "rows",
                         property(lambda self: dense_reads.append(self) or rows.fget(self)))
+    # the matrices are kept for the run: each format builds its own
     for fmt in ("json", "text"):
+        wreath.generator_monomials.cache_clear()
         assert run(capsys, *argv, "--format", fmt)[0] == 0
     assert len(built) == 2 * (int(argv[-1]) + 1)
     assert not set(map(id, built)) & set(map(id, dense_reads))

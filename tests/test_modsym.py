@@ -74,7 +74,7 @@ def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
     honest = wreath.y_explicit
     monkeypatch.setattr(wreath, "y_explicit",
                         lambda k, q: honest(k, q) + half if (k, q) == (3, 2) else honest(k, q))
-    caches = (wreath.yk_closed_form, wreath._linked, wreath._monomial_memo)
+    caches = (wreath.yk_closed_form, wreath._linked, wreath.generator_monomials)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -91,17 +91,21 @@ def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
 def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(monkeypatch):
     check_packable((1 << FIELD) - 1)
     for owner, name in ((modsym, "multipartitions"), (modsym, "_partition_keys"),
-                        (wreath, "_power_product"), (wreath, "_x_monomial"),
-                        (wreath, "y_explicit"), (wreath, "_key_product")):
+                        (modsym, "_degree_keys"), (wreath, "_power_product"),
+                        (wreath, "_x_monomial"), (wreath, "y_explicit"),
+                        (wreath, "_key_product")):
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: 1 / 0)
-    # the closed forms and the link refuse it themselves, not only the matrix
+    built = wreath.generator_monomials.cache_info().currsize
+    # the closed forms and the link refuse it themselves, not only the matrix,
+    # and the matrix refuses it before it asks for any lower degree
     for build in (check_packable, lambda n: y_monomials(n, 2),
-                  lambda n: monomial_matrix(None, 1, 1, 2, n, {}),
+                  lambda n: monomial_matrix(None, 1, 1, 2, n, lambda d: 1 / 0),
                   lambda n: wreath.xk_closed_form((1,), n),
                   lambda n: wreath.yk_closed_form((1,), 2, n),
                   lambda n: wreath._linked((1,), 2, n)):
         with pytest.raises(ValueError, match="16 bits"):
             build(1 << FIELD)
+    assert wreath.generator_monomials.cache_info().currsize == built
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5])
@@ -110,8 +114,11 @@ def test_the_key_enumeration_is_the_multipartitions_order(p):
     part_filter = None if p is None else (lambda v: v % p)
     for k in range(1, 5):
         for n in range(9):
-            assert multipartition_keys(k, n, p) == [
-                _packed_key(mp) for mp in multipartitions(k, n, part_filter)], (k, n)
+            assert multipartition_keys(k, n, p) == tuple(
+                _packed_key(mp) for mp in multipartitions(k, n, part_filter)), (k, n)
+    # component 0 is the cached keys themselves, not copies
+    assert all(multipartition_keys(1, n, p) is modsym._partition_keys(1, p, n)[0]
+               for n in range(9))
 
 
 def test_y_monomial_rows_lie_in_lattice():

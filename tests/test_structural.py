@@ -272,7 +272,7 @@ def closed_series(exponents, order):
 
 # the caches of the verify engine that hold generators or link verdicts
 ENGINE_CACHES = (wreath._x_monomial, wreath.yk_closed_form, wreath._linked,
-                 wreath._monomial_memo)
+                 wreath.generator_monomials)
 
 
 def assert_closed_forms_match(row, p, series_xk, generators, order):

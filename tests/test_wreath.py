@@ -9,8 +9,7 @@ import sympy
 from projrep import wreath
 from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf_basis, integer_kernel,
                               rational_constraints)
-from projrep.modsym import (FIELD, SYM_CHARACTERS, monomial_matrix, singular_constraints,
-                            verify_theorem1)
+from projrep.modsym import FIELD, SYM_CHARACTERS, singular_constraints, verify_theorem1
 from projrep.partitions import (EMPTY, MultiPartition, Partition, count_multipartitions,
                                 multipartitions)
 from projrep.series import y_explicit
@@ -22,7 +21,8 @@ from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, Tabl
                             singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
                             yk_generators)
 
-from conftest import centralizer_order, exchange_oracle, packed, singular_indices
+from conftest import (centralizer_order, exchange_oracle, monomial_rows, packed,
+                      singular_indices)
 
 
 def xi_mono(ncomp, placements, coeff=1):
@@ -519,11 +519,46 @@ def test_monomial_rows_are_the_generator_products(request, name):
         for n in range(5):
             generators = {k: yk_generators(table, lattice, k, n)
                           for k in range(1, lattice.M + 1)}
-            rows = monomial_matrix(lambda j, v: packed(generators[j + 1][v]), lattice.M,
-                                   table.N, p, n, {}).rows
+            rows = monomial_rows(lambda j, v: packed(generators[j + 1][v]), lattice.M,
+                                 table.N, p, n).rows
             assert rows == product_chain_rows(table, lattice, p, n)
             report = verify_theorem2(table, p, n, lattice=lattice)
             assert report.monomial_hnf == hnf_basis(IntMatrix(rows, report.monomial_hnf.ncols))
+
+
+@pytest.mark.parametrize("name, p", [("trivial_table", 2), ("trivial_table", 3),
+                                     ("c2_table", 3), ("s3_table", 2), ("c4_table", 3)])
+def test_a_cold_degree_equals_the_degree_built_after_the_lower_ones(
+        monkeypatch, request, name, p):
+    # the engine's run-long cache: a cold call of degree n builds 0..n in
+    # ascending order, never more than one below another, each degree from
+    # the rows of the lower ones, and its matrix is the one built when
+    # degrees 0..n-1 came first
+    table = request.getfixturevalue(name)
+    lattice = e_lattice(table, p)
+    rows = lattice.phi.rows[:lattice.M]
+    finished, active, build = [], [], wreath.monomial_matrix
+
+    def recorded(*args):
+        active.append(args[4])
+        assert len(active) <= 2, active
+        matrix = build(*args)
+        finished.append(active.pop())
+        return matrix
+
+    monkeypatch.setattr(wreath, "monomial_matrix", recorded)
+    try:
+        for n in range(7):
+            wreath.generator_monomials.cache_clear()
+            del finished[:]
+            cold = wreath.generator_monomials(rows, p, n)
+            assert finished == list(range(n + 1))
+            wreath.generator_monomials.cache_clear()
+            warm = [wreath.generator_monomials(rows, p, d) for d in range(n + 1)][-1]
+            assert cold == warm
+            assert cold.rows == product_chain_rows(table, lattice, p, n), (name, p, n)
+    finally:
+        wreath.generator_monomials.cache_clear()
 
 
 def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
@@ -533,8 +568,8 @@ def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
     generators = {(0, 1): {a: 1, b: 1}, (1, 1): {a: 1, b: -1},
                   (0, 2): {MultiPartition([Partition((2,)), EMPTY]): 1},
                   (1, 2): {MultiPartition([EMPTY, Partition((2,))]): 1}}
-    matrix = monomial_matrix(lambda j, v: packed(WreathElement(PHI, v, 2, generators[j, v])),
-                             2, 2, 5, 2, {})
+    matrix = monomial_rows(lambda j, v: packed(WreathElement(PHI, v, 2, generators[j, v])),
+                           2, 2, 5, 2)
     assert all(0 not in values for columns, values in matrix.sparse_rows)
     assert matrix == IntMatrix([[1, 0, 0, 0, 0], [0, 1, 2, 0, 1], [0, 1, 0, 0, -1],
                                 [0, 0, 0, 1, 0], [0, 1, -2, 0, 1]])
