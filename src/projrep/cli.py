@@ -17,7 +17,8 @@ from .exactlin import IntMatrix
 from .partitions import count_multipartitions, partitions
 from .symfunc import generator_powers, mn_character, render_terms
 
-DEFAULT_GUARD_LIMIT = 20000
+# the most multipartition indices a wreath command takes without --force
+GUARD_LIMIT = 20000
 
 
 # The largest --p is below 2^32, where trial division up to 2^16 decides
@@ -212,22 +213,31 @@ def cmd_sym_generators(args):
     return 0 if all_agree else 1
 
 
-def cmd_sym_verify(args):
-    reports = []
-    lines = []
-    all_ok = True
+def verify_degrees(args, payload, theorem, scope, verify, head=(), exchange=None):
+    """The degree loop of both verify commands: the report verify(n) of each
+    degree n up to --max-degree, with its generator exchange(n) if given,
+    framed by the payload's fields, the head lines and the closing claim on
+    the theorem over its scope; exit code 0 if every degree verified, else 1."""
+    reports, lines, all_ok = [], list(head), True
     for n in range(0, args.max_degree + 1):
-        report = modsym.verify_theorem1(n, args.p)
-        all_ok = all_ok and report.verdict
+        report = verify(n)
+        checks = {} if exchange is None else {"generator_exchange": exchange(n)}
+        all_ok = all_ok and report.verdict and all(checks.values())
         if args.format == "json":
-            reports.append(report.to_dict())
+            reports.append(dict(report.to_dict(), **checks))
         else:
-            lines.append(degree_line(report))
-    lines.append("theorem 1 %s for p=%d up to degree %d"
-                 % ("VERIFIED" if all_ok else "FAILED", args.p, args.max_degree))
-    emit(args, {"command": "sym-verify", "p": args.p, "max_degree": args.max_degree,
-                "reports": reports, "all_verified": all_ok}, lines)
+            lines.append(degree_line(report, "".join(
+                "exchange=%-5s " % check for check in checks.values())))
+    lines.append("%s %s for %s up to degree %d" % (
+        theorem, "VERIFIED" if all_ok else "FAILED", scope, args.max_degree))
+    emit(args, dict(payload, p=args.p, max_degree=args.max_degree, reports=reports,
+                    all_verified=all_ok), lines)
     return 0 if all_ok else 1
+
+
+def cmd_sym_verify(args):
+    return verify_degrees(args, {"command": "sym-verify"}, "theorem 1", "p=%d" % args.p,
+                          lambda n: modsym.verify_theorem1(n, args.p))
 
 
 def cmd_sym_chartable(args):
@@ -245,10 +255,10 @@ def cmd_sym_chartable(args):
 
 def guardrail(args, table):
     count = count_multipartitions(table.N, args.max_degree)
-    if count > args.guard_limit and not args.force:
+    if count > GUARD_LIMIT and not args.force:
         print("refusing: degree %d over %s needs %d multipartition indices "
               "(limit %d); pass --force to override"
-              % (args.max_degree, table.name, count, args.guard_limit),
+              % (args.max_degree, table.name, count, GUARD_LIMIT),
               file=sys.stderr)
         return False
     return True
@@ -282,27 +292,14 @@ def cmd_wreath_verify(args):
     if not guardrail(args, table):
         return 2
     lattice = wreath.e_lattice(table, args.p)
-    reports = []
-    lines = ["table %s: N=%d, M=%d p-regular classes"
-             % (table.name, table.N, lattice.M)]
-    all_ok = True
     # degree n's check reads degrees 1..n: if the top one passes, all do
     every_degree = wreath.generator_exchange_check(table, lattice, args.max_degree)
-    for n in range(0, args.max_degree + 1):
-        report = wreath.verify_theorem2(table, args.p, n, lattice=lattice)
-        exchange = every_degree or wreath.generator_exchange_check(table, lattice, n)
-        all_ok = all_ok and report.verdict and exchange
-        if args.format == "json":
-            reports.append(dict(report.to_dict(), generator_exchange=exchange))
-        else:
-            lines.append(degree_line(report, "exchange=%-5s " % exchange))
-    lines.append("theorem 2 %s for %s, p=%d up to degree %d"
-                 % ("VERIFIED" if all_ok else "FAILED", table.name, args.p,
-                    args.max_degree))
-    emit(args, {"command": "wreath-verify", "table": table.name, "p": args.p,
-                "max_degree": args.max_degree, "reports": reports,
-                "all_verified": all_ok}, lines)
-    return 0 if all_ok else 1
+    return verify_degrees(
+        args, {"command": "wreath-verify", "table": table.name},
+        "theorem 2", "%s, p=%d" % (table.name, args.p),
+        lambda n: wreath.verify_theorem2(table, args.p, n, lattice=lattice),
+        ["table %s: N=%d, M=%d p-regular classes" % (table.name, table.N, lattice.M)],
+        lambda n: every_degree or wreath.generator_exchange_check(table, lattice, n))
 
 
 def cmd_examples(args):
@@ -336,10 +333,6 @@ def build_parser():
                                 "(trivial, c2, c3, s3, c4)")
             p.add_argument("--force", action="store_true",
                            help="override the size guardrail")
-            p.add_argument("--guard-limit", type=positive_int,
-                           default=DEFAULT_GUARD_LIMIT,
-                           help="largest multipartition index count accepted "
-                                "without --force (default %d)" % DEFAULT_GUARD_LIMIT)
 
     sym = sub.add_parser("sym", help="symmetric group ring").add_subparsers(
         dest="subcommand", required=True)

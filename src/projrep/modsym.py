@@ -14,7 +14,7 @@ from itertools import islice
 from operator import floordiv
 
 from .exactlin import IntMatrix, cyclotomic_polynomial, integer_kernel, is_unit_echelon
-from .partitions import Partition, multipartitions, partitions
+from .partitions import Partition, count_multipartitions, partitions
 from .series import y_explicit
 from .symfunc import SymElement, X, class_values, schur_in_x
 # unused here, but perfbench/layers.py patches these modsym names
@@ -31,15 +31,29 @@ from .series import y_monomial  # noqa: F401
 FIELD = 16
 
 
-def _packed_key(index):
-    """The monomial index, a MultiPartition of N families, as one int: field
-    (v - 1) * N + j, FIELD bits wide, holds the multiplicity of the part v in
-    component j (the CycleWeight labels, from 0).  The index of a product of
-    monomials is the multiset union of theirs (x_lambda x_mu =
-    x_(lambda u mu), Macdonald I.2), so its key is the sum of their keys."""
-    ncomp = len(index)
-    return sum(1 << FIELD * ((v - 1) * ncomp + j)
-               for j, lam in enumerate(index.components) for v in lam.parts)
+def part_key(ncomp, j, v):
+    """The key of the part v in component j of ncomp.  The key of a
+    multipartition is the sum of its parts' keys: field (v - 1) * ncomp + j,
+    FIELD bits wide, holds the multiplicity of v in component j.  So the key
+    of a product of monomials, whose index is the multiset union of theirs
+    (x_lambda x_mu = x_(lambda u mu), Macdonald I.2), is the sum of theirs."""
+    return 1 << FIELD * ((v - 1) * ncomp + j)
+
+
+def lowest_part(key, ncomp):
+    """(j, v) of the lowest nonzero field of a nonzero key over ncomp
+    components: its smallest part v, in its first component j holding v."""
+    field = ((key & -key).bit_length() - 1) // FIELD
+    return field % ncomp, field // ncomp + 1
+
+
+def key_fields(key, ncomp):
+    """The multiplicities a key over ncomp components holds, per component:
+    [j][v - 1] is the multiplicity of the part v in component j, up to the
+    largest part of the key."""
+    low = (1 << FIELD) - 1
+    fields = [key >> FIELD * f & low for f in range(-(-key.bit_length() // FIELD))]
+    return [fields[j::ncomp] for j in range(ncomp)]
 
 
 def check_packable(n, width=1):
@@ -72,7 +86,7 @@ def _scaled_product(scale, a, b, out=None):
 
 @lru_cache(maxsize=None)
 def _partition_keys(ncomp, p, size):
-    """The keys (see _packed_key) of the partitions of size, parts prime to p
+    """The keys (see part_key) of the partitions of size, parts prime to p
     unless p is None, in component 0 of ncomp and partitions order, and for
     each cap the index of the first with no part above cap: those with first
     part v extend the tail of the list of size - v from the index of cap v."""
@@ -83,17 +97,17 @@ def _partition_keys(ncomp, p, size):
         starts[v] = len(keys)
         if p is None or v % p:
             low, low_starts = _partition_keys(ncomp, p, size - v)
-            unit = 1 << FIELD * (v - 1) * ncomp
+            unit = part_key(ncomp, 0, v)
             keys += [unit + key for key in islice(low, low_starts[min(v, size - v)], None)]
     starts[0] = len(keys)
     return tuple(keys), tuple(starts)
 
 
 def multipartition_keys(ncomp, n, p=None):
-    """The _packed_key of each of multipartitions(ncomp, n, part_filter) in
-    that order, as a tuple, part_filter keeping the parts prime to p (all if
-    p is None), building no MultiPartition: component j's keys are component
-    0's shifted, and component 0's are _partition_keys' own ints."""
+    """The key (see part_key) of each of multipartitions(ncomp, n) with parts
+    prime to p (all if p is None), in that order, as a tuple, building no
+    MultiPartition: component j's keys are component 0's shifted, and
+    component 0's are _partition_keys' own ints."""
     def component(j, size):
         keys = _partition_keys(ncomp, p, size)[0]
         return keys if not j else [key << FIELD * j for key in keys]
@@ -127,7 +141,7 @@ def monomial_matrix(generator, nfamilies, ncomp, p, n, lower):
     rows and columns enumerated as their keys (multipartition_keys).
 
     lower(d) is this matrix in degree d < n.  A row is the generator of its
-    lowest field (its smallest part, the generator with the fewest terms)
+    lowest_part (its smallest part, the generator with the fewest terms)
     times the row of the rest, read from lower at its degree.  The lower
     degrees are asked for in ascending order, so a cold lower builds each
     from those below it.  A degree whose multiplicities could overflow a
@@ -140,13 +154,12 @@ def monomial_matrix(generator, nfamilies, ncomp, p, n, lower):
     positions = {key: i for i, key in enumerate(columns)}
     rows = []
     for key in row_index:
-        field = ((key & -key).bit_length() - 1) // FIELD
-        v = field // nfamilies + 1
+        j, v = lowest_part(key, nfamilies)
         sparse, index, keys = below[n - v]
-        rest_columns, rest_values = sparse[index[key - (1 << FIELD * field)]]
+        rest_columns, rest_values = sparse[index[key - part_key(nfamilies, j, v)]]
         product = {}
         get = product.get
-        for gkey, g in generator(field % nfamilies, v).items():
+        for gkey, g in generator(j, v).items():
             for rkey, x in zip(map(keys.__getitem__, rest_columns), rest_values):
                 at = gkey + rkey
                 product[at] = get(at, 0) + g * x
@@ -166,10 +179,10 @@ values[c] holds the integer power-basis coordinates of psi(C_c) over
 Z[zeta_conductor], and element_orders[c] the order of the elements of C_c.
 A class of G wr S_n is a multiset of cycles, each with a length r and the
 class C_c of its cycle product, labelled r * N + c, N the number of classes
-of G.  The key of a class is one int (_class_key): _packed_key of the
-multipartition nu of its cycle lengths nu[c] through C_c, which holds the
-multiplicity of the label r * N + c in field (r - 1) * N + c, one field up
-if phi(m) > 1.  S_n is the case G = 1: SYM_WEIGHT, one class and psi = 1.
+of G.  The key of a class is the key (see part_key) of the multipartition
+nu of its cycle lengths nu[c] through C_c, over N components, which holds
+the multiplicity of the label r * N + c in field (r - 1) * N + c, one field
+up if phi(m) > 1.  S_n is the case G = 1: SYM_WEIGHT, one class and psi = 1.
 
 Packed, f of degree n is {key of mu + s: F} on its nonzero F = (zeta_m^s
 part of f(mu)) * n! / aut(mu), aut(mu) the product of the m_l(mu)! over the
@@ -258,18 +271,17 @@ def _singular_mask(weight, p, n):
 
 
 @lru_cache(maxsize=None)
-def _vanishes_on_singular(weight, p, n):
-    mask = _singular_mask(weight, p, n)
-    return not any(key & mask for key in generator_values(weight, p, n))
-
-
 def generators_vanish(weight, p, n):
     """Check (a') of the structural certificate: every generator y_k, k <= n,
     vanishes on the p-singular classes (those with a cycle of length divisible
     by p, or in a p-singular class of G), refusing first what check_packable
-    refuses."""
+    refuses; one new degree per call, checked after degree n - 1."""
     check_packable(n, len(weight.values[0]))
-    return all(_vanishes_on_singular(weight, p, k) for k in range(1, n + 1))
+    if not n:
+        return True
+    mask = _singular_mask(weight, p, n)
+    return (generators_vanish(weight, p, n - 1)
+            and not any(key & mask for key in generator_values(weight, p, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,63 +293,52 @@ def generators_vanish(weight, p, n):
 SYM_CHARACTERS = (SYM_WEIGHT,)
 
 
-def _class_key(nu, width):
-    """The packed key (see CycleWeight) of the class of G wr S_n with cycle
-    lengths nu[c] through the class C_c of G, nu a multipartition."""
-    return _packed_key(nu) << FIELD * (width > 1)
-
-
-def singular_classes(characters, p, n):
-    """The p-singular classes of G wr S_n as multipartitions nu (see
-    _class_key), in multipartitions(N, n) order, for the N characters of G."""
-    width = len(characters[0].values[0])
-    mask = _singular_mask(characters[0], p, n)
-    return [nu for nu in multipartitions(len(characters), n) if _class_key(nu, width) & mask]
-
-
 def monomial_values(characters, n, p=None):
-    """For each rho in multipartitions(N, n) order, the values of the
+    """For each rho in multipartition_keys(N, n) order, the values of the
     character X_rho of G wr S_n on the p-singular classes of degree n (every
-    class if p is None), in multipartitions order: phi(m) integer coordinates
-    over Z[zeta_m] per class.  characters[j] is the CycleWeight of chi_j; for
+    class if p is None), in that order too: phi(m) integer coordinates over
+    Z[zeta_m] per class.  characters[j] is the CycleWeight of chi_j; for
     SYM_CHARACTERS, X_rho is the permutation character x_lambda, rho = (lambda,).
 
     X_rho is the induction product (Macdonald I.7, I App. B) over the parts v
-    of every rho_j of cycle_products(chi_j, v); the products below degree n
-    are memoised for this call.  check_packable runs before any product."""
+    of every rho_j of cycle_products(chi_j, v): the lowest_part's times the
+    rest's, the products below degree n memoised for this call.
+    check_packable runs before any product."""
     ncls, width = len(characters), len(characters[0].values[0])
     check_packable(n, width)
-    classes = multipartitions(ncls, n) if p is None else singular_classes(characters, p, n)
+    if p is not None:
+        mask = _singular_mask(characters[0], p, n)
     keys, scales = [], []
-    for nu in classes:
-        keys += (_class_key(nu, width) + t for t in range(width))
-        scales += [factorial(n) // prod(factorial(m) for lam in nu
-                                        for m in lam.multiplicities().values())] * width
+    for nu in multipartition_keys(ncls, n):
+        key = nu << FIELD * (width > 1)
+        if p is None or key & mask:
+            keys += range(key, key + width)
+            scales += [factorial(n) // prod(factorial(m) for fields in key_fields(nu, ncls)
+                                            for m in fields)] * width
     zeros = [0] * len(keys)
-    memo = {(): (0, {0: 1})}
+    memo = {0: {0: 1}}
 
-    def product(factors):
-        known = memo.get(factors)
+    def product(rho, degree):
+        known = memo.get(rho)
         if known is None:
-            (j, v), (degree, rest) = factors[0], product(factors[1:])
-            known = degree + v, _reduced(_scaled_product(
-                comb(degree + v, v), cycle_products(characters[j], v), rest),
-                characters[0].conductor)
-            if known[0] < n:
-                memo[factors] = known
+            j, v = lowest_part(rho, ncls)
+            known = _reduced(_scaled_product(
+                comb(degree, v), cycle_products(characters[j], v),
+                product(rho - part_key(ncls, j, v), degree - v)), characters[0].conductor)
+            if degree < n:
+                memo[rho] = known
         return known
 
-    for rho in multipartitions(ncls, n):
-        values = product(tuple((j, v) for j, lam in enumerate(rho) for v in reversed(lam.parts)))
-        yield tuple(map(floordiv, map(values[1].get, keys, zeros), scales))
+    for rho in multipartition_keys(ncls, n):
+        yield tuple(map(floordiv, map(product(rho, n).get, keys, zeros), scales))
 
 
 @lru_cache(maxsize=None)
 def x_class_value_matrix(n):
     """Integer class values of the x-monomial basis: entry [i][j] is the value
     of x_{lambda_i} on class mu_j, both indexed by partitions(n); the
-    monomial_values of SYM_CHARACTERS, whose multipartitions(1, n) are
-    partitions(n) in order."""
+    monomial_values of SYM_CHARACTERS, whose multipartitions over one
+    component are partitions(n) in order."""
     return tuple(monomial_values(SYM_CHARACTERS, n))
 
 
@@ -346,7 +347,7 @@ def singular_constraints(characters, p, n):
     are the vanishing lattice: the nonzero coordinate rows of monomial_values
     on the p-singular classes, in order.  Degree 1 is the lattice of G."""
     return IntMatrix._trusted([row for row in zip(*monomial_values(characters, n, p))
-                               if any(row)], len(multipartitions(len(characters), n)))
+                               if any(row)], count_multipartitions(len(characters), n))
 
 
 class VerificationReport(namedtuple(

@@ -190,20 +190,17 @@ def count_multipartitions(k, n, part_filter=None):
     return total[n]
 
 
-def multipartitions(k, n, part_filter=None, component_filter=None):
+def multipartitions(k, n, part_filter=None):
     """All MultiPartitions of total size n over k components, deterministically ordered.
 
     The order is: size of the first component descending, then the first
     component in decreasing lex, then recursively on the rest.  part_filter
-    restricts the allowed part values; a component whose index fails
-    component_filter is forced empty.
+    restricts the allowed part values.
     """
     if k == 0:
         return (MultiPartition._trusted(()),) if n == 0 else ()
 
-    def component_choices(idx, size):
-        if component_filter is not None and not component_filter(idx):
-            return (EMPTY,) if size == 0 else ()
+    def component_choices(size):
         if part_filter is None:
             return partitions(size)
         return tuple(lam for lam in partitions(size)
@@ -213,11 +210,11 @@ def multipartitions(k, n, part_filter=None, component_filter=None):
 
     def descend(idx, remaining, prefix):
         if idx == k - 1:
-            for lam in component_choices(idx, remaining):
+            for lam in component_choices(remaining):
                 out.append(MultiPartition._trusted(prefix + (lam,)))
             return
         for s in range(remaining, -1, -1):
-            choices = component_choices(idx, s)
+            choices = component_choices(s)
             if not choices:
                 continue
             for lam in choices:

@@ -151,12 +151,9 @@ def quotient_y(series, p):
 # the generators of the p-regular subring
 
 
-def x_generator_series(order, basis=symfunc.X):
-    """sum_n x_n t^n (converted to the requested basis) up to the given order."""
-    gens = [SymElement.generator(symfunc.X, i) for i in range(order + 1)]
-    if basis == symfunc.C:
-        gens = [symfunc.x_to_c(g) for g in gens]
-    return GradedSeries(gens)
+def x_generator_series(order):
+    """sum_n x_n t^n up to the given order."""
+    return GradedSeries([SymElement.generator(symfunc.X, i) for i in range(order + 1)])
 
 
 def power_coefficient(e, lam):
@@ -185,9 +182,9 @@ def y_explicit(n, p):
         for h in range(n % p, n + 1, p) if h % p for nu in partitions((n - h) // p)})
 
 
-def y_from_quotient(max_degree, p, basis=symfunc.X):
+def y_from_quotient(max_degree, p):
     """Generators via the series quotient: coefficients 0..max_degree of Y."""
-    return quotient_y(x_generator_series(max_degree, basis), p)
+    return quotient_y(x_generator_series(max_degree), p)
 
 
 @lru_cache(maxsize=None)

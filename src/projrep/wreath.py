@@ -17,9 +17,9 @@ from .exactlin import (Cyclotomic, euler_phi, hnf_basis, integer_kernel,
                        is_unimodular, unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
-from .modsym import (FIELD, CycleWeight, VerificationReport, _key_product, check_packable,
-                     generators_vanish, monomial_matrix, monomial_values,
-                     singular_constraints)
+from .modsym import (CycleWeight, VerificationReport, _key_product, check_packable,
+                     generators_vanish, key_fields, monomial_matrix, monomial_values,
+                     part_key, singular_constraints)
 from .partitions import EMPTY, MultiPartition, Partition, count_multipartitions, parts_at_most
 from .series import GradedSeries, exp, int_power, power_coefficient, quotient_y, y_explicit
 from .symfunc import GradedElement
@@ -348,7 +348,7 @@ def _power_form(e, j, ncomp, size):
     """Degree size of H_j^e, H_j = sum_i Phi_j(x_i) t^i, packed in component j
     of ncomp: rho_j has the coefficient power_coefficient(e, rho_j), built only
     where nonzero, with at most e parts if e >= 0, as (e)_l = 0 for 0 <= e < l."""
-    return {sum(1 << FIELD * ((v - 1) * ncomp + j) for v in parts):
+    return {sum(part_key(ncomp, j, v) for v in parts):
             power_coefficient(e, Partition._trusted(parts))
             for parts in parts_at_most(size, size if e < 0 else e, size)}
 
@@ -398,17 +398,15 @@ def _power_rule(x, exponents):
     """True iff x = X_{k,0..n}, packed, satisfies for every j the degree-n
     part of H_j D_j X_k = e_j X_k D H_j, sum_i Phi_j(x_i) (D_j - e_j i)
     X_{k,n-i} = 0, D_j multiplying the Phi monomial rho by |rho_j|, read
-    from its key (field (v - 1) * N + j holds the multiplicity of v in
-    rho_j), as X_k = prod_j H_j^{e_j} does.  Its term i = 0 is D_j X_{k,n},
+    from its key_fields, as X_k = prod_j H_j^{e_j} does.  Its term i = 0 is D_j X_{k,n},
     so with X_{k,0} = 1 the rule for every j fixes X_{k,n} from the lower
     degrees, with no power_coefficient."""
-    ncomp, low, total = len(exponents), (1 << FIELD) - 1, {}
+    ncomp, total = len(exponents), {}
     for i, lower in enumerate(reversed(x)):
         for rho, c in lower.items():
-            fields = [rho >> FIELD * f & low for f in range(-(-rho.bit_length() // FIELD))]
-            for j, e in enumerate(exponents):
-                size = sum(v * m for v, m in enumerate(fields[j::ncomp], 1))
-                at = j, rho + (1 << FIELD * ((i - 1) * ncomp + j) if i else 0)
+            for j, (e, fields) in enumerate(zip(exponents, key_fields(rho, ncomp))):
+                size = sum(v * m for v, m in enumerate(fields, 1))
+                at = j, rho + (part_key(ncomp, j, i) if i else 0)
                 total[at] = total.get(at, 0) + c * (size - e * i)
     return not any(total.values())
 
@@ -488,9 +486,8 @@ def generator_exchange_check(table, lattice, n):
     is nothing to check."""
     if not is_unimodular(lattice.phi):
         return False
-    ncomp = table.N
     return all(_linked(row, lattice.p, n) and all(
-        xk_closed_form(row, i).get(1 << FIELD * ((i - 1) * ncomp + j), 0) == e
+        xk_closed_form(row, i).get(part_key(table.N, j, i), 0) == e
         for i in range(1, n + 1) for j, e in enumerate(row))
         for row in lattice.phi.rows[:lattice.M])
 

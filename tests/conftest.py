@@ -6,7 +6,7 @@ from operator import add
 import pytest
 
 from projrep.exactlin import IntMatrix, hnf_basis, is_unimodular
-from projrep.modsym import _packed_key, monomial_matrix
+from projrep.modsym import FIELD, monomial_matrix
 from projrep.partitions import MultiPartition, multipartitions, z
 from projrep.wreath import load_table, xk_series
 
@@ -23,11 +23,20 @@ def sparse_built(rows, ncols):
          for row in rows], ncols)
 
 
+def packed_key(index):
+    """The key of a MultiPartition index of N components, built from its
+    parts: field (v - 1) * N + j, FIELD bits wide, holds the multiplicity of
+    the part v in component j.  The oracle of modsym's key enumeration."""
+    ncomp = len(index)
+    return sum(1 << FIELD * ((v - 1) * ncomp + j)
+               for j, lam in enumerate(index.components) for v in lam.parts)
+
+
 def packed(element):
     """{packed key: coefficient} of a SymElement or WreathElement, the form
     of the engine's closed forms and monomial_matrix's generators: a
     partition index is the multipartition with that one component."""
-    return {_packed_key(index if isinstance(index, MultiPartition) else MultiPartition((index,))):
+    return {packed_key(index if isinstance(index, MultiPartition) else MultiPartition((index,))):
             coeff for index, coeff in element.coeffs.items()}
 
 

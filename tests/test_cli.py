@@ -243,9 +243,11 @@ CONSTRUCTION_PROBE = """
 import contextlib, fractions, io, sys
 sys.path.insert(0, %r)
 from projrep import cli
+from projrep.partitions import MultiPartition
 from projrep.wreath import WreathElement
 built = []
 new, init = fractions.Fraction.__new__, WreathElement.__init__
+mp_init, mp_trusted = MultiPartition.__init__, MultiPartition._trusted.__func__
 
 def counted_new(cls, *args, **kwargs):
     built.append("Fraction")
@@ -255,8 +257,18 @@ def counted_init(self, *args, **kwargs):
     built.append("WreathElement")
     return init(self, *args, **kwargs)
 
+def counted_mp_init(self, *args, **kwargs):
+    built.append("MultiPartition")
+    return mp_init(self, *args, **kwargs)
+
+def counted_mp_trusted(cls, *args, **kwargs):
+    built.append("MultiPartition")
+    return mp_trusted(cls, *args, **kwargs)
+
 fractions.Fraction.__new__ = counted_new
 WreathElement.__init__ = counted_init
+MultiPartition.__init__ = counted_mp_init
+MultiPartition._trusted = classmethod(counted_mp_trusted)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(code, sorted(set(built)), len(built) > 0)
@@ -279,8 +291,9 @@ def constructions(*argv):
     ("wreath", "verify", "--table", "trivial", "--p", "2", "--max-degree", "5")],
     ids=" ".join)
 def test_the_verify_commands_build_no_fraction_and_no_wreath_element(argv):
-    # a table loads in int coordinates, and the exchange check reads the
-    # certified closed forms, not the series of WreathElements
+    # a table loads in int coordinates, the exchange check reads the
+    # certified closed forms, not the series of WreathElements, and every
+    # monomial and class index, the lattice of G's too, is a packed key
     assert constructions(*argv, "--format", "json") == "0 [] False\n"
 
 
@@ -310,7 +323,7 @@ def test_importing_the_cli_loads_no_hashlib():
 def test_the_construction_probe_counts():
     assert constructions("examples") == "0 ['Fraction'] True\n"
     assert constructions("wreath", "generators", "--table", "c2", "--p", "2",
-                         "--max-degree", "2") == "0 ['WreathElement'] True\n"
+                         "--max-degree", "2") == "0 ['MultiPartition', 'WreathElement'] True\n"
 
 
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
@@ -353,13 +366,14 @@ def test_missing_table_exits_2(capsys):
     assert "table error" in err
 
 
-def test_guardrail_refuses_then_force(capsys):
+def test_guardrail_refuses_then_force(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GUARD_LIMIT", 1)
     code, _, err = run(capsys, "wreath", "verify", "--table", "c2", "--p", "2",
-                       "--max-degree", "3", "--guard-limit", "1")
+                       "--max-degree", "3")
     assert code == 2
-    assert "refusing" in err
+    assert "refusing" in err and "(limit 1)" in err
     code, out, _ = run(capsys, "wreath", "verify", "--table", "c2", "--p", "2",
-                       "--max-degree", "3", "--guard-limit", "1", "--force")
+                       "--max-degree", "3", "--force")
     assert code == 0
     assert "VERIFIED" in out
 

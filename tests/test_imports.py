@@ -124,3 +124,10 @@ def test_the_command_line_does_not_import_dataclasses():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                             text=True, check=True)
     assert result.stdout == "False\n"
+
+
+def test_only_modsym_knows_the_key_layout():
+    # the field width of a packed key is modsym's: the other modules build
+    # and read keys through its helpers
+    assert [path.stem for path in MODULES
+            if path.stem != "modsym" and "FIELD" in path.read_text()] == []

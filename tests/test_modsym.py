@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import in_lattice
+from conftest import in_lattice, packed_key
 from projrep import cli, modsym, series, wreath
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import (FIELD, SYM_CHARACTERS, _packed_key, check_packable, monomial_matrix,
-                            multipartition_keys, singular_constraints, worked_examples_check,
-                            verify_theorem1, x_class_value_matrix)
+from projrep.modsym import (FIELD, SYM_CHARACTERS, check_packable, key_fields, lowest_part,
+                            monomial_matrix, multipartition_keys, part_key,
+                            singular_constraints, worked_examples_check, verify_theorem1,
+                            x_class_value_matrix)
 from projrep.partitions import Partition, multipartitions, p_regular_partitions, partitions
 from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
 
@@ -90,7 +91,7 @@ def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
 
 def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(monkeypatch):
     check_packable((1 << FIELD) - 1)
-    for owner, name in ((modsym, "multipartitions"), (modsym, "_partition_keys"),
+    for owner, name in ((modsym, "multipartition_keys"), (modsym, "_partition_keys"),
                         (modsym, "_degree_keys"), (wreath, "_power_product"),
                         (wreath, "_x_monomial"), (wreath, "y_explicit"),
                         (wreath, "_key_product")):
@@ -115,10 +116,24 @@ def test_the_key_enumeration_is_the_multipartitions_order(p):
     for k in range(1, 5):
         for n in range(9):
             assert multipartition_keys(k, n, p) == tuple(
-                _packed_key(mp) for mp in multipartitions(k, n, part_filter)), (k, n)
+                packed_key(mp) for mp in multipartitions(k, n, part_filter)), (k, n)
     # component 0 is the cached keys themselves, not copies
     assert all(multipartition_keys(1, n, p) is modsym._partition_keys(1, p, n)[0]
                for n in range(9))
+
+
+def test_the_key_helpers_read_back_the_parts():
+    # part_key, lowest_part and key_fields against the oracle's layout
+    for k in range(1, 4):
+        for n in range(1, 7):
+            for mp in multipartitions(k, n):
+                key = packed_key(mp)
+                assert key == sum(part_key(k, j, v) for j, lam in enumerate(mp) for v in lam)
+                assert [[lam.multiplicities().get(v, 0) for v in range(1, len(fields) + 1)]
+                        for lam, fields in zip(mp, key_fields(key, k))] == key_fields(key, k)
+                assert max(map(len, key_fields(key, k))) == max(max(lam, default=0) for lam in mp)
+                v = min(min(lam, default=n + 1) for lam in mp)
+                assert lowest_part(key, k) == (min(j for j, lam in enumerate(mp) if v in lam), v)
 
 
 def test_y_monomial_rows_lie_in_lattice():

@@ -78,12 +78,6 @@ def test_multipartitions_examples():
     assert odd == [((1, 1), ()), ((1,), (1,)), ((), (1, 1))]
 
 
-def test_multipartitions_component_filter():
-    # components failing the filter stay empty
-    mps = multipartitions(2, 2, component_filter=lambda idx: idx == 0)
-    assert [tuple(c.parts for c in mp) for mp in mps] == [((2,), ()), ((1, 1), ())]
-
-
 def test_multipartitions_are_unique_and_sized():
     for k in (1, 2, 3):
         for n in range(6):

@@ -282,7 +282,7 @@ def test_y_vanishes_at_multiples_of_p():
 def test_y_c_expansion_is_p_regular():
     # the quotient coefficients are polynomials in the c_i with i coprime to p
     for p in (2, 3, 5):
-        series = y_from_quotient(12, p, basis=C)
+        series = quotient_y(GradedSeries(list(map(x_to_c, x_generator_series(12).coeffs))), p)
         for n in range(1, 13):
             for lam in series[n].coeffs:
                 assert lam.is_p_regular(p)
@@ -299,9 +299,3 @@ def test_y_minus_x_is_p_singular():
                 for mu in difference.coeffs:
                     assert not mu.is_p_regular(p)
 
-
-def test_x_generator_series_bases_agree():
-    xs = x_generator_series(6, X)
-    cs = x_generator_series(6, C)
-    for n in range(7):
-        assert x_to_c(xs[n]) == cs[n]

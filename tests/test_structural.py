@@ -14,7 +14,7 @@ from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
 from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, _key_product,
                             _label_shift, _reduced, _singular_mask, check_packable,
                             cycle_products, generator_values, generators_vanish,
-                            is_p_singular, monomial_values, singular_classes,
+                            is_p_singular, monomial_values,
                             singular_constraints, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
 from projrep.series import GradedSeries, x_generator_series, y_explicit, y_from_quotient
@@ -23,7 +23,8 @@ from projrep.wreath import (PHI, ELatticeBasis, WreathElement, cycle_weight, e_l
                             load_table, verify_theorem2, xi_from_phi, xk_closed_form,
                             xk_series, yk_closed_form, yk_generators)
 
-from conftest import centralizer_order, packed, satisfies_quotient, singular_indices, table_path
+from conftest import (centralizer_order, packed, packed_key, satisfies_quotient,
+                      singular_indices, table_path)
 
 TABLES = ("trivial", "c2", "c3", "c4", "s3")
 
@@ -170,11 +171,19 @@ def test_monomial_values_are_the_scaled_xi_coefficients_on_every_class(name):
 
 
 @pytest.mark.parametrize("name", TABLES)
-def test_singular_classes_are_the_singular_indices(name):
+def test_the_singular_values_are_the_values_at_the_singular_indices(name):
+    # the classes monomial_values picks by the singular mask of their keys
+    # are the p-singular multipartitions, read off their parts
     table = bundled(name)
-    for p in (2, 3, 5):
-        for n in range(7):
-            assert singular_classes(table.characters, p, n) == singular_indices(table, p, n)
+    width = len(table.characters[0].values[0])
+    for n in range(6):
+        index = multipartitions(table.N, n)
+        every = list(monomial_values(table.characters, n))
+        for p in (2, 3, 5):
+            at = [index.index(nu) for nu in singular_indices(table, p, n)]
+            assert list(monomial_values(table.characters, n, p)) == [
+                tuple(v for i in at for v in column[i * width:(i + 1) * width])
+                for column in every], (p, n)
 
 
 cyclotomic_coords = st.sampled_from((1, 3, 4, 5, 8, 12)).flatmap(lambda m: st.tuples(
@@ -214,7 +223,7 @@ def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatc
     check_packable(1, 1 << FIELD - 1)
     wide = CycleWeight(((0,) * ((1 << FIELD - 1) + 1),), (1,), 1)
     monkeypatch.setattr(modsym, "_key_product", lambda *args: 1 / 0)
-    monkeypatch.setattr(modsym, "_vanishes_on_singular", lambda *args: 1 / 0)
+    monkeypatch.setattr(modsym, "generator_values", lambda *args: 1 / 0)
     for build in (lambda: check_packable(1, len(wide.values[0])),
                   lambda: cycle_products(wide, 1), lambda: generator_values(wide, 2, 1),
                   lambda: generators_vanish(wide, 2, 1)):
@@ -229,7 +238,7 @@ def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatc
 
 def test_a_monomial_degree_that_could_overflow_is_refused_before_any_product(monkeypatch):
     monkeypatch.setattr(modsym, "_key_product", lambda *args: 1 / 0)
-    monkeypatch.setattr(modsym, "multipartitions", lambda *args: 1 / 0)
+    monkeypatch.setattr(modsym, "multipartition_keys", lambda *args: 1 / 0)
     for build in (lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD)),
                   lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD, 2)),
                   lambda: singular_constraints(SYM_CHARACTERS, 2, 1 << FIELD),
@@ -255,7 +264,7 @@ def test_generators_vanish_and_the_check_can_fail(c2_table):
 def unpacked(terms, ncomp, degree):
     """The Phi-basis WreathElement of degree-degree terms held as {packed key:
     coefficient}, each key read off the multipartitions it packs."""
-    index = {modsym._packed_key(mp): mp for mp in multipartitions(ncomp, degree)}
+    index = {packed_key(mp): mp for mp in multipartitions(ncomp, degree)}
     return WreathElement(PHI, degree, ncomp, {index[key]: c for key, c in terms.items()})
 
 

@@ -636,9 +636,8 @@ def test_dimension_consistency(c2_table, s3_table, c4_table):
     for table, p, n in cases:
         lattice = e_lattice(table, p)
         monomial_count = len(multipartitions(lattice.M, n, part_filter=lambda v: v % p != 0))
-        regular = len(multipartitions(
-            table.N, n, part_filter=lambda v: v % p != 0,
-            component_filter=lambda idx: table.classes[idx].element_order % p))
+        regular = len(multipartitions(len(p_regular_classes(table, p)), n,
+                                      part_filter=lambda v: v % p != 0))
         counted = count_multipartitions(lattice.M, n, lambda v: v % p != 0)
         report = verify_theorem2(table, p, n, lattice=lattice)
         assert monomial_count == regular == counted == report.expected_rank == report.rank
