@@ -9,7 +9,6 @@ bug in projrep, not a counterexample).
 import argparse
 import json
 import sys
-from importlib import resources
 from math import isqrt
 
 from . import modsym, series, wreath
@@ -43,10 +42,12 @@ def positive_int(text):
 
 
 def resolve_table(spec):
-    """A --table value is a file path or the name of a bundled fixture."""
+    """A --table value is a file path or the name of a bundled fixture; only
+    a name needs importlib.resources, whose import slows start-up."""
     try:
         return wreath.load_table(spec)
     except wreath.TableError as err:
+        from importlib import resources
         bundled = resources.files("projrep") / "tables" / ("%s.json" % spec.lower())
         if bundled.is_file():
             return wreath.load_table(str(bundled))
@@ -236,8 +237,9 @@ def verify_degrees(args, payload, theorem, scope, verify, head=(), exchange=None
 
 
 def cmd_sym_verify(args):
+    run = modsym.Run(modsym.SYM_CHARACTERS, ((1,),), args.p)
     return verify_degrees(args, {"command": "sym-verify"}, "theorem 1", "p=%d" % args.p,
-                          lambda n: modsym.verify_theorem1(n, args.p))
+                          lambda n: modsym.verify_theorem1(n, args.p, run))
 
 
 def cmd_sym_chartable(args):
@@ -292,14 +294,15 @@ def cmd_wreath_verify(args):
     if not guardrail(args, table):
         return 2
     lattice = wreath.e_lattice(table, args.p)
+    run = wreath.lattice_run(table, lattice)
     # degree n's check reads degrees 1..n: if the top one passes, all do
-    every_degree = wreath.generator_exchange_check(table, lattice, args.max_degree)
+    every_degree = wreath.generator_exchange_check(table, lattice, args.max_degree, run)
     return verify_degrees(
         args, {"command": "wreath-verify", "table": table.name},
         "theorem 2", "%s, p=%d" % (table.name, args.p),
-        lambda n: wreath.verify_theorem2(table, args.p, n, lattice=lattice),
+        lambda n: wreath.verify_theorem2(table, args.p, n, run=run),
         ["table %s: N=%d, M=%d p-regular classes" % (table.name, table.N, lattice.M)],
-        lambda n: every_degree or wreath.generator_exchange_check(table, lattice, n))
+        lambda n: every_degree or wreath.generator_exchange_check(table, lattice, n, run))
 
 
 def cmd_examples(args):

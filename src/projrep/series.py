@@ -165,7 +165,6 @@ def power_coefficient(e, lam):
             // prod(map(factorial, lam.multiplicities().values())))
 
 
-@lru_cache(maxsize=None)
 def y_explicit(n, p):
     """Degree-n generator in closed form.  With S the part of H in degrees
     divisible by p, 1 + Y = H / S, so Y = (H - S) / S, and 1 / S is H^{-1}

@@ -1,12 +1,11 @@
-"""Wreath-product engine: character-table ingestion, the graded algebra of the
+"""Wreath products: character-table ingestion, the graded algebra of the
 wreath products G wr S_n in the xi- and Phi-monomial bases, the vanishing
 lattice of G (degree 1 of the wreath lattice) with unimodular completion,
-the X_k/Y_k generator series, and the one per-degree verification engine,
-which also runs S_n as the case G = 1.  The class values and the
-constraint matrix of the fallback come from modsym."""
+the X_k/Y_k generator series, and theorem 2, verified degree by degree in a
+modsym.Run of the table's characters and the lattice rows (lattice_run),
+with the generator exchange check read off that run's closed forms."""
 
 import json
-import time
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -17,11 +16,9 @@ from .exactlin import (Cyclotomic, euler_phi, hnf_basis, integer_kernel,
                        is_unimodular, unimodular_complete)
 # unused here, but perfbench/layers.py patches wreath.rational_kernel by name
 from .exactlin import rational_kernel  # noqa: F401
-from .modsym import (CycleWeight, VerificationReport, _key_product, check_packable,
-                     generators_vanish, key_fields, monomial_matrix, monomial_values,
-                     part_key, singular_constraints)
-from .partitions import EMPTY, MultiPartition, Partition, count_multipartitions, parts_at_most
-from .series import GradedSeries, exp, int_power, power_coefficient, quotient_y, y_explicit
+from .modsym import CycleWeight, Run, check_packable, part_key, singular_constraints
+from .partitions import EMPTY, MultiPartition, Partition
+from .series import GradedSeries, exp, int_power, quotient_y
 from .symfunc import GradedElement
 
 XI = "xi"
@@ -332,195 +329,35 @@ def yk_generators(table, lattice, k, order):
 # per-degree verification
 
 
-@lru_cache(maxsize=None)
-def cycle_weight(characters, exponents):
-    """psi_k = sum_j e_j chi_j for the row e = phi_k, as a CycleWeight: X_{k,n}
-    is prod psi_k(C) over the cycles of a class.  (SYM_CHARACTERS, (1,)) gives SYM_WEIGHT."""
-    first = characters[0]
-    values = tuple(tuple(sum(e * chi.values[c][t] for e, chi in zip(exponents, characters))
-                         for t in range(len(first.values[0])))
-                   for c in range(len(first.values)))
-    return CycleWeight(values, first.element_orders, first.conductor)
+def lattice_run(table, lattice):
+    """The modsym.Run of the table's characters and lattice rows phi_k, k <= M."""
+    return Run(table.characters, lattice.phi.rows[:lattice.M], lattice.p)
 
 
-@lru_cache(maxsize=None)
-def _power_form(e, j, ncomp, size):
-    """Degree size of H_j^e, H_j = sum_i Phi_j(x_i) t^i, packed in component j
-    of ncomp: rho_j has the coefficient power_coefficient(e, rho_j), built only
-    where nonzero, with at most e parts if e >= 0, as (e)_l = 0 for 0 <= e < l."""
-    return {sum(part_key(ncomp, j, v) for v in parts):
-            power_coefficient(e, Partition._trusted(parts))
-            for parts in parts_at_most(size, size if e < 0 else e, size)}
-
-
-@lru_cache(maxsize=None)
-def _power_product(exponents, j, n):
-    """Degree n of the product over t >= j of H_t^{e_t}, packed."""
-    ncomp = len(exponents)
-    if j == ncomp - 1:
-        return _power_form(exponents[j], j, ncomp, n)
-    out = {}
-    for s in range(n + 1):
-        _key_product(_power_form(exponents[j], j, ncomp, s),
-                     _power_product(exponents, j + 1, n - s), out)
-    return out
-
-
-def xk_closed_form(exponents, n):
-    """X_{k,n} for the row e = phi_k, k <= M, as {packed key: int}: X_k = prod_j
-    H_j^{e_j}, so rho has the coefficient prod_j power_coefficient(e_j, rho_j)."""
-    check_packable(n)
-    return _power_product(exponents, 0, n)
-
-
-@lru_cache(maxsize=None)
-def _x_monomial(exponents, parts):
-    """x_parts with each x_i replaced by X_{k,i}, packed: one product per new call."""
-    first = xk_closed_form(exponents, parts[0])
-    return _key_product(first, _x_monomial(exponents, parts[1:])) if parts[1:] else first
-
-
-@lru_cache(maxsize=None)
-def yk_closed_form(exponents, p, n):
-    """y_{k,n} as {packed key: int}: y_explicit(n, p), whose coefficients must be
-    ints, with each x_i replaced by X_{k,i}, a ring map taking H to X_k, S to
-    S_k and so 1 + Y = H / S to 1 + Y_k = X_k / S_k."""
-    check_packable(n)
-    coeffs = {}
-    for lam, coeff in y_explicit(n, p).coeffs.items():
-        if type(coeff) is not int:
-            raise AssertionError("non-integral coordinate %s at %s" % (coeff, lam))
-        _key_product({0: coeff}, _x_monomial(exponents, lam.parts), coeffs)
-    return {rho: value for rho, value in coeffs.items() if value}
-
-
-def _power_rule(x, exponents):
-    """True iff x = X_{k,0..n}, packed, satisfies for every j the degree-n
-    part of H_j D_j X_k = e_j X_k D H_j, sum_i Phi_j(x_i) (D_j - e_j i)
-    X_{k,n-i} = 0, D_j multiplying the Phi monomial rho by |rho_j|, read
-    from its key_fields, as X_k = prod_j H_j^{e_j} does.  Its term i = 0 is D_j X_{k,n},
-    so with X_{k,0} = 1 the rule for every j fixes X_{k,n} from the lower
-    degrees, with no power_coefficient."""
-    ncomp, total = len(exponents), {}
-    for i, lower in enumerate(reversed(x)):
-        for rho, c in lower.items():
-            for j, (e, fields) in enumerate(zip(exponents, key_fields(rho, ncomp))):
-                size = sum(v * m for v, m in enumerate(fields, 1))
-                at = j, rho + (part_key(ncomp, j, i) if i else 0)
-                total[at] = total.get(at, 0) + c * (size - e * i)
-    return not any(total.values())
-
-
-@lru_cache(maxsize=None)
-def _linked(exponents, p, n):
-    """The closed forms are the true X_k and Y_k in every degree <= n,
-    checking one new degree per call, on packed keys: X_{k,n} by
-    _power_rule, then y_{k,n} by the degree-n part of the link X_k = S_k *
-    (1 + Y_k), X_{k,n} = sum over p | j of X_{k,j} y_{k,n-j}, y_{k,0} = 1."""
-    check_packable(n)
-    x = [xk_closed_form(exponents, i) for i in range(n + 1)]
-    if not n:
-        return x[0] == {0: 1}
-    if not (_linked(exponents, p, n - 1) and _power_rule(x, exponents)):
-        return False
-    total = {}
-    for j in range(0, n + 1, p):
-        _key_product(x[j], yk_closed_form(exponents, p, n - j) if j < n else {0: 1}, total)
-    return {rho: value for rho, value in total.items() if value} == x[n]
-
-
-@lru_cache(maxsize=None)
-def generator_monomials(rows, p, n):
-    """The coordinates of the degree-n monomials in the y_{k,v} of the rows,
-    kept for the run: each degree's rows are read from the lower degrees'."""
-    return monomial_matrix(lambda j, v: yk_closed_form(rows[j], p, v), len(rows),
-                           len(rows[0]), p, n, lambda d: generator_monomials(rows, p, d))
-
-
-def verify_degree(characters, rows, p, n):
-    """The report on degree n of G wr S_n, G given by its integer characters and
-    lattice rows phi_k, k <= M, as tuples (S_n: SYM_CHARACTERS and the row (1,))."""
-    start = time.perf_counter()
-    monomial_hnf = hnf_basis(generator_monomials(rows, p, n))
-    generators = None
-    if all(_linked(row, p, n) for row in rows):
-        generators = all(generators_vanish(cycle_weight(characters, row), p, n)
-                         for row in rows)
-    regular = sum(order % p != 0 for order in characters[0].element_orders)
-    return VerificationReport.decide(
-        n, p, lambda: singular_constraints(characters, p, n), monomial_hnf,
-        count_multipartitions(regular, n, lambda v: v % p), start, generators)
-
-
-def singular_index_rows(table, p, n):
-    """One constraint row per p-singular class nu of degree n: the values
-    X_rho(nu) of modsym.monomial_values as Cyclotomics of the table's
-    conductor, columns in multipartitions(N, n) order.  Each row is
-    Z_nu = prod over C of z(nu_C) * (|G|/|C|)^len(nu_C), the centralizer
-    order of nu, times the xi_nu coefficients of the PHI monomials, so their
-    integer solutions are the vanishing lattice; modsym.singular_constraints
-    reads them off as integer coordinates."""
-    m, width = table.conductor, len(table.characters[0].values[0])
-    rows = list(zip(*monomial_values(table.characters, n, p)))
-    return [[Cyclotomic(m, coords) for coords in zip(*rows[i:i + width])]
-            for i in range(0, len(rows), width)]
-
-
-def verify_theorem2(table, p, n, lattice=None):
+def verify_theorem2(table, p, n, lattice=None, run=None):
     """Check that the degree-n Y-monomials span exactly the lattice of integer
-    PHI combinations whose xi-expansion is supported on p-regular indices."""
-    if lattice is None:
-        lattice = e_lattice(table, p)
-    return verify_degree(table.characters, lattice.phi.rows[:lattice.M], p, n)
+    PHI combinations whose xi-expansion is supported on p-regular indices, in
+    run, a lattice_run, or else in a fresh one of lattice (or e_lattice)."""
+    if run is None:
+        run = lattice_run(table, lattice or e_lattice(table, p))
+    return run.verify(n, hnf_basis)
 
 
-def generator_exchange_check(table, lattice, n):
+def generator_exchange_check(table, lattice, n, run=None):
     """True iff, in every degree i <= n, the linear parts of the X_{k,i} in the
     Phi_j(x_i) form exactly the (unimodular) completed lattice matrix, so the
-    X's generate the same graded ring over Z.
+    X's generate the same graded ring over Z; in run, the lattice_run, or
+    else in a fresh one.
 
-    For a lattice row k <= M, _linked certifies X_{k,0..n} = xk_closed_form
-    by the power rule, and the coefficient of Phi_j(x_i) is read off the
-    closed form at its key.  A row k > M is sum_j e_j Phi_j(x_i) by the
-    definition of xk_series, so its linear part is the row itself and there
-    is nothing to check."""
+    For a lattice row k <= M, Run.linked certifies X_{k,0..n} = Run.xk by
+    the power rule, and the coefficient of Phi_j(x_i) is read off the closed
+    form at its key.  A row k > M is sum_j e_j Phi_j(x_i) by the definition
+    of xk_series, so its linear part is the row itself and there is nothing
+    to check."""
     if not is_unimodular(lattice.phi):
         return False
-    return all(_linked(row, lattice.p, n) and all(
-        xk_closed_form(row, i).get(part_key(table.N, j, i), 0) == e
-        for i in range(1, n + 1) for j, e in enumerate(row))
-        for row in lattice.phi.rows[:lattice.M])
-
-
-def xk_exp_identity_check(table, lattice, k, order):
-    """True iff X_k(t) expanded over xi equals exp(C_k(t)) with C_k supported on
-    p-regular xi generators, for a lattice row k <= M."""
-    if not 1 <= k <= lattice.M:
-        raise ValueError("k must index a lattice row (1..M)")
-    p = lattice.p
-    n_comp = table.N
-    exponents = lattice.phi.rows[k - 1]
-
-    log_coeffs = [WreathElement.zero(XI, 0, n_comp)]
-    for i in range(1, order + 1):
-        acc = WreathElement.zero(XI, i, n_comp)
-        for c_index, cls in enumerate(table.classes):
-            scalar = Cyclotomic.from_rational(0)
-            for j in range(n_comp):
-                scalar = scalar + (exponents[j]
-                                   * table.irreducibles[j].values[c_index]
-                                   * Fraction(cls.size, table.order))
-            if cls.element_order % p == 0:
-                if scalar:
-                    return False
-                continue
-            comps = [EMPTY] * n_comp
-            comps[c_index] = Partition((i,))
-            acc = acc + WreathElement(XI, i, n_comp,
-                                      {MultiPartition(comps): scalar * Fraction(1, i)})
-        log_coeffs.append(acc)
-
-    rhs = exp(GradedSeries(log_coeffs))
-    xk = xk_series(table, lattice, k, order)
-    lhs = GradedSeries([xi_from_phi(c, table) for c in xk.coeffs])
-    return lhs == rhs
+    check_packable(n)
+    run = run or lattice_run(table, lattice)
+    return all(run.linked(k, n) and all(run.xk(k, i).get(part_key(table.N, j, i), 0) == e
+                                        for i in range(1, n + 1) for j, e in enumerate(row))
+               for k, row in enumerate(run.rows))

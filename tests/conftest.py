@@ -1,14 +1,16 @@
 import json
+from fractions import Fraction
 from functools import reduce
 from importlib import resources
 from operator import add
 
 import pytest
 
-from projrep.exactlin import IntMatrix, hnf_basis, is_unimodular
-from projrep.modsym import FIELD, monomial_matrix
-from projrep.partitions import MultiPartition, multipartitions, z
-from projrep.wreath import load_table, xk_series
+from projrep.exactlin import Cyclotomic, IntMatrix, hnf_basis, is_unimodular
+from projrep.modsym import FIELD, Run, monomial_values
+from projrep.partitions import EMPTY, MultiPartition, Partition, multipartitions, z
+from projrep.series import GradedSeries, exp
+from projrep.wreath import XI, WreathElement, load_table, xi_from_phi, xk_series
 
 
 def in_lattice(vector, basis):
@@ -40,17 +42,13 @@ def packed(element):
             coeff for index, coeff in element.coeffs.items()}
 
 
-def monomial_rows(generator, nfamilies, ncomp, p, n):
-    """monomial_matrix of these generators in degree n, each lower degree it
-    reads built from the same generators and kept for this call."""
-    built = {}
-
-    def lower(d):
-        if d not in built:
-            built[d] = monomial_matrix(generator, nfamilies, ncomp, p, d, lower)
-        return built[d]
-
-    return lower(n)
+def monomial_rows(generator, characters, rows, p, n):
+    """The engine's monomial matrix of degree n with these generators in
+    place of the closed forms y_{k,v}: a fresh Run of the characters and
+    rows, its yk replaced, builds each lower degree it reads from them."""
+    run = Run(characters, rows, p)
+    run.yk = generator
+    return run.monomials(n)
 
 
 def satisfies_quotient(x_series, generators, p):
@@ -93,6 +91,54 @@ def singular_indices(table, p, n):
     return [nu for nu in multipartitions(table.N, n)
             if any(lam.parts and (cls.element_order % p == 0 or not lam.is_p_regular(p))
                    for cls, lam in zip(table.classes, nu))]
+
+
+def singular_index_rows(table, p, n):
+    """One constraint row per p-singular class nu of degree n: the values
+    X_rho(nu) of monomial_values as Cyclotomics of the table's
+    conductor, columns in multipartitions(N, n) order.  Each row is
+    Z_nu = prod over C of z(nu_C) * (|G|/|C|)^len(nu_C), the centralizer
+    order of nu, times the xi_nu coefficients of the PHI monomials, so their
+    integer solutions are the vanishing lattice; modsym.singular_constraints
+    reads them off as integer coordinates."""
+    m, width = table.conductor, len(table.characters[0].values[0])
+    rows = list(zip(*monomial_values(table.characters, n, p)))
+    return [[Cyclotomic(m, coords) for coords in zip(*rows[i:i + width])]
+            for i in range(0, len(rows), width)]
+
+
+def xk_exp_identity_check(table, lattice, k, order):
+    """True iff X_k(t) expanded over xi equals exp(C_k(t)) with C_k supported on
+    p-regular xi generators, for a lattice row k <= M."""
+    if not 1 <= k <= lattice.M:
+        raise ValueError("k must index a lattice row (1..M)")
+    p = lattice.p
+    n_comp = table.N
+    exponents = lattice.phi.rows[k - 1]
+
+    log_coeffs = [WreathElement.zero(XI, 0, n_comp)]
+    for i in range(1, order + 1):
+        acc = WreathElement.zero(XI, i, n_comp)
+        for c_index, cls in enumerate(table.classes):
+            scalar = Cyclotomic.from_rational(0)
+            for j in range(n_comp):
+                scalar = scalar + (exponents[j]
+                                   * table.irreducibles[j].values[c_index]
+                                   * Fraction(cls.size, table.order))
+            if cls.element_order % p == 0:
+                if scalar:
+                    return False
+                continue
+            comps = [EMPTY] * n_comp
+            comps[c_index] = Partition((i,))
+            acc = acc + WreathElement(XI, i, n_comp,
+                                      {MultiPartition(comps): scalar * Fraction(1, i)})
+        log_coeffs.append(acc)
+
+    rhs = exp(GradedSeries(log_coeffs))
+    xk = xk_series(table, lattice, k, order)
+    lhs = GradedSeries([xi_from_phi(c, table) for c in xk.coeffs])
+    return lhs == rhs
 
 
 def table_path(name):

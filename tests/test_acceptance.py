@@ -10,10 +10,9 @@ from projrep.partitions import p_regular_partitions, partitions
 from projrep.series import (GradedSeries, exp, quotient_y, y_explicit,
                             y_from_quotient, y_monomial)
 from projrep.symfunc import SymElement, X, class_values
-from projrep.wreath import (e_lattice, generator_exchange_check, xk_exp_identity_check,
-                            verify_theorem2, yk_generators)
+from projrep.wreath import e_lattice, generator_exchange_check, verify_theorem2, yk_generators
 
-from conftest import table_path
+from conftest import table_path, xk_exp_identity_check
 
 
 def report(number, description, ok):

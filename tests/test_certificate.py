@@ -7,13 +7,15 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from projrep import modsym, wreath
+from projrep import modsym
 from projrep.exactlin import (Cyclotomic, IntMatrix, hnf_basis, integer_kernel,
                               rational_constraints, rational_kernel)
-from projrep.modsym import VerificationReport, verify_theorem1
+from projrep.modsym import Run, VerificationReport, verify_theorem1
 from projrep.partitions import multipartitions, partitions
 from projrep.symfunc import perm_char_value
-from projrep.wreath import e_lattice, singular_index_rows, verify_theorem2
+from projrep.wreath import e_lattice, verify_theorem2
+
+from conftest import singular_index_rows
 
 
 def decide(basis, constraints, expected):
@@ -69,8 +71,9 @@ def _fallback_cases(c2_table, s3_table):
 
 def break_the_link(monkeypatch):
     """Make the link X = S * (1 + Y) fail on honest generators: the one link
-    of the one engine, which both verify_theorem1 and verify_theorem2 run."""
-    monkeypatch.setattr(wreath, "_linked", lambda *args: False)
+    of the one engine, which both verify_theorem1 and verify_theorem2 run,
+    each in a fresh Run."""
+    monkeypatch.setattr(Run, "linked", lambda *args: False)
 
 
 def test_forced_kernel_fallback_reproduces_reports(monkeypatch, c2_table, s3_table):

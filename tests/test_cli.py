@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from projrep import cli, modsym, wreath
+from projrep import cli, modsym
 from projrep.exactlin import IntMatrix, integer_kernel
 from projrep.modsym import SYM_CHARACTERS, singular_constraints, verify_theorem1
 from projrep.partitions import Partition, count_multipartitions, partitions
@@ -301,13 +301,16 @@ def test_the_verify_commands_build_no_fraction_and_no_wreath_element(argv):
 def test_a_json_report_holds_the_engines_own_matrix(monkeypatch, p):
     # on the structural path hnf_basis returns its input, so in JSON mode the
     # report's monomial_hnf is the one copy the run keeps of each matrix
-    payloads = []
+    payloads, built, build = [], [], modsym.monomial_matrix
     monkeypatch.setattr(cli, "emit", lambda args, payload, lines: payloads.append(payload))
+    monkeypatch.setattr(modsym, "monomial_matrix",
+                        lambda *args: built.append(build(*args)) or built[-1])
     assert cli.main(["sym", "verify", "--p", str(p), "--max-degree", "10",
                      "--format", "json"]) == 0
+    assert len(built) == 11
     for n, report in enumerate(payloads[0]["reports"]):
         assert report["method"] == "structural"
-        assert report["monomial_hnf"] is wreath.generator_monomials(((1,),), p, n)
+        assert report["monomial_hnf"] is built[n]
 
 
 def test_importing_the_cli_loads_no_hashlib():
@@ -320,6 +323,16 @@ def test_importing_the_cli_loads_no_hashlib():
                           check=True).stdout == "[] []\n"
 
 
+def test_importing_the_cli_without_site_loads_no_importlib_resources():
+    # only a bundled --table name needs it; without site (python3 -S), which
+    # otherwise may load it first, importing it costs start-up time
+    probe = ("import sys; sys.path.insert(0, %r); import projrep.cli; "
+             "print('importlib.resources' in sys.modules)" % str(Path(cli.__file__).parent.parent))
+    assert subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                          check=True).stdout == "False\n"
+    assert cli.resolve_table("c2").name == "C2"
+
+
 def test_the_construction_probe_counts():
     assert constructions("examples") == "0 ['Fraction'] True\n"
     assert constructions("wreath", "generators", "--table", "c2", "--p", "2",
@@ -329,7 +342,7 @@ def test_the_construction_probe_counts():
 def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     from projrep import modsym
 
-    def broken(n, p):
+    def broken(n, p, run):
         raise AssertionError("non-integral coordinate")
 
     monkeypatch.setattr(modsym, "verify_theorem1", broken)
@@ -483,12 +496,11 @@ def test_reports_read_no_dense_row_of_a_monomial_matrix(monkeypatch, capsys, arg
         return built[-1]
 
     monkeypatch.setattr(modsym, "monomial_matrix", recorded)
-    monkeypatch.setattr(wreath, "monomial_matrix", recorded)
     monkeypatch.setattr(IntMatrix, "rows",
                         property(lambda self: dense_reads.append(self) or rows.fget(self)))
-    # the matrices are kept for the run: each format builds its own
+    # the matrices are kept for the run, which ends with its command: each
+    # format builds its own, each degree once
     for fmt in ("json", "text"):
-        wreath.generator_monomials.cache_clear()
         assert run(capsys, *argv, "--format", fmt)[0] == 0
     assert len(built) == 2 * (int(argv[-1]) + 1)
     assert not set(map(id, built)) & set(map(id, dense_reads))

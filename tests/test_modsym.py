@@ -6,18 +6,18 @@ import sympy
 from conftest import in_lattice, packed_key
 from projrep import cli, modsym, series, wreath
 from projrep.exactlin import IntMatrix, integer_kernel
-from projrep.modsym import (FIELD, SYM_CHARACTERS, check_packable, key_fields, lowest_part,
-                            monomial_matrix, multipartition_keys, part_key,
-                            singular_constraints, worked_examples_check, verify_theorem1,
-                            x_class_value_matrix)
+from projrep.modsym import (FIELD, SYM_CHARACTERS, Run, check_packable, key_fields,
+                            lowest_part, part_key, singular_constraints,
+                            worked_examples_check, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import Partition, multipartitions, p_regular_partitions, partitions
 from projrep.symfunc import SymElement, X, class_values, mn_character, perm_char_value
 
 
 def y_monomials(n, p):
     """The engine's matrix of the y-monomials of degree n: the generator
-    monomials of the one lattice row (1,) of the one-class group."""
-    return wreath.generator_monomials(((1,),), p, n)
+    monomials of the one lattice row (1,) of the one-class group, in a
+    fresh run."""
+    return Run(SYM_CHARACTERS, ((1,),), p).monomials(n)
 
 
 def reg_lattice(n, p):
@@ -70,43 +70,37 @@ def test_y_monomials_are_the_coordinates_of_the_generator_products():
 
 
 def test_a_non_integral_generator_coefficient_is_an_internal_error(monkeypatch):
-    # refused where the generator is first packed: its substitution into X_k
+    # refused where the generator is first packed: its substitution into X_k;
+    # every run below is fresh, so each reads the corrupted generator
     half = SymElement.monomial(X, (2, 1), Fraction(1, 2))
-    honest = wreath.y_explicit
-    monkeypatch.setattr(wreath, "y_explicit",
+    honest = modsym.y_explicit
+    monkeypatch.setattr(modsym, "y_explicit",
                         lambda k, q: honest(k, q) + half if (k, q) == (3, 2) else honest(k, q))
-    caches = (wreath.yk_closed_form, wreath._linked, wreath.generator_monomials)
-    for cache in caches:
-        cache.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="non-integral"):
-            wreath.yk_closed_form((1,), 2, 3)
-        with pytest.raises(AssertionError, match="non-integ"):
-            y_monomials(3, 2)
-        assert cli.main(["sym", "verify", "--p", "2", "--max-degree", "3"]) == 3
-    finally:
-        for cache in caches:
-            cache.cache_clear()
+    with pytest.raises(AssertionError, match="non-integral"):
+        Run(SYM_CHARACTERS, ((1,),), 2).yk(0, 3)
+    with pytest.raises(AssertionError, match="non-integ"):
+        y_monomials(3, 2)
+    assert cli.main(["sym", "verify", "--p", "2", "--max-degree", "3"]) == 3
 
 
-def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(monkeypatch):
+def test_a_degree_that_overflows_a_key_field_is_refused_before_any_work(
+        monkeypatch, c2_table):
     check_packable((1 << FIELD) - 1)
-    for owner, name in ((modsym, "multipartition_keys"), (modsym, "_partition_keys"),
-                        (modsym, "_degree_keys"), (wreath, "_power_product"),
-                        (wreath, "_x_monomial"), (wreath, "y_explicit"),
-                        (wreath, "_key_product")):
+    lattice = wreath.e_lattice(c2_table, 2)
+    runs = [Run(SYM_CHARACTERS, ((1,),), 2), wreath.lattice_run(c2_table, lattice)]
+    for owner, name in ((Run, "multipartition_keys"), (Run, "partition_keys"),
+                        (Run, "degree_keys"), (Run, "power_product"), (Run, "x_monomial"),
+                        (Run, "y_explicit"), (modsym, "_key_product"),
+                        (modsym, "monomial_matrix")):
         monkeypatch.setattr(owner, name, lambda *args, **kwargs: 1 / 0)
-    built = wreath.generator_monomials.cache_info().currsize
-    # the closed forms and the link refuse it themselves, not only the matrix,
-    # and the matrix refuses it before it asks for any lower degree
-    for build in (check_packable, lambda n: y_monomials(n, 2),
-                  lambda n: monomial_matrix(None, 1, 1, 2, n, lambda d: 1 / 0),
-                  lambda n: wreath.xk_closed_form((1,), n),
-                  lambda n: wreath.yk_closed_form((1,), 2, n),
-                  lambda n: wreath._linked((1,), 2, n)):
+    # the run refuses it where it is entered, before it builds a closed form,
+    # a link or a matrix of any degree: its memos stay empty
+    for build in (check_packable, lambda n: verify_theorem1(n, 2, runs[0]),
+                  lambda n: wreath.verify_theorem2(c2_table, 2, n, run=runs[1]),
+                  lambda n: wreath.generator_exchange_check(c2_table, lattice, n, runs[1])):
         with pytest.raises(ValueError, match="16 bits"):
             build(1 << FIELD)
-    assert wreath.generator_monomials.cache_info().currsize == built
+    assert [run.memos for run in runs] == [{}, {}]
 
 
 @pytest.mark.parametrize("p", [None, 2, 3, 5])
@@ -115,10 +109,11 @@ def test_the_key_enumeration_is_the_multipartitions_order(p):
     part_filter = None if p is None else (lambda v: v % p)
     for k in range(1, 5):
         for n in range(9):
-            assert multipartition_keys(k, n, p) == tuple(
+            assert Run(SYM_CHARACTERS).multipartition_keys(k, n, p) == tuple(
                 packed_key(mp) for mp in multipartitions(k, n, part_filter)), (k, n)
-    # component 0 is the cached keys themselves, not copies
-    assert all(multipartition_keys(1, n, p) is modsym._partition_keys(1, p, n)[0]
+    # component 0 is the run's memoised keys themselves, not copies
+    run = Run(SYM_CHARACTERS)
+    assert all(run.multipartition_keys(1, n, p) is run.partition_keys(1, p, n)[0]
                for n in range(9))
 
 

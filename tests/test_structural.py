@@ -9,19 +9,17 @@ from math import comb, factorial, prod
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from projrep import modsym, wreath
+from projrep import modsym
 from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
-from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, _key_product,
+from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, Run, _key_product,
                             _label_shift, _reduced, _singular_mask, check_packable,
-                            cycle_products, generator_values, generators_vanish,
-                            is_p_singular, monomial_values,
+                            cycle_weight, is_p_singular, monomial_values,
                             singular_constraints, verify_theorem1, x_class_value_matrix)
 from projrep.partitions import multipartitions, partitions
 from projrep.series import GradedSeries, x_generator_series, y_explicit, y_from_quotient
 from projrep.symfunc import SymElement, X, perm_char_value
-from projrep.wreath import (PHI, ELatticeBasis, WreathElement, cycle_weight, e_lattice,
-                            load_table, verify_theorem2, xi_from_phi, xk_closed_form,
-                            xk_series, yk_closed_form, yk_generators)
+from projrep.wreath import (PHI, ELatticeBasis, WreathElement, e_lattice, lattice_run,
+                            load_table, verify_theorem2, xi_from_phi, xk_series, yk_generators)
 
 from conftest import (centralizer_order, packed, packed_key, satisfies_quotient,
                       singular_indices, table_path)
@@ -94,8 +92,8 @@ def xi_values(table, element):
 def wreath_product_values(table, rho):
     """Values of the Phi monomial rho, the induction product of its one-part
     factors."""
-    weights = [character_weight(table, j) for j in range(table.N)]
-    return induction_product([(v, cycle_products(weights[j], v)) for j, lam in enumerate(rho)
+    weights, run = [character_weight(table, j) for j in range(table.N)], Run(table.characters)
+    return induction_product([(v, run.cycle_products(weights[j], v)) for j, lam in enumerate(rho)
                               for v in lam.parts], table.conductor)
 
 
@@ -105,9 +103,10 @@ def wreath_product_values(table, rho):
 
 def test_sym_generator_values_are_the_values_of_y_explicit():
     for p in (2, 3, 5):
+        run = Run(SYM_CHARACTERS, ((1,),), p)
         for n in range(1, 11):
             coords = y_explicit(n, p).coeffs
-            values = values_on(generator_values(SYM_WEIGHT, p, n), SYM_WEIGHT,
+            values = values_on(run.generator_values(0, n), SYM_WEIGHT,
                                map(sym_key, partitions(n)))
             for j, mu in enumerate(partitions(n)):
                 expected = sum(int(c) * perm_char_value(lam, mu) for lam, c in coords.items())
@@ -119,13 +118,14 @@ def test_sym_generator_values_are_the_values_of_y_explicit():
 def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
     table = bundled(name)
     lattice = e_lattice(table, p)
+    run = lattice_run(table, lattice)
     for k in range(1, lattice.M + 1):
         weight = cycle_weight(table.characters, lattice.phi.rows[k - 1])
         generators = yk_generators(table, lattice, k, 4)
         for n in range(1, 5):
             coords = generators[n].coeffs
             index = multipartitions(table.N, n)
-            values = values_on(generator_values(weight, p, n), weight, map(labels, index))
+            values = values_on(run.generator_values(k - 1, n), weight, map(labels, index))
             expected = xi_values(table, generators[n])
             for nu, value, want in zip(index, values, expected):
                 assert value == want, (name, p, k, n, nu)
@@ -137,7 +137,8 @@ def test_wreath_generator_values_are_the_values_of_the_generators(name, p):
 def test_convolution_matches_the_permutation_character_table(case):
     n, i = case
     lam = partitions(n)[i]
-    values = values_on(induction_product([(v, cycle_products(SYM_WEIGHT, v))
+    run = Run(SYM_CHARACTERS)
+    values = values_on(induction_product([(v, run.cycle_products(SYM_WEIGHT, v))
                                           for v in lam.parts], 1),
                        SYM_WEIGHT, map(sym_key, partitions(n)))
     for j, mu in enumerate(partitions(n)):
@@ -223,22 +224,25 @@ def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatc
     check_packable(1, 1 << FIELD - 1)
     wide = CycleWeight(((0,) * ((1 << FIELD - 1) + 1),), (1,), 1)
     monkeypatch.setattr(modsym, "_key_product", lambda *args: 1 / 0)
-    monkeypatch.setattr(modsym, "generator_values", lambda *args: 1 / 0)
+    for name in ("cycle_products", "generator_values", "vanish", "monomials"):
+        monkeypatch.setattr(Run, name, lambda *args: 1 / 0)
+    # a run refuses both where it is entered, before any value of X_n, of a
+    # generator or of (a'); the hnf is never reached
     for build in (lambda: check_packable(1, len(wide.values[0])),
-                  lambda: cycle_products(wide, 1), lambda: generator_values(wide, 2, 1),
-                  lambda: generators_vanish(wide, 2, 1)):
+                  lambda: Run((wide,), ((1,),), 2).verify(1, hnf=None),
+                  lambda: next(monomial_values((wide,), 1, 2))):
         with pytest.raises(ValueError, match="width 32769 needs fields wider than 16 bits"):
             build()
-    for build in (lambda: cycle_products(SYM_WEIGHT, 1 << FIELD),
-                  lambda: generator_values(SYM_WEIGHT, 2, 1 << FIELD),
-                  lambda: generators_vanish(SYM_WEIGHT, 2, 1 << FIELD)):
+    for build in (lambda: Run(SYM_CHARACTERS, ((1,),), 2).verify(1 << FIELD, hnf=None),
+                  lambda: verify_theorem1(1 << FIELD, 2),
+                  lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD, 2))):
         with pytest.raises(ValueError, match="16 bits"):
             build()
 
 
 def test_a_monomial_degree_that_could_overflow_is_refused_before_any_product(monkeypatch):
     monkeypatch.setattr(modsym, "_key_product", lambda *args: 1 / 0)
-    monkeypatch.setattr(modsym, "multipartition_keys", lambda *args: 1 / 0)
+    monkeypatch.setattr(Run, "multipartition_keys", lambda *args: 1 / 0)
     for build in (lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD)),
                   lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD, 2)),
                   lambda: singular_constraints(SYM_CHARACTERS, 2, 1 << FIELD),
@@ -249,12 +253,15 @@ def test_a_monomial_degree_that_could_overflow_is_refused_before_any_product(mon
 
 def test_generators_vanish_and_the_check_can_fail(c2_table):
     for p in (2, 3, 5):
-        assert generators_vanish(SYM_WEIGHT, p, 16)
-    # psi = the trivial character of C2 is no lattice row at p = 2: y_1 = X_1
-    # is 1 on the class of one cycle of length 1 through the element of order 2
+        assert Run(SYM_CHARACTERS, ((1,),), p).vanish(0, 16)
+    # psi = the trivial character of C2, the row (1, 0), is no lattice row at
+    # p = 2: y_1 = X_1 is 1 on the class of one cycle of length 1 through the
+    # element of order 2
     weight = character_weight(c2_table, 0)
-    assert values_on(generator_values(weight, 2, 1), weight, [(2,), (3,)]) == [(1,), (1,)]
-    assert not generators_vanish(weight, 2, 1)
+    run = Run(c2_table.characters, ((1, 0),), 2)
+    assert run.weights == [weight]
+    assert values_on(run.generator_values(0, 1), weight, [(2,), (3,)]) == [(1,), (1,)]
+    assert not run.vanish(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -273,36 +280,33 @@ def plus(a, b):
     return {key: a.get(key, 0) + b.get(key, 0) for key in a.keys() | b.keys()}
 
 
-def closed_series(exponents, order):
-    """X_k(t) to the given order from its closed form (as the engine reads it)."""
-    return GradedSeries([unpacked(wreath.xk_closed_form(exponents, i), len(exponents), i)
-                         for i in range(order + 1)])
+def closed_series(run, k, order):
+    """X_k(t) to the given order from the run's closed form of row k (as the
+    engine reads it)."""
+    ncomp = len(run.rows[k])
+    return GradedSeries([unpacked(run.xk(k, i), ncomp, i) for i in range(order + 1)])
 
 
-# the caches of the verify engine that hold generators or link verdicts
-ENGINE_CACHES = (wreath._x_monomial, wreath.yk_closed_form, wreath._linked,
-                 wreath.generator_monomials)
-
-
-def assert_closed_forms_match(row, p, series_xk, generators, order):
-    """The packed closed forms of X_{k,n} and y_{k,n}, n <= order, are the
-    series' coefficients packed, term for term: no term is missing, and none
-    is built whose coefficient is zero."""
+def assert_closed_forms_match(run, k, series_xk, generators, order):
+    """The packed closed forms of X_{k,n} and y_{k,n}, n <= order, of row k
+    of the run are the series' coefficients packed, term for term: no term
+    is missing, and none is built whose coefficient is zero."""
     for n in range(order + 1):
-        assert xk_closed_form(row, n) == packed(series_xk[n]), (row, n)
+        assert run.xk(k, n) == packed(series_xk[n]), (run.rows[k], n)
     for n in range(1, order + 1):
-        assert yk_closed_form(row, p, n) == packed(generators[n]), (row, p, n)
+        assert run.yk(k, n) == packed(generators[n]), (run.rows[k], run.p, n)
 
 
 @pytest.mark.parametrize("phi", [((2, -1), (1, 0)), ((-3, 1), (1, 0)), ((1, 0), (-2, 1))])
 def test_closed_form_of_xk_matches_the_series_arithmetic(phi, c2_table):
     # every class of C2 is 3-regular, so any unimodular matrix is a lattice basis
     lattice = ELatticeBasis(3, 2, IntMatrix(phi))
+    run = lattice_run(c2_table, lattice)
     for k in (1, 2):
         series_xk = xk_series(c2_table, lattice, k, 6)
         generators = yk_generators(c2_table, lattice, k, 6)
         assert satisfies_quotient(series_xk, generators[1:], 3)
-        assert_closed_forms_match(phi[k - 1], 3, series_xk, generators, 6)
+        assert_closed_forms_match(run, k - 1, series_xk, generators, 6)
 
 
 @pytest.mark.parametrize("name, p", [(name, p) for name in ("c3_table", "c4_table", "s3_table")
@@ -313,112 +317,100 @@ def test_closed_form_of_xk_matches_the_series_on_the_vanishing_lattices(request,
     # y_{k,n} by substitution into y_explicit against the series quotient
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)
+    run = lattice_run(table, lattice)
     for k in range(1, lattice.M + 1):
-        assert_closed_forms_match(lattice.phi.rows[k - 1], p, xk_series(table, lattice, k, 6),
+        assert_closed_forms_match(run, k - 1, xk_series(table, lattice, k, 6),
                                   yk_generators(table, lattice, k, 6), 6)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_closed_form_of_the_row_1_is_the_sym_generator_series(p):
     # the one-class group: X = H, whose closed form holds one term per degree
-    assert_closed_forms_match((1,), p, x_generator_series(6), y_from_quotient(6, p), 6)
-    assert all(len(xk_closed_form((1,), n)) == 1 for n in range(30))
+    run = Run(SYM_CHARACTERS, ((1,),), p)
+    assert_closed_forms_match(run, 0, x_generator_series(6), y_from_quotient(6, p), 6)
+    assert all(len(run.xk(0, n)) == 1 for n in range(30))
 
 
-def test_a_corrupted_sym_generator_coordinate_is_not_certified(monkeypatch):
+def test_a_corrupted_sym_generator_coordinate_is_not_certified():
     n, p = 5, 2
-    honest = wreath.y_explicit
+    run = Run(SYM_CHARACTERS, ((1,),), p)
+    honest = run.y_explicit
 
-    def corrupted(k, q):
+    def corrupted(k):
         # one coordinate of y_5 off by one: x4*x1 is not a projective class
-        y = honest(k, q)
-        return y + SymElement.monomial(X, (4, 1)) if (k, q) == (n, p) else y
+        y = honest(k)
+        return y + SymElement.monomial(X, (4, 1)) if k == n else y
 
-    monkeypatch.setattr(wreath, "y_explicit", corrupted)
-    for cache in ENGINE_CACHES:
-        cache.cache_clear()
-    try:
-        report = verify_theorem1(n, p)
-        assert not satisfies_quotient(x_generator_series(n),
-                                      [corrupted(k, p) for k in range(1, n + 1)], p)
-        assert not wreath._linked((1,), p, n)
-        # without the link, (a'), (b) and (c') would all have held
-        assert generators_vanish(SYM_WEIGHT, p, n)
-        assert is_unit_echelon(report.monomial_hnf)
-        assert report.monomial_hnf.nrows == report.expected_rank
-        assert report.method == "kernel" and not report.verdict
-        assert report.lattice_hnf != report.monomial_hnf
-    finally:
-        for cache in ENGINE_CACHES:
-            cache.cache_clear()
+    run.y_explicit = corrupted
+    report = verify_theorem1(n, p, run)
+    assert not satisfies_quotient(x_generator_series(n),
+                                  [corrupted(k) for k in range(1, n + 1)], p)
+    assert not run.linked(0, n)
+    # without the link, (a'), (b) and (c') would all have held
+    assert run.vanish(0, n)
+    assert is_unit_echelon(report.monomial_hnf)
+    assert report.monomial_hnf.nrows == report.expected_rank
+    assert report.method == "kernel" and not report.verdict
+    assert report.lattice_hnf != report.monomial_hnf
 
 
-def test_a_corrupted_wreath_generator_coordinate_is_not_certified(monkeypatch, c2_table):
+def test_a_corrupted_wreath_generator_coordinate_is_not_certified(c2_table):
     p, n = 2, 3
     lattice = e_lattice(c2_table, p)
-    row = lattice.phi.rows[0]
-    honest = wreath.yk_closed_form
+    run = lattice_run(c2_table, lattice)
+    honest = run.yk
     # the coordinate of Phi_triv(x_2)*Phi_triv(x_1) in y_{1,3}, off by one
     extra = packed(WreathElement(PHI, n, 2, {((2, 1), ()): 1}))
 
-    def corrupted(exponents, q, v):
-        y = honest(exponents, q, v)
-        return plus(y, extra) if (exponents, q, v) == (row, p, n) else y
+    def corrupted(k, v):
+        y = honest(k, v)
+        return plus(y, extra) if (k, v) == (0, n) else y
 
-    monkeypatch.setattr(wreath, "yk_closed_form", corrupted)
-    for cache in ENGINE_CACHES:
-        cache.cache_clear()
-    try:
-        assert not satisfies_quotient(closed_series(row, n), [
-            unpacked(corrupted(row, p, v), 2, v) for v in range(1, n + 1)], p)
-        report = verify_theorem2(c2_table, p, n, lattice=lattice)
-        assert not wreath._linked(row, p, n)
-        assert generators_vanish(cycle_weight(c2_table.characters, row), p, n)
-        assert is_unit_echelon(report.monomial_hnf)
-        assert report.monomial_hnf.nrows == report.expected_rank
-        assert report.method == "kernel" and not report.verdict
-    finally:
-        for cache in ENGINE_CACHES:
-            cache.cache_clear()
+    run.yk = corrupted
+    assert not satisfies_quotient(closed_series(run, 0, n), [
+        unpacked(corrupted(0, v), 2, v) for v in range(1, n + 1)], p)
+    report = verify_theorem2(c2_table, p, n, run=run)
+    assert not run.linked(0, n)
+    assert run.vanish(0, n)
+    assert run.weights == [cycle_weight(c2_table.characters, lattice.phi.rows[0])]
+    assert is_unit_echelon(report.monomial_hnf)
+    assert report.monomial_hnf.nrows == report.expected_rank
+    assert report.method == "kernel" and not report.verdict
 
 
-def test_a_corrupted_closed_form_of_xk_is_not_certified(monkeypatch, c2_table):
+def test_a_corrupted_closed_form_of_xk_is_not_certified(c2_table):
     # one extra term in X_{1,n}: the substituted Y_k still satisfies
     # X_k = S_k (1 + Y_k), an identity in the x_i, so only the power rule
     # H_j D_j X_k = e_j X_k D H_j refuses the closed form
     p = 2
     lattice = e_lattice(c2_table, p)
-    honest = wreath.xk_closed_form
-    cases = [((1,), 5, packed(WreathElement(PHI, 5, 1, {((4, 1),): 1})), SYM_WEIGHT,
-              lambda: verify_theorem1(5, p)),
-             (lattice.phi.rows[0], 3, packed(WreathElement(PHI, 3, 2, {((2, 1), ()): 1})),
+    cases = [(Run(SYM_CHARACTERS, ((1,),), p), 5,
+              packed(WreathElement(PHI, 5, 1, {((4, 1),): 1})), SYM_WEIGHT,
+              lambda run: verify_theorem1(5, p, run)),
+             (lattice_run(c2_table, lattice), 3,
+              packed(WreathElement(PHI, 3, 2, {((2, 1), ()): 1})),
               cycle_weight(c2_table.characters, lattice.phi.rows[0]),
-              lambda: verify_theorem2(c2_table, p, 3, lattice=lattice))]
-    for row, n, extra, weight, verify in cases:
-        monkeypatch.setattr(wreath, "xk_closed_form", lambda e, v, row=row, n=n, extra=extra:
-                            plus(honest(e, v), extra) if (e, v) == (row, n) else honest(e, v))
-        for cache in ENGINE_CACHES:
-            cache.cache_clear()
-        try:
-            report = verify()
-            assert satisfies_quotient(closed_series(row, n), [
-                unpacked(wreath.yk_closed_form(row, p, v), len(row), v)
-                for v in range(1, n + 1)], p)
-            assert wreath._linked(row, p, n - 1) and not wreath._linked(row, p, n)
-            assert generators_vanish(weight, p, n)
-            assert is_unit_echelon(report.monomial_hnf)
-            assert report.monomial_hnf.nrows == report.expected_rank
-            assert report.method == "kernel" and not report.verdict
-        finally:
-            for cache in ENGINE_CACHES:
-                cache.cache_clear()
+              lambda run: verify_theorem2(c2_table, p, 3, run=run))]
+    for run, n, extra, weight, verify in cases:
+        honest = run.xk
+        run.xk = lambda k, v, n=n, extra=extra, honest=honest: (
+            plus(honest(k, v), extra) if (k, v) == (0, n) else honest(k, v))
+        report = verify(run)
+        assert satisfies_quotient(closed_series(run, 0, n), [
+            unpacked(run.yk(0, v), len(run.rows[0]), v) for v in range(1, n + 1)], p)
+        assert run.linked(0, n - 1) and not run.linked(0, n)
+        assert run.weights == [weight] and run.vanish(0, n)
+        assert is_unit_echelon(report.monomial_hnf)
+        assert report.monomial_hnf.nrows == report.expected_rank
+        assert report.method == "kernel" and not report.verdict
 
 
 def test_a_generator_off_the_lattice_makes_the_verdict_false(monkeypatch, c2_table):
     honest = [verify_theorem1(4, 2)]
     lattice = e_lattice(c2_table, 2)
     honest.append(verify_theorem2(c2_table, 2, 3, lattice=lattice))
-    monkeypatch.setattr(wreath, "generators_vanish", lambda *args: False)
+    # every run below is fresh, and its (a') fails
+    monkeypatch.setattr(Run, "vanish", lambda *args: False)
     for report, expected in zip([verify_theorem1(4, 2),
                                  verify_theorem2(c2_table, 2, 3, lattice=lattice)], honest):
         assert report.method == "kernel" and report.verdict is False

@@ -6,23 +6,23 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from projrep import wreath
+from projrep import modsym
 from projrep.exactlin import (Cyclotomic, IntMatrix, euler_phi, hnf_basis, integer_kernel,
                               rational_constraints)
-from projrep.modsym import FIELD, SYM_CHARACTERS, singular_constraints, verify_theorem1
+from projrep.modsym import (FIELD, SYM_CHARACTERS, Run, cycle_weight, singular_constraints,
+                            verify_theorem1)
 from projrep.partitions import (EMPTY, MultiPartition, Partition, count_multipartitions,
                                 multipartitions)
 from projrep.series import y_explicit
 from projrep.symfunc import SymElement, X, x_to_c
 from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, TableError,
-                            WreathElement, cycle_weight, e_lattice,
-                            generator_exchange_check, xk_exp_identity_check, load_table,
-                            p_regular_classes, phi_c_in_xi, phi_x_in_xi,
-                            singular_index_rows, verify_theorem2, xi_from_phi, xk_series,
+                            WreathElement, e_lattice, generator_exchange_check,
+                            lattice_run, load_table, p_regular_classes, phi_c_in_xi,
+                            phi_x_in_xi, verify_theorem2, xi_from_phi, xk_series,
                             yk_generators)
 
 from conftest import (centralizer_order, exchange_oracle, monomial_rows, packed,
-                      singular_indices)
+                      singular_index_rows, singular_indices, xk_exp_identity_check)
 
 
 def xi_mono(ncomp, placements, coeff=1):
@@ -519,8 +519,8 @@ def test_monomial_rows_are_the_generator_products(request, name):
         for n in range(5):
             generators = {k: yk_generators(table, lattice, k, n)
                           for k in range(1, lattice.M + 1)}
-            rows = monomial_rows(lambda j, v: packed(generators[j + 1][v]), lattice.M,
-                                 table.N, p, n).rows
+            rows = monomial_rows(lambda j, v: packed(generators[j + 1][v]), table.characters,
+                                 lattice.phi.rows[:lattice.M], p, n).rows
             assert rows == product_chain_rows(table, lattice, p, n)
             report = verify_theorem2(table, p, n, lattice=lattice)
             assert report.monomial_hnf == hnf_basis(IntMatrix(rows, report.monomial_hnf.ncols))
@@ -530,38 +530,33 @@ def test_monomial_rows_are_the_generator_products(request, name):
                                      ("c2_table", 3), ("s3_table", 2), ("c4_table", 3)])
 def test_a_cold_degree_equals_the_degree_built_after_the_lower_ones(
         monkeypatch, request, name, p):
-    # the engine's run-long cache: a cold call of degree n builds 0..n in
-    # ascending order, never more than one below another, each degree from
-    # the rows of the lower ones, and its matrix is the one built when
-    # degrees 0..n-1 came first
+    # the run's matrices: a cold call of degree n in a fresh run builds 0..n
+    # in ascending order, never more than one below another, each degree
+    # from the rows of the lower ones, and its matrix is the one built in a
+    # run where degrees 0..n-1 came first
     table = request.getfixturevalue(name)
     lattice = e_lattice(table, p)
-    rows = lattice.phi.rows[:lattice.M]
-    finished, active, build = [], [], wreath.monomial_matrix
+    finished, active, build = [], [], modsym.monomial_matrix
 
     def recorded(*args):
-        active.append(args[4])
+        active.append(args[2])
         assert len(active) <= 2, active
         matrix = build(*args)
         finished.append(active.pop())
         return matrix
 
-    monkeypatch.setattr(wreath, "monomial_matrix", recorded)
-    try:
-        for n in range(7):
-            wreath.generator_monomials.cache_clear()
-            del finished[:]
-            cold = wreath.generator_monomials(rows, p, n)
-            assert finished == list(range(n + 1))
-            wreath.generator_monomials.cache_clear()
-            warm = [wreath.generator_monomials(rows, p, d) for d in range(n + 1)][-1]
-            assert cold == warm
-            assert cold.rows == product_chain_rows(table, lattice, p, n), (name, p, n)
-    finally:
-        wreath.generator_monomials.cache_clear()
+    monkeypatch.setattr(modsym, "monomial_matrix", recorded)
+    for n in range(7):
+        del finished[:]
+        cold = lattice_run(table, lattice).monomials(n)
+        assert finished == list(range(n + 1))
+        run = lattice_run(table, lattice)
+        warm = [run.monomials(d) for d in range(n + 1)][-1]
+        assert cold == warm
+        assert cold.rows == product_chain_rows(table, lattice, p, n), (name, p, n)
 
 
-def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
+def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row(c2_table):
     # generators A + B and A - B of degree 1: their product A^2 - B^2 has a
     # zero coefficient at AB, which a sparse row must not hold
     a, b = MultiPartition([Partition((1,)), EMPTY]), MultiPartition([EMPTY, Partition((1,))])
@@ -569,15 +564,15 @@ def test_a_term_that_cancels_leaves_no_zero_in_a_monomial_row():
                   (0, 2): {MultiPartition([Partition((2,)), EMPTY]): 1},
                   (1, 2): {MultiPartition([EMPTY, Partition((2,))]): 1}}
     matrix = monomial_rows(lambda j, v: packed(WreathElement(PHI, v, 2, generators[j, v])),
-                           2, 2, 5, 2)
+                           c2_table.characters, ((1, 0), (0, 1)), 5, 2)
     assert all(0 not in values for columns, values in matrix.sparse_rows)
     assert matrix == IntMatrix([[1, 0, 0, 0, 0], [0, 1, 2, 0, 1], [0, 1, 0, 0, -1],
                                 [0, 0, 0, 1, 0], [0, 1, -2, 0, 1]])
 
 
 def test_verify_theorem2_refuses_a_degree_that_overflows_a_key_field(monkeypatch, c2_table):
-    monkeypatch.setattr(wreath, "yk_closed_form", lambda *args: 1 / 0)
-    monkeypatch.setattr(wreath, "_linked", lambda *args: 1 / 0)
+    monkeypatch.setattr(Run, "yk", lambda *args: 1 / 0)
+    monkeypatch.setattr(Run, "linked", lambda *args: 1 / 0)
     with pytest.raises(ValueError, match="16 bits"):
         verify_theorem2(c2_table, 2, 1 << FIELD)
 
@@ -673,27 +668,22 @@ def test_a_corrupted_closed_form_fails_the_exchange_check(monkeypatch, c2_table,
     # power rule refuses either closed form; with the link taken on trust,
     # the linear coefficient read off the closed form refuses the first
     lattice = e_lattice(c2_table, 2)
-    row = lattice.phi.rows[0]
-    honest = wreath.xk_closed_form
     key = {"linear": 1 << FIELD * ((2 - 1) * 2 + 1), "square": 2}[term]
+    run = lattice_run(c2_table, lattice)
+    honest = run.xk
 
-    def corrupted(exponents, v):
-        x = dict(honest(exponents, v))
-        if (exponents, v) == (row, 2):
+    def corrupted(k, v):
+        x = dict(honest(k, v))
+        if (k, v) == (0, 2):
             x[key] = x.get(key, 0) + 1
         return x
 
-    linked = wreath._linked
-    monkeypatch.setattr(wreath, "xk_closed_form", corrupted)
+    run.xk = corrupted
     if trust_the_link:
-        monkeypatch.setattr(wreath, "_linked", lambda *args: True)
-    linked.cache_clear()
-    try:
-        assert generator_exchange_check(c2_table, lattice, 1)
-        for n in (2, 4):
-            assert generator_exchange_check(c2_table, lattice, n) == passes
-    finally:
-        linked.cache_clear()
+        run.linked = lambda *args: True
+    assert generator_exchange_check(c2_table, lattice, 1, run)
+    for n in (2, 4):
+        assert generator_exchange_check(c2_table, lattice, n, run) == passes
 
 
 def test_phi_coefficients_are_integers():
