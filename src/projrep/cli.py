@@ -41,6 +41,16 @@ def positive_int(text):
     return value
 
 
+def packable_degree(text):
+    """A --max-degree: a positive int whose keys modsym can pack."""
+    value = positive_int(text)
+    try:
+        modsym.check_packable(value)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+    return value
+
+
 def resolve_table(spec):
     """A --table value is a file path or the name of a bundled fixture; only
     a name needs importlib.resources, whose import slows start-up."""
@@ -256,14 +266,21 @@ def cmd_sym_chartable(args):
 
 
 def guardrail(args, table):
-    count = count_multipartitions(table.N, args.max_degree)
-    if count > GUARD_LIMIT and not args.force:
-        print("refusing: degree %d over %s needs %d multipartition indices "
-              "(limit %d); pass --force to override"
-              % (args.max_degree, table.name, count, GUARD_LIMIT),
+    """True under --force or if no degree up to --max-degree needs more than
+    GUARD_LIMIT multipartition indices, counted upward to the first degree
+    over the limit, as the count grows with the degree; else False, with a
+    refusal that names the count at --max-degree where it costs no more than
+    that search (max_degree^2 against over^3 steps), else the count at over."""
+    over = None if args.force else next((n for n in range(args.max_degree + 1)
+                                         if count_multipartitions(table.N, n) > GUARD_LIMIT), None)
+    if over is not None:
+        named = args.max_degree if args.max_degree ** 2 <= over ** 3 else over
+        at = "" if named == args.max_degree else ": degree %d already" % named
+        print("refusing: degree %d over %s%s needs %d multipartition indices (limit %d); "
+              "pass --force to override" % (args.max_degree, table.name, at,
+                                            count_multipartitions(table.N, named), GUARD_LIMIT),
               file=sys.stderr)
-        return False
-    return True
+    return over is None
 
 
 def cmd_wreath_generators(args):
@@ -327,7 +344,7 @@ def build_parser():
 
     def common(p, table=False):
         p.add_argument("--p", type=prime, default=2, help="the prime (default 2)")
-        p.add_argument("--max-degree", type=positive_int, default=6,
+        p.add_argument("--max-degree", type=packable_degree, default=6,
                        help="largest degree to process (default 6)")
         p.add_argument("--format", choices=("text", "json"), default="text")
         if table:

@@ -304,16 +304,15 @@ def _dense_row(row, ncols):
 
 
 class IntMatrix:
-    """An immutable matrix of arbitrary-precision integers.
+    """An immutable matrix of arbitrary-precision integers, held as sparse rows.
 
-    A matrix is held as dense rows (int tuples of width ncols), as sparse
-    rows, or both.  A sparse row is a pair (columns, values): the columns of
-    its nonzero entries in increasing order and those entries, so the sparse
-    form is canonical.  A matrix built in one form derives the other on
-    first use and keeps it: `rows` is the dense form, `sparse_rows` the
-    sparse one.  Equality, hashing, the HNF inspection, the unit-pivot check
-    and the report writer read the sparse rows; the elimination, transpose
-    and products read the dense ones.
+    A sparse row is a pair (columns, values): the columns of its nonzero
+    entries in increasing order and those entries, so `sparse_rows`, the one
+    stored form, is canonical.  `rows` (int tuples of width ncols), `[i]` and
+    `to_lists()` build the dense form at each read and keep nothing.
+    Equality, hashing, the HNF inspection, the unit-pivot check and the
+    report writer read the sparse rows; the elimination, transpose and
+    products read the dense rows once per call.
 
     The constructor is the one place that checks entries and shape.  Results
     computed from valid matrices (HNF and transform, transpose, products) are
@@ -321,7 +320,7 @@ class IntMatrix:
     rows, which skip the checks: their rows are ints of one width by
     construction."""
 
-    __slots__ = ("_dense", "_sparse", "nrows", "ncols")
+    __slots__ = ("sparse_rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
         rows = tuple(tuple(map(_integer, row)) for row in rows)
@@ -339,51 +338,36 @@ class IntMatrix:
             ncols = width
         elif ncols is None:
             raise ValueError("ncols required for a matrix with no rows")
-        self._hold(rows, None, ncols)
+        self._fill(tuple(map(_sparse_row, rows)), ncols)
 
-    def _hold(self, dense, sparse, ncols):
-        object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_sparse", sparse)
-        object.__setattr__(self, "nrows", len(sparse if dense is None else dense))
+    def _fill(self, sparse_rows, ncols):
+        object.__setattr__(self, "sparse_rows", sparse_rows)
+        object.__setattr__(self, "nrows", len(sparse_rows))
         object.__setattr__(self, "ncols", ncols)
         return self
 
     @classmethod
     def _trusted(cls, rows, ncols):
         """A matrix from rows that are int sequences of width ncols, unchecked."""
-        return object.__new__(cls)._hold(tuple(map(tuple, rows)), None, ncols)
+        return cls._trusted_sparse(map(_sparse_row, rows), ncols)
 
     @classmethod
     def _trusted_sparse(cls, rows, ncols):
         """A matrix from sparse rows (columns, values) of width ncols, each a
         pair of tuples with increasing columns and no zero value, unchecked."""
-        return object.__new__(cls)._hold(None, tuple(rows), ncols)
+        return object.__new__(cls)._fill(tuple(rows), ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @property
     def rows(self):
-        """The dense rows, built from the sparse ones on first use."""
-        if self._dense is None:
-            object.__setattr__(self, "_dense", tuple(
-                _dense_row(row, self.ncols) for row in self._sparse))
-        return self._dense
-
-    @property
-    def sparse_rows(self):
-        """The sparse rows, built from the dense ones on first use."""
-        if self._sparse is None:
-            object.__setattr__(self, "_sparse", tuple(map(_sparse_row, self._dense)))
-        return self._sparse
+        """The dense rows, built from the sparse ones at each read."""
+        return tuple(_dense_row(row, self.ncols) for row in self.sparse_rows)
 
     @classmethod
     def identity(cls, n):
         return cls._trusted_sparse([((i,), (1,)) for i in range(n)], n)
-
-    @classmethod
-    def zero(cls, nrows, ncols):
-        return cls._trusted_sparse([((), ())] * nrows, ncols)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, IntMatrix) and self.ncols == other.ncols
@@ -393,7 +377,7 @@ class IntMatrix:
         return hash((self.sparse_rows, self.ncols))
 
     def __getitem__(self, i):
-        return self.rows[i]
+        return _dense_row(self.sparse_rows[i], self.ncols)
 
     def transpose(self):
         if self.nrows:
@@ -533,8 +517,8 @@ def hnf_basis(matrix):
 def integer_kernel(matrix):
     """Z-basis (HNF-canonical) of {v in Z^ncols : matrix @ v = 0}; saturated."""
     h, u = hnf_with_transform(matrix.transpose())
-    kernel_rows = tuple(u.rows[i] for i in range(h.nrows) if not any(h.rows[i]))
-    return hnf_basis(IntMatrix._trusted(kernel_rows, matrix.ncols))
+    kernel_rows = [row for row, (columns, _) in zip(u.sparse_rows, h.sparse_rows) if not columns]
+    return hnf_basis(IntMatrix._trusted_sparse(kernel_rows, matrix.ncols))
 
 
 def rational_constraints(rows, ncols):
@@ -597,11 +581,11 @@ def unimodular_complete(basis):
     if m > n:
         raise ValueError("more rows than columns")
     h, u = hnf_with_transform(basis.transpose())
-    if h.rows != tuple(tuple(int(i == j) for j in range(m)) for i in range(n)):
+    if h.sparse_rows != IntMatrix.identity(m).sparse_rows + (((), ()),) * (n - m):
         raise ValueError("completion impossible: the rows do not span a saturated "
                          "lattice of rank %d" % m)
     completed = hnf_with_transform(u)[1].transpose()
-    if completed.rows[:m] != basis.rows:
+    if completed.sparse_rows[:m] != basis.sparse_rows:
         raise AssertionError("completion lost the input rows")
     if not is_unimodular(completed):
         raise AssertionError("completion is not unimodular")

@@ -14,13 +14,12 @@ from functools import lru_cache
 from itertools import islice
 from operator import floordiv
 
-from .exactlin import IntMatrix, cyclotomic_polynomial, integer_kernel, is_unit_echelon
+from .exactlin import IntMatrix, cyclotomic_polynomial, hnf_basis, integer_kernel, is_unit_echelon
 from .partitions import Partition, count_multipartitions, partitions, parts_at_most
 from .series import power_coefficient, y_explicit
 from .symfunc import SymElement, X, class_values, schur_in_x
-# perfbench/layers.py patches these modsym names: hnf_basis is the HNF of
-# verify_theorem1, and the others are unused here
-from .exactlin import hnf_basis, rational_kernel  # noqa: F401
+# unused here, but perfbench/layers.py patches these modsym names
+from .exactlin import rational_kernel  # noqa: F401
 from .series import y_monomial  # noqa: F401
 
 
@@ -344,7 +343,7 @@ class Run:
         (e)_l = 0 for 0 <= e < l."""
         ncomp = len(self.characters)
         return {sum(part_key(ncomp, j, v) for v in parts):
-                power_coefficient(e, Partition._trusted(parts))
+                power_coefficient(e, parts)
                 for parts in parts_at_most(size, size if e < 0 else e, size)}
 
     @_per_run
@@ -409,13 +408,12 @@ class Run:
         degrees' matrices, built once for the run."""
         return monomial_matrix(self.yk, len(self.rows), n, self.monomials, self.degree_keys)
 
-    def verify(self, n, hnf):
+    def verify(self, n):
         """The report on degree n (VerificationReport.decide), refusing first
-        what check_packable refuses; hnf is exactlin.hnf_basis as the calling
-        module names it, where perfbench/layers.py traces it."""
+        what check_packable refuses."""
         start, p, rows = time.perf_counter(), self.p, range(len(self.rows))
         check_packable(n, len(self.characters[0].values[0]))
-        monomial_hnf = hnf(self.monomials(n))
+        monomial_hnf = hnf_basis(self.monomials(n))
         generators = all(self.vanish(k, n) for k in rows) if all(
             self.linked(k, n) for k in rows) else None
         regular = sum(order % p != 0 for order in self.characters[0].element_orders)
@@ -527,7 +525,7 @@ class VerificationReport(namedtuple(
 def verify_theorem1(n, p, run=None):
     """Check that the y-monomials span exactly the vanishing lattice in degree
     n, in run, a Run(SYM_CHARACTERS, ((1,),), p), or else in a fresh one."""
-    return (run or Run(SYM_CHARACTERS, ((1,),), p)).verify(n, hnf_basis)
+    return (run or Run(SYM_CHARACTERS, ((1,),), p)).verify(n)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from . import symfunc
-from .partitions import Partition, partitions
+from .partitions import Partition, parts_at_most
 from .symfunc import SymElement
 
 
@@ -156,13 +156,13 @@ def x_generator_series(order):
     return GradedSeries([SymElement.generator(symfunc.X, i) for i in range(order + 1)])
 
 
-def power_coefficient(e, lam):
+def power_coefficient(e, parts):
     """The coefficient of x_lam in H(t)^e, H = 1 + sum_i x_i t^i, for any
-    integer e.  (1 + u)^e = sum_l (e)_l u^l / l! with (e)_l the falling
-    factorial, so it is (e)_l / prod over part values v of m_v(lam)!, l the
-    number of parts: a generalized binomial times a multinomial, an integer."""
-    return (prod(range(e, e - len(lam), -1))
-            // prod(map(factorial, lam.multiplicities().values())))
+    integer e and the tuple of parts of lam.  (1 + u)^e = sum_l (e)_l u^l / l!
+    with (e)_l the falling factorial, so it is (e)_l / prod over part values
+    v of m_v(lam)!, l the number of parts: a binomial times a multinomial."""
+    return (prod(range(e, e - len(parts), -1))
+            // prod(factorial(parts.count(v)) for v in set(parts)))
 
 
 def y_explicit(n, p):
@@ -177,8 +177,8 @@ def y_explicit(n, p):
     # built unchecked: each index is a partition by construction
     return SymElement.one(symfunc.X)._trusted(n, {
         Partition._trusted(tuple(sorted((h, *(p * v for v in nu)), reverse=True))):
-        power_coefficient(-1, nu)
-        for h in range(n % p, n + 1, p) if h % p for nu in partitions((n - h) // p)})
+        power_coefficient(-1, nu) for h in range(n % p, n + 1, p) if h % p
+        for nu in parts_at_most((n - h) // p, (n - h) // p, (n - h) // p)})
 
 
 def y_from_quotient(max_degree, p):

@@ -12,10 +12,9 @@ from functools import lru_cache, reduce
 from math import gcd
 from operator import add, mul
 
-from .exactlin import (Cyclotomic, euler_phi, hnf_basis, integer_kernel,
-                       is_unimodular, unimodular_complete)
-# unused here, but perfbench/layers.py patches wreath.rational_kernel by name
-from .exactlin import rational_kernel  # noqa: F401
+from .exactlin import Cyclotomic, euler_phi, integer_kernel, is_unimodular, unimodular_complete
+# unused here, but perfbench/layers.py patches these wreath names
+from .exactlin import hnf_basis, rational_kernel  # noqa: F401
 from .modsym import CycleWeight, Run, check_packable, part_key, singular_constraints
 from .partitions import EMPTY, MultiPartition, Partition
 from .series import GradedSeries, exp, int_power, quotient_y
@@ -340,7 +339,7 @@ def verify_theorem2(table, p, n, lattice=None, run=None):
     run, a lattice_run, or else in a fresh one of lattice (or e_lattice)."""
     if run is None:
         run = lattice_run(table, lattice or e_lattice(table, p))
-    return run.verify(n, hnf_basis)
+    return run.verify(n)
 
 
 def generator_exchange_check(table, lattice, n, run=None):

@@ -391,6 +391,50 @@ def test_guardrail_refuses_then_force(capsys, monkeypatch):
     assert "VERIFIED" in out
 
 
+REFUSED = "refusing: degree %s needs %d multipartition indices (limit 20000); " \
+          "pass --force to override\n"
+
+
+@pytest.mark.parametrize("table, p, degree, asked, err", [
+    ("c4", "3", 13, list(range(13)) + [13], REFUSED % ("13 over C4", 64960)),
+    ("c2", "2", 30, list(range(21)) + [30], REFUSED % ("30 over C2", 589128)),
+    # the count at 65535 would take minutes: the refusal names degree 12's
+    ("c4", "3", 65535, list(range(13)) + [12],
+     REFUSED % ("65535 over C4: degree 12 already", 35693)),
+    ("c2", "2", 3, [0, 1, 2, 3], "")], ids=["c4-13", "c2-30", "c4-65535", "c2-3"])
+def test_the_guard_counts_up_to_the_first_degree_over_its_limit(
+        capsys, monkeypatch, table, p, degree, asked, err):
+    # the degrees that the guard counts are recorded; none is counted under --force
+    counted, count = [], cli.count_multipartitions
+
+    def recorded(k, n):
+        counted.append(n)
+        return count(k, n)
+
+    monkeypatch.setattr(cli, "count_multipartitions", recorded)
+    table = cli.resolve_table(table)
+    assert cli.guardrail(argparse.Namespace(force=True, max_degree=degree), table)
+    assert counted == []
+    code, _, stderr = run(capsys, "wreath", "verify", "--table", table.name, "--p", p,
+                          "--max-degree", str(degree))
+    assert (code, stderr, counted) == ((2, err, asked) if err else (0, "", asked))
+
+
+@pytest.mark.parametrize("command", [("sym", "verify"), ("sym", "generators"),
+                                     ("wreath", "verify", "--table", "c2"),
+                                     ("wreath", "generators", "--table", "c2")], ids=" ".join)
+def test_a_degree_too_wide_to_pack_exits_2_at_parse_time(capsys, command):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        cli.main([*command, "--max-degree", str(1 << 16)])
+    assert time.perf_counter() - start < 1
+    assert info.value.code == 2
+    assert ("argument --max-degree: degree 65536 with values of width 1 needs fields "
+            "wider than 16 bits") in capsys.readouterr().err
+    # the largest packable degree is accepted, and only parsed here
+    assert cli.build_parser().parse_args([*command, "--max-degree", "65535"]).max_degree == 65535
+
+
 def test_examples_command(capsys):
     code, out, _ = run(capsys, "examples")
     assert code == 0

@@ -317,6 +317,21 @@ def dense_rows(draw):
     return [list(row) for row in rows], ncols
 
 
+def test_reading_the_dense_rows_stores_nothing():
+    # the sparse rows are the one stored form, set at construction: .rows,
+    # [i] and to_lists() build dense rows at each read and leave every slot
+    # holding the object it held
+    rows = [[0, 2, 0], [1, 0, -3]]
+    assert IntMatrix.__slots__ == ("sparse_rows", "nrows", "ncols")
+    for matrix in (IntMatrix(rows), IntMatrix._trusted(rows, 3), sparse_built(rows, 3)):
+        held = [getattr(matrix, name) for name in IntMatrix.__slots__]
+        assert held == [(((1,), (2,)), ((0, 2), (1, -3))), 2, 3]
+        assert matrix.rows == ((0, 2, 0), (1, 0, -3)) and matrix[1] == (1, 0, -3)
+        assert matrix.to_lists() == rows
+        assert all(getattr(matrix, name) is value
+                   for name, value in zip(IntMatrix.__slots__, held))
+
+
 @settings(deadline=None, max_examples=300)
 @given(dense_rows())
 def test_sparse_and_dense_forms_are_one_matrix(drawn):
@@ -411,8 +426,8 @@ def test_membership_reduction():
     m = IntMatrix([[1, -1, 0], [0, 0, 1]])
     assert in_lattice([2, -2, 5], m)
     assert not in_lattice([1, 0, 0], m)
-    assert in_lattice([0, 0, 0], IntMatrix.zero(0, 3))
-    assert not in_lattice([0, 1, 0], IntMatrix.zero(0, 3))
+    assert in_lattice([0, 0, 0], IntMatrix([], 3))
+    assert not in_lattice([0, 1, 0], IntMatrix([], 3))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import projrep
 
 # perfbench/layers.py patches these by name, so they stay although unused
 PINNED = {("modsym", "rational_kernel"), ("wreath", "rational_kernel"),
-          ("modsym", "y_monomial"), ("modsym", "hnf_basis")}
+          ("modsym", "y_monomial"), ("wreath", "hnf_basis")}
 MODULES = sorted(Path(projrep.__file__).parent.glob("*.py"))
 # where a definition may be referenced: the package, its tests and the
 # benchmark, which patches some names by string

@@ -1,8 +1,9 @@
 """The state of a verification lives in one modsym.Run and ends with it: no
-memo of the verify path is a module-level cache (a lint), commands run one
-after another in one process report what fresh processes report, a run
-shared by a range of degrees builds each degree once, and a finished
-command leaves no run behind."""
+memo of the verify path is a module-level cache (a lint, and the caches
+left empty by the verify commands), commands run one after another in one
+process report what fresh processes report, a run shared by a range of
+degrees builds each degree once, and a finished command leaves no run
+behind."""
 
 import ast
 import contextlib
@@ -20,11 +21,25 @@ from projrep import cli, modsym, wreath
 from projrep.modsym import SYM_CHARACTERS, Run, verify_theorem1
 
 SRC = Path(projrep.__file__).parent
-LINTED = ("modsym", "wreath", "series")
-# the caches these modules may keep for the process, none on the verify path
+LINTED = sorted(path.stem for path in SRC.glob("*.py"))
+# the engine modules, whose functions import nothing
+ENGINE = ("modsym", "wreath", "series")
+# the caches the package may keep for the process; only the per-conductor
+# ones are filled by a verify command
+PER_CONDUCTOR = {
+    ("exactlin", "euler_phi"): "one entry per conductor",
+    ("exactlin", "cyclotomic_polynomial"): "one entry per conductor",
+}
 ALLOWED = {
+    **PER_CONDUCTOR,
     ("modsym", "x_class_value_matrix"): "a test oracle, whose counters perfbench reads",
+    ("partitions", "partitions"): "used by the generators, chartable and examples "
+                                  "commands, and perfbench reads its counters",
     ("series", "y_monomial"): "the tests' oracle of the S_n monomial rows",
+    ("symfunc", "_x_monomial_in_c"): "used by examples, sym chartable and the oracles",
+    ("symfunc", "_c_generator_in_x"): "used by examples, sym chartable and the oracles",
+    ("symfunc", "_c_monomial_in_x"): "used by examples, sym chartable and the oracles",
+    ("symfunc", "_mn"): "used by examples, sym chartable and the oracles",
     ("wreath", "phi_x_in_xi"): "the tests' oracle in the xi basis",
     ("wreath", "_monomial_in_xi"): "the tests' oracle in the xi basis",
 }
@@ -53,6 +68,32 @@ def test_only_the_allowed_oracles_are_cached_for_the_process():
     assert found == set(ALLOWED)
 
 
+# the sizes of the allowed caches after both verify commands in a fresh
+# interpreter, with nothing else run before them
+CACHE_PROBE = """
+import contextlib, io, sys
+sys.path.insert(0, %r)
+from projrep import cli
+for argv in (["sym", "verify", "--p", "2", "--max-degree", "12"],
+             ["wreath", "verify", "--table", "s3", "--p", "3", "--max-degree", "6"],
+             ["wreath", "verify", "--table", "c4", "--p", "2", "--max-degree", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+for module, name in %r:
+    print(module, name, getattr(sys.modules["projrep." + module], name).cache_info().currsize)
+"""
+
+
+def test_the_verify_commands_fill_no_cache_but_the_per_conductor_ones():
+    probe = CACHE_PROBE % (str(SRC.parent), sorted(ALLOWED))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            check=True)
+    sizes = {tuple(line.split()[:2]): int(line.split()[2])
+             for line in result.stdout.splitlines()}
+    assert sizes.keys() == ALLOWED.keys()
+    assert {key for key, size in sizes.items() if size} == set(PER_CONDUCTOR)
+
+
 def test_a_cache_decorator_is_found(tmp_path):
     module = tmp_path / "module.py"
     module.write_text("import functools\nfrom functools import cache\n\n\n"
@@ -66,7 +107,7 @@ def test_a_cache_decorator_is_found(tmp_path):
 def test_the_engine_modules_import_only_at_the_top():
     # modsym holds the run, and wreath imports modsym: no import cycle is
     # left for a function to break by importing late
-    late = [(module, node.lineno) for module in LINTED
+    late = [(module, node.lineno) for module in ENGINE
             for function in ast.walk(ast.parse((SRC / ("%s.py" % module)).read_text()))
             if isinstance(function, ast.FunctionDef)
             for node in ast.walk(function) if isinstance(node, (ast.Import, ast.ImportFrom))]

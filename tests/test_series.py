@@ -230,7 +230,7 @@ def test_power_coefficient_is_the_coefficient_of_the_series_power():
         power = int_power(xs, e)
         for n in range(7):
             for lam in partitions(n):
-                assert power_coefficient(e, lam) == power[n].coeffs.get(lam, 0), (e, lam)
+                assert power_coefficient(e, lam.parts) == power[n].coeffs.get(lam, 0), (e, lam)
 
 
 def test_y_explicit_examples():

@@ -229,11 +229,11 @@ def test_keys_that_could_overflow_a_field_are_refused_before_any_work(monkeypatc
     # a run refuses both where it is entered, before any value of X_n, of a
     # generator or of (a'); the hnf is never reached
     for build in (lambda: check_packable(1, len(wide.values[0])),
-                  lambda: Run((wide,), ((1,),), 2).verify(1, hnf=None),
+                  lambda: Run((wide,), ((1,),), 2).verify(1),
                   lambda: next(monomial_values((wide,), 1, 2))):
         with pytest.raises(ValueError, match="width 32769 needs fields wider than 16 bits"):
             build()
-    for build in (lambda: Run(SYM_CHARACTERS, ((1,),), 2).verify(1 << FIELD, hnf=None),
+    for build in (lambda: Run(SYM_CHARACTERS, ((1,),), 2).verify(1 << FIELD),
                   lambda: verify_theorem1(1 << FIELD, 2),
                   lambda: next(monomial_values(SYM_CHARACTERS, 1 << FIELD, 2))):
         with pytest.raises(ValueError, match="16 bits"):
