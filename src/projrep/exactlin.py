@@ -399,31 +399,6 @@ class IntMatrix:
         return "IntMatrix(%r)" % (self.to_lists(),)
 
 
-def _xgcd(a, b):
-    """g, x, y with x*a + y*b = g = gcd(a, b) >= 0.
-
-    When a divides b the result is (|a|, sign(a), 0), so that the derived 2x2
-    elimination transform leaves the pivot row fixed.  H does not depend on
-    this choice, but the transform U does, and with U the rows that
-    unimodular_complete adds to a lattice basis (the completed lattice matrix
-    of every bundled table) and the kernel rows that integer_kernel reduces;
-    the case keeps them fixed.
-    """
-    if a and b % a == 0:
-        return (a, 1, 0) if a > 0 else (-a, -1, 0)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _echelon_pivots(rows):
     """The pivot columns of the nonzero sparse rows, if rows are in echelon
     form with positive pivots and every zero row at the bottom; else None.
@@ -467,25 +442,34 @@ def hnf_with_transform(matrix):
 
 
 def _eliminate(matrix):
-    """hnf_with_transform by elimination, on any matrix."""
+    """hnf_with_transform by elimination, on any matrix.
+
+    Each column is cleared by division with remainder (Cohen, GTM 138,
+    section 2.4): of the rows from the next pivot row down that are nonzero
+    in the column, the one of smallest absolute value (the lowest index on a
+    tie) reduces every other by the floor quotient of their entries, until
+    one nonzero row, the pivot, is left; each pass leaves remainders smaller
+    than it, so the passes end.  H is unique; U is one valid transform of
+    many, the one this rule builds, and with it the rows that
+    unimodular_complete adds to a lattice basis."""
     # every step replaces whole rows, so the rows start as the input tuples
     a = list(matrix.rows)
     nr, nc = matrix.nrows, matrix.ncols
     u = list(IntMatrix.identity(nr).rows)
     pr = 0
     for c in range(nc):
-        piv = next((i for i in range(pr, nr) if a[i][c]), None)
-        if piv is None:
+        live = [i for i in range(pr, nr) if a[i][c]]
+        if not live:
             continue
-        for i in range(piv + 1, nr):
-            if not a[i][c]:
-                continue
-            g, x, y = _xgcd(a[piv][c], a[i][c])
-            p, q = a[piv][c] // g, a[i][c] // g
-            a[piv], a[i] = ([x * rp + y * ri for rp, ri in zip(a[piv], a[i])],
-                            [-q * rp + p * ri for rp, ri in zip(a[piv], a[i])])
-            u[piv], u[i] = ([x * rp + y * ri for rp, ri in zip(u[piv], u[i])],
-                            [-q * rp + p * ri for rp, ri in zip(u[piv], u[i])])
+        while len(live) > 1:
+            piv = min(live, key=lambda i: abs(a[i][c]))
+            for i in live:
+                if i != piv:
+                    q = a[i][c] // a[piv][c]
+                    a[i] = [v - q * w for v, w in zip(a[i], a[piv])]
+                    u[i] = [v - q * w for v, w in zip(u[i], u[piv])]
+            live = [i for i in live if a[i][c]]
+        piv = live[0]
         a[pr], a[piv] = a[piv], a[pr]
         u[pr], u[piv] = u[piv], u[pr]
         if a[pr][c] < 0:

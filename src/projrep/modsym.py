@@ -244,6 +244,18 @@ class Run:
         self.weights = [cycle_weight(characters, row) for row in self.rows]
         self.memos = defaultdict(dict)
 
+    def matching(self, characters, p, rows=None):
+        """This run, after a ValueError if its prime, its characters or, when
+        rows is given, its lattice rows differ from these: a verification in
+        it would be of another ring."""
+        for name, mine, asked in (("prime", self.p, p),
+                                  ("characters", self.characters, characters),
+                                  ("lattice rows", self.rows, rows)):
+            if asked is not None and mine != asked:
+                raise ValueError("the run has %s %r where the arguments have %r"
+                                 % (name, mine, asked))
+        return self
+
     @_per_run
     def partition_keys(self, ncomp, p, size):
         """The keys (see part_key) of the partitions of size, parts prime to p
@@ -524,8 +536,11 @@ class VerificationReport(namedtuple(
 
 def verify_theorem1(n, p, run=None):
     """Check that the y-monomials span exactly the vanishing lattice in degree
-    n, in run, a Run(SYM_CHARACTERS, ((1,),), p), or else in a fresh one."""
-    return (run or Run(SYM_CHARACTERS, ((1,),), p)).verify(n)
+    n, in run, a Run(SYM_CHARACTERS, ((1,),), p), or else in a fresh one;
+    any other run raises ValueError (Run.matching)."""
+    if run is None:
+        run = Run(SYM_CHARACTERS, ((1,),), p)
+    return run.matching(SYM_CHARACTERS, p, ((1,),)).verify(n)
 
 
 # ---------------------------------------------------------------------------

@@ -336,27 +336,34 @@ def lattice_run(table, lattice):
 def verify_theorem2(table, p, n, lattice=None, run=None):
     """Check that the degree-n Y-monomials span exactly the lattice of integer
     PHI combinations whose xi-expansion is supported on p-regular indices, in
-    run, a lattice_run, or else in a fresh one of lattice (or e_lattice)."""
+    run, a lattice_run, or else in a fresh one of lattice (or e_lattice).  A
+    lattice of another prime, or a run of another prime, of other characters
+    or of other rows than the lattice's, raises ValueError (Run.matching)."""
+    if lattice is not None and lattice.p != p:
+        raise ValueError("the lattice is at p = %d, not at p = %d" % (lattice.p, p))
     if run is None:
         run = lattice_run(table, lattice or e_lattice(table, p))
-    return run.verify(n)
+    rows = None if lattice is None else lattice.phi.rows[:lattice.M]
+    return run.matching(table.characters, p, rows).verify(n)
 
 
 def generator_exchange_check(table, lattice, n, run=None):
     """True iff, in every degree i <= n, the linear parts of the X_{k,i} in the
     Phi_j(x_i) form exactly the (unimodular) completed lattice matrix, so the
     X's generate the same graded ring over Z; in run, the lattice_run, or
-    else in a fresh one.
+    else in a fresh one.  A run of another prime, of other characters or of
+    other rows than the lattice's raises ValueError (Run.matching).
 
     For a lattice row k <= M, Run.linked certifies X_{k,0..n} = Run.xk by
     the power rule, and the coefficient of Phi_j(x_i) is read off the closed
     form at its key.  A row k > M is sum_j e_j Phi_j(x_i) by the definition
     of xk_series, so its linear part is the row itself and there is nothing
     to check."""
+    run = (run or lattice_run(table, lattice)).matching(
+        table.characters, lattice.p, lattice.phi.rows[:lattice.M])
     if not is_unimodular(lattice.phi):
         return False
     check_packable(n)
-    run = run or lattice_run(table, lattice)
     return all(run.linked(k, n) and all(run.xk(k, i).get(part_key(table.N, j, i), 0) == e
                                         for i in range(1, n + 1) for j, e in enumerate(row))
                for k, row in enumerate(run.rows))

@@ -13,6 +13,7 @@ from projrep.exactlin import (Cyclotomic, IntMatrix, _eliminate, _is_hnf,
                               cyclotomic_polynomial, euler_phi, hnf,
                               hnf_basis, hnf_with_transform, integer_kernel, is_unimodular,
                               is_unit_echelon, rational_kernel, unimodular_complete)
+from projrep.modsym import SYM_CHARACTERS, singular_constraints
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +190,16 @@ def test_hnf_transform_is_unimodular():
         h, u = hnf_with_transform(m)
         assert sympy.Matrix(u.rows).det() in (1, -1)
         assert u @ m == h
+
+
+def test_the_kernel_transform_does_not_swell():
+    # the kernel transform of sym p=2 n=16, a 231 x 199 matrix, whose entries
+    # stay within 10 bits; an elimination by Bezout cofactors swells them to
+    # 663 bits
+    e = singular_constraints(SYM_CHARACTERS, 2, 16)
+    h, u = hnf_with_transform(e.transpose())
+    assert (u.nrows, u.ncols) == (231, 231)
+    assert all(abs(v) < 1 << 64 for _, values in u.sparse_rows for v in values)
 
 
 def test_int_matrix_rejects_entries_that_are_not_integers():

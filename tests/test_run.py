@@ -175,3 +175,29 @@ def test_a_finished_command_leaves_no_run_behind(argv):
         assert [obj for obj in gc.get_objects() if isinstance(obj, Run)] == []
     finally:
         gc.enable()
+
+
+def test_a_run_or_lattice_of_other_arguments_is_refused(s3_table, c2_table):
+    # each would verify another ring than the one asked for
+    lattice = {p: wreath.e_lattice(s3_table, p) for p in (2, 3)}
+    run = {p: lambda p=p: wreath.lattice_run(s3_table, lattice[p]) for p in (2, 3)}
+    other_rows = wreath.ELatticeBasis(3, 2, lattice[3].phi.transpose())
+    refused = {
+        "prime": [lambda: verify_theorem1(5, 3, Run(SYM_CHARACTERS, ((1,),), 2)),
+                  lambda: wreath.verify_theorem2(s3_table, 3, 4, run=run[2]()),
+                  lambda: wreath.generator_exchange_check(s3_table, lattice[3], 4, run[2]())],
+        "characters": [lambda: verify_theorem1(2, 2, Run(c2_table.characters, ((1, 0),), 2)),
+                       lambda: wreath.verify_theorem2(c2_table, 3, 2, run=run[3]())],
+        "lattice rows": [
+            lambda: verify_theorem1(2, 2, Run(SYM_CHARACTERS, ((2,),), 2)),
+            lambda: wreath.verify_theorem2(s3_table, 3, 2, lattice=other_rows, run=run[3]()),
+            lambda: wreath.generator_exchange_check(s3_table, other_rows, 2, run[3]())],
+        "the lattice is at p = 2": [
+            lambda: wreath.verify_theorem2(s3_table, 3, 4, lattice=lattice[2])]}
+    for message, calls in refused.items():
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+    shared = run[3]()
+    assert wreath.verify_theorem2(s3_table, 3, 4, lattice=lattice[3], run=shared).verdict
+    assert wreath.generator_exchange_check(s3_table, lattice[3], 4, shared)

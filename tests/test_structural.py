@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from projrep import modsym
-from projrep.exactlin import Cyclotomic, IntMatrix, is_unit_echelon
+from projrep.exactlin import Cyclotomic, IntMatrix, integer_kernel, is_unit_echelon
 from projrep.modsym import (FIELD, SYM_CHARACTERS, SYM_WEIGHT, CycleWeight, Run, _key_product,
                             _label_shift, _reduced, _singular_mask, check_packable,
                             cycle_weight, is_p_singular, monomial_values,
@@ -403,6 +403,24 @@ def test_a_corrupted_closed_form_of_xk_is_not_certified(c2_table):
         assert is_unit_echelon(report.monomial_hnf)
         assert report.monomial_hnf.nrows == report.expected_rank
         assert report.method == "kernel" and not report.verdict
+
+
+def test_the_kernel_decides_a_corrupted_closed_form_of_c4(c4_table):
+    # the failed link sends c4 p=2 n=5 to the kernel of a 451 x 252
+    # constraint matrix, which decides it within seconds
+    p, n = 2, 5
+    run = lattice_run(c4_table, e_lattice(c4_table, p))
+    extra, honest = packed(WreathElement(PHI, n, 4, {((4, 1), (), (), ()): 1})), run.xk
+    run.xk = lambda k, v: plus(honest(k, v), extra) if (k, v) == (0, n) else honest(k, v)
+    report = verify_theorem2(c4_table, p, n, run=run)
+    assert run.linked(0, n - 1) and not run.linked(0, n)
+    assert report.method == "kernel" and report.verdict is False
+
+
+def test_the_kernel_of_c4_at_degree_5_is_the_structural_lattice(c4_table):
+    report = verify_theorem2(c4_table, 2, 5)
+    assert report.method == "structural" and report.verdict
+    assert integer_kernel(singular_constraints(c4_table.characters, 2, 5)) == report.lattice_hnf
 
 
 def test_a_generator_off_the_lattice_makes_the_verdict_false(monkeypatch, c2_table):
