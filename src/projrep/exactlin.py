@@ -67,26 +67,25 @@ def cyclotomic_polynomial(m):
 
 
 def _rational(value):
-    """A coordinate that is not an int in canonical form: an int when
-    integral, else a Fraction."""
+    """A coordinate in canonical form: an int when integral, else a Fraction."""
+    if type(value) is int:
+        return value
     value = value if isinstance(value, Fraction) else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
-def _reduce_power_basis(m, coeffs):
-    """Reduce sum coeffs[i]*zeta_m^i modulo Phi_m to the canonical degree-<phi(m)
-    form, whose coordinates are ints where integral (see _rational)."""
-    deg = euler_phi(m)
+def _reduce_power_basis(m, terms):
+    """terms, {i: c} for sum c * zeta_m^i, with each i >= phi(m) reduced in place
+    modulo Phi_m, the highest first: the canonical form, without its zeros."""
     phi_m = cyclotomic_polynomial(m)
-    work = [c if type(c) is int else _rational(c) for c in coeffs]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
+    deg = len(phi_m) - 1
+    nonzero = [(j, q) for j, q in enumerate(phi_m[:deg]) if q]
+    for i in range(max(terms, default=0), deg - 1, -1):
+        c = terms.pop(i, 0)
         if c:
-            for j in range(deg):
-                work[i - deg + j] -= c * phi_m[j]
-    work = work[:deg]
-    work.extend([0] * (deg - len(work)))
-    return tuple([c if type(c) is int else _rational(c) for c in work])
+            for j, q in nonzero:
+                terms[i - deg + j] = terms.get(i - deg + j, 0) - c * q
+    return {i: c for i, c in terms.items() if c}
 
 
 class Cyclotomic:
@@ -98,7 +97,8 @@ class Cyclotomic:
 
     A coordinate is an int where it is integral and a Fraction otherwise, so
     the form stays canonical, the coordinates of an algebraic integer are all
-    ints, and arithmetic on them builds no Fraction.
+    ints, and arithmetic on them builds no Fraction.  The value is given by
+    the coefficients of zeta_m^0, zeta_m^1, ..., or as {power: coefficient}.
     """
 
     __slots__ = ("conductor", "coeffs")
@@ -108,15 +108,17 @@ class Cyclotomic:
         if conductor < 1:
             raise ValueError("conductor must be >= 1")
         object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "coeffs", _reduce_power_basis(conductor, coeffs))
+        terms = coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs)
+        terms = _reduce_power_basis(conductor, {i: _rational(c) for i, c in terms if c})
+        object.__setattr__(self, "coeffs", tuple(
+            [_rational(terms.get(i, 0)) for i in range(euler_phi(conductor))]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Cyclotomic is immutable")
 
     @classmethod
     def zeta(cls, m, power=1):
-        power %= m
-        return cls(m, [0] * power + [1])
+        return cls(m, {power % m: 1})
 
     @classmethod
     def from_rational(cls, value, conductor=1):
@@ -137,10 +139,7 @@ class Cyclotomic:
         if conductor % self.conductor != 0:
             raise ValueError("can only lift to a multiple of the conductor")
         step = conductor // self.conductor
-        out = [0] * ((len(self.coeffs) - 1) * step + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * step] = c
-        return Cyclotomic(conductor, out)
+        return Cyclotomic(conductor, {i * step: c for i, c in enumerate(self.coeffs)})
 
     def _matched(self, other):
         other = Cyclotomic._coerce(other)
@@ -210,10 +209,7 @@ class Cyclotomic:
     def galois(self, k):
         """The automorphism zeta_m -> zeta_m^k, for k coprime to the conductor m."""
         m = self.conductor
-        out = [0] * m
-        for i, c in enumerate(self.coeffs):
-            out[i * k % m] += c
-        return Cyclotomic(m, out)
+        return Cyclotomic(m, {i * k % m: c for i, c in enumerate(self.coeffs)})
 
     def conjugate(self):
         """Complex conjugation, zeta_m -> zeta_m^(m-1)."""

@@ -6,13 +6,14 @@ modsym.Run of the table's characters and the lattice rows (lattice_run),
 with the generator exchange check read off that run's closed forms."""
 
 import json
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 from operator import add, mul
 
-from .exactlin import Cyclotomic, euler_phi, integer_kernel, is_unimodular, unimodular_complete
+from .exactlin import (Cyclotomic, _reduce_power_basis, euler_phi, integer_kernel, is_unimodular,
+                       unimodular_complete)
 # unused here, but perfbench/layers.py patches these wreath names
 from .exactlin import hnf_basis, rational_kernel  # noqa: F401
 from .modsym import CycleWeight, Run, check_packable, part_key, singular_constraints
@@ -35,7 +36,9 @@ class CharTable:
     """An ordinary character table of a finite group over a splitting field,
     immutable after construction.  characters[j] is the irreducible chi_j as
     a modsym.CycleWeight: its values as integer power-basis coordinates over
-    Z[zeta_conductor], with the element orders of the classes."""
+    Z[zeta_m], m the conductor, the tuples irreducibles[j].values holds.  A
+    value is given as an int, or as the int coefficients of zeta_m^0, zeta_m^1,
+    ...: m of them in a file, phi(m) as coordinates, or any number up to m."""
 
     def __init__(self, name, order, conductor, classes, irreducibles):
         self.name = name
@@ -43,18 +46,17 @@ class CharTable:
         self.conductor = conductor
         self.classes = tuple(classes)
         self.irreducibles = tuple(irreducibles)
+        rows = self._validate()
+        self.irreducibles = tuple(Irreducible(r.label, v) for r, v in zip(self.irreducibles, rows))
         element_orders = tuple(c.element_order for c in self.classes)
-        self.characters = tuple(
-            CycleWeight(tuple(v.rational_coords() for v in row), element_orders, conductor)
-            for row in self._validate())
+        self.characters = tuple(CycleWeight(row, element_orders, conductor) for row in rows)
 
     @property
     def N(self):
         return len(self.classes)
 
     def _validate(self):
-        """Check the table, and return its values lifted to Q(zeta_m), m the
-        conductor, each once; none before the width of m is checked."""
+        """Check the table; return its values as coordinates, reduced after the width check."""
         if self.order < 1:
             raise TableError("group order must be positive")
         if self.conductor < 1:
@@ -84,41 +86,43 @@ class CharTable:
                 raise TableError("class %s: size %d and element order %d must divide "
                                  "the group order %d"
                                  % (c.label, c.size, c.element_order, self.order))
+        terms = []  # terms[j][c]: {s: a} over the nonzero coordinates a of chi_j(C_c)
         for irr in self.irreducibles:
             if len(irr.values) != self.N:
                 raise TableError("irreducible %s has %d values, expected %d"
                                  % (irr.label, len(irr.values), self.N))
-            for v in irr.values:
-                if any(q.denominator != 1 for q in v.rational_coords()):
-                    raise TableError(
-                        "value of %s is not an algebraic integer in the power basis"
-                        % (irr.label,))
+            values = [(v,) if _is_integer(v) else v for v in irr.values]
+            if not all(isinstance(v, (list, tuple)) and len(v) <= m and all(map(_is_integer, v))
+                       for v in values):
+                raise TableError("value of %s is not an algebraic integer in the power basis"
+                                 % (irr.label,))
+            terms.append([_reduce_power_basis(m, dict(enumerate(v))) for v in values])
         # A value on a class of element order e lies in Q(zeta_e), which meets
-        # Q(zeta_m) in Q(zeta_d), d = gcd(e, m): the field fixed by every
-        # zeta_m -> zeta_m^k with k a unit modulo m and k = 1 modulo d.  A
-        # rational value lies in every field, so only the others are checked.
-        for j, c in enumerate(self.classes):
-            irrational = [irr for irr in self.irreducibles if not irr.values[j].is_rational()]
-            if not irrational:
-                continue
-            d = gcd(c.element_order, m)
-            fixing = [k for k in range(1, m + 1) if gcd(k, m) == 1 and (k - 1) % d == 0]
-            for irr in irrational:
-                if any(irr.values[j].galois(k) != irr.values[j] for k in fixing):
+        # Q(zeta_m) in Q(zeta_d), d = gcd(e, m): the field fixed by each s -> k s
+        # mod m on the exponents, k a unit = 1 mod d.  Rationals lie in every field.
+        for c, cls in enumerate(self.classes):
+            d = gcd(cls.element_order, m)
+            for irr, row in zip(self.irreducibles, terms):
+                if any(row[c]) and any(
+                        _reduce_power_basis(m, {s * k % m: a for s, a in row[c].items()}) != row[c]
+                        for k in range(1 + d, m, d) if gcd(k, m) == 1):
                     raise TableError(
                         "value of %s on class %s (element order %d) does not lie "
-                        "in Q(zeta_%d)" % (irr.label, c.label, c.element_order, d))
-        values = [[v.lift(m) for v in irr.values] for irr in self.irreducibles]
-        # each |C| * value and each conjugate once, not once per pair of rows
-        sized = [[c.size * v for c, v in zip(self.classes, row)] for row in values]
-        conjugates = [[v.conjugate() for v in row] for row in values]
-        zero, order = Cyclotomic.from_rational(0, m), Cyclotomic.from_rational(self.order, m)
+                        "in Q(zeta_%d)" % (irr.label, cls.label, cls.element_order, d))
+        # sum_C |C| chi_i(C) conj(chi_j(C)), conj s -> -s mod m, is the conjugate of
+        # the sum for (j, i), so the first pair to fail has i <= j: only those are summed
         for i, a in enumerate(self.irreducibles):
-            for j, b in enumerate(self.irreducibles):
-                if sum(map(mul, sized[i], conjugates[j]), zero) != (order if i == j else zero):
-                    raise TableError(
-                        "row orthogonality fails for %s and %s" % (a.label, b.label))
-        return values
+            for j in range(i, self.N):
+                total = defaultdict(int)
+                for cls, x, y in zip(self.classes, terms[i], terms[j]):
+                    for s, u in x.items():
+                        for t, v in y.items():
+                            total[(s - t) % m] += cls.size * u * v
+                if _reduce_power_basis(m, total) != ({0: self.order} if i == j else {}):
+                    raise TableError("row orthogonality fails for %s and %s"
+                                     % (a.label, self.irreducibles[j].label))
+        return [tuple(tuple(t.get(s, 0) for s in range(euler_phi(m))) for t in row)
+                for row in terms]
 
     def __repr__(self):
         return "CharTable(%r, order=%d, N=%d)" % (self.name, self.order, self.N)
@@ -136,14 +140,13 @@ def _integer(raw, where):
 
 
 def _parse_value(raw, conductor, where):
-    if _is_integer(raw):
-        return Cyclotomic.from_rational(raw)
     if isinstance(raw, list):
         if len(raw) != conductor or not all(_is_integer(v) for v in raw):
             raise TableError("%s: a cyclotomic value must be a list of %d integers"
                              % (where, conductor))
-        return Cyclotomic(conductor, raw)
-    raise TableError("%s: unsupported value %r" % (where, raw))
+    elif not _is_integer(raw):
+        raise TableError("%s: unsupported value %r" % (where, raw))
+    return raw
 
 
 def load_table(path):
@@ -259,7 +262,8 @@ def phi_c_in_xi(table, j, n):
     for c_index, cls in enumerate(table.classes):
         comps = [EMPTY] * table.N
         comps[c_index] = Partition((n,))
-        coeffs[MultiPartition(comps)] = (table.irreducibles[j].values[c_index]
+        coeffs[MultiPartition(comps)] = (Cyclotomic(table.conductor,
+                                                    table.irreducibles[j].values[c_index])
                                          * Fraction(cls.size, table.order))
     return WreathElement(XI, n, table.N, coeffs)
 

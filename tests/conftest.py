@@ -107,6 +107,12 @@ def singular_index_rows(table, p, n):
             for i in range(0, len(rows), width)]
 
 
+def table_value(table, j, c):
+    """chi_j(C_c) as a Cyclotomic of the table's conductor, from its integer
+    coordinates."""
+    return Cyclotomic(table.conductor, table.irreducibles[j].values[c])
+
+
 def xk_exp_identity_check(table, lattice, k, order):
     """True iff X_k(t) expanded over xi equals exp(C_k(t)) with C_k supported on
     p-regular xi generators, for a lattice row k <= M."""
@@ -123,7 +129,7 @@ def xk_exp_identity_check(table, lattice, k, order):
             scalar = Cyclotomic.from_rational(0)
             for j in range(n_comp):
                 scalar = scalar + (exponents[j]
-                                   * table.irreducibles[j].values[c_index]
+                                   * table_value(table, j, c_index)
                                    * Fraction(cls.size, table.order))
             if cls.element_order % p == 0:
                 if scalar:

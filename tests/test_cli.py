@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import example, given, strategies as st
 
-from projrep import cli, modsym
+from projrep import cli, exactlin, modsym
 from projrep.exactlin import IntMatrix, integer_kernel
 from projrep.modsym import SYM_CHARACTERS, singular_constraints, verify_theorem1
 from projrep.partitions import Partition, count_multipartitions, partitions
@@ -624,3 +624,31 @@ def test_golden_verify_json_without_timings(capsys, argv):
     masked = re.sub(r'"seconds": [-0-9.e+]+', '"seconds": 0', out)
     assert masked.count('"seconds": 0') == int(argv[-1]) + 1
     assert hashlib.sha256(masked.encode()).hexdigest() == GOLDEN_MASKED_JSON[argv]
+
+
+NO_CYCLOTOMIC_COMMANDS = ([("sym", command, "--p", p, "--max-degree", "8")
+                           for command in ("verify", "generators") for p in ("2", "3")]
+                          + [("sym", "chartable", "--n", "5"), ("examples",)]
+                          + [("wreath", command, "--table", table, "--p", p, "--max-degree", "4")
+                             for command in ("verify", "generators")
+                             for table in ("trivial", "c2", "c3", "c4", "s3") for p in ("2", "3")])
+
+
+@pytest.mark.parametrize("argv", NO_CYCLOTOMIC_COMMANDS, ids=" ".join)
+def test_no_command_builds_a_cyclotomic(capsys, monkeypatch, argv):
+    # table values load as integer coordinates and every engine works on
+    # them, so a Cyclotomic that cannot be built changes no output; the
+    # patched run goes first, so no cache it could read was filled by the other
+    def refuse(self, *args):
+        raise AssertionError("a Cyclotomic was built")
+
+    outputs = []
+    for patched in (True, False):
+        with monkeypatch.context() as patch:
+            if patched:
+                patch.setattr(exactlin.Cyclotomic, "__init__", refuse)
+            for fmt in ("text", "json"):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert (code, err) == (0, "")
+                outputs.append(re.sub(r'"seconds": [-0-9.e+]+', '"seconds": 0', out))
+    assert outputs[:2] == outputs[2:]

@@ -22,7 +22,7 @@ from projrep.wreath import (PHI, ELatticeBasis, WreathElement, e_lattice, lattic
                             load_table, verify_theorem2, xi_from_phi, xk_series, yk_generators)
 
 from conftest import (centralizer_order, packed, packed_key, satisfies_quotient,
-                      singular_indices, table_path)
+                      singular_indices, table_path, table_value)
 
 TABLES = ("trivial", "c2", "c3", "c4", "s3")
 
@@ -45,8 +45,9 @@ def labels(nu):
 def character_weight(table, j):
     """chi_j as a CycleWeight: its single-generator series is Phi_j(x)."""
     m = table.conductor
-    return CycleWeight(tuple(tuple(int(q) for q in irr_value.lift(m).rational_coords())
-                             for irr_value in table.irreducibles[j].values),
+    return CycleWeight(tuple(tuple(int(q) for q in table_value(table, j, c).lift(m)
+                                   .rational_coords())
+                             for c in range(table.N)),
                        tuple(c.element_order for c in table.classes), m)
 
 

@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -22,7 +23,8 @@ from projrep.wreath import (PHI, XI, CharTable, ELatticeBasis, Irreducible, Tabl
                             yk_generators)
 
 from conftest import (centralizer_order, exchange_oracle, monomial_rows, packed,
-                      singular_index_rows, singular_indices, xk_exp_identity_check)
+                      singular_index_rows, singular_indices, table_path, table_value,
+                      xk_exp_identity_check)
 
 
 def xi_mono(ncomp, placements, coeff=1):
@@ -51,10 +53,10 @@ def test_s3_table_matches_symmetric_group_oracle(s3_table):
     class_types = [Partition((1, 1, 1)), Partition((2, 1)), Partition((3,))]
     irr_types = {"triv": Partition((3,)), "sgn": Partition((1, 1, 1)),
                  "std": Partition((2, 1))}
-    for irr in s3_table.irreducibles:
+    for j, irr in enumerate(s3_table.irreducibles):
         lam = irr_types[irr.label]
-        for value, mu in zip(irr.values, class_types):
-            assert value == mn_character(lam, mu)
+        for c, mu in enumerate(class_types):
+            assert table_value(s3_table, j, c) == mn_character(lam, mu)
 
 
 def _table_payload():
@@ -103,6 +105,109 @@ def test_load_rejects_a_value_outside_its_classes_field(c4_misplaced_zeta4):
     with pytest.raises(TableError, match=r"chi_i on class 2a \(element order 2\) does "
                                          r"not lie in Q\(zeta_2\)"):
         load_table(c4_misplaced_zeta4)
+
+
+def cyclic_payload(m):
+    """The table file of the cyclic group C_m: classes g^c, and chi_j(g^c) =
+    zeta_m^(jc), written as an int where the exponent is 0."""
+    def value(s):
+        return 1 if s == 0 else [int(t == s) for t in range(m)]
+    return {"name": "C%d" % m, "order": m, "conductor": m,
+            "classes": [{"label": "g%d" % c, "size": 1, "element_order": m // gcd(c, m)}
+                        for c in range(m)],
+            "irreducibles": [{"label": "chi%d" % j, "values": [value(j * c % m)
+                                                                for c in range(m)]}
+                             for j in range(m)]}
+
+
+def reference_check(data, path):
+    """The value checks of load_table, done with Cyclotomic: the message of
+    the first TableError they raise, or the coordinates of the values if the
+    table passes.  data is a table file whose classes pass their checks."""
+    m, order, classes = data["conductor"], data["order"], data["classes"]
+    labels = [irr["label"] for irr in data["irreducibles"]]
+    rows = []
+    for label, irr in zip(labels, data["irreducibles"]):
+        for raw in irr["values"]:
+            if isinstance(raw, list) and len(raw) != m:
+                return ("malformed table file %s: irreducible %s: a cyclotomic value must "
+                        "be a list of %d integers" % (path, label, m))
+        rows.append([Cyclotomic(m, raw if isinstance(raw, list) else [raw])
+                     for raw in irr["values"]])
+    for c, cls in enumerate(classes):
+        d = gcd(cls["element_order"], m)
+        fixing = [k for k in range(1, m + 1) if gcd(k, m) == 1 and (k - 1) % d == 0]
+        for label, row in zip(labels, rows):
+            if any(row[c].galois(k) != row[c] for k in fixing):
+                return ("value of %s on class %s (element order %d) does not lie in "
+                        "Q(zeta_%d)" % (label, cls["label"], cls["element_order"], d))
+    for i, a in enumerate(rows):
+        for j, b in enumerate(rows):
+            total = sum((cls["size"] * x * y.conjugate() for cls, x, y in zip(classes, a, b)),
+                        Cyclotomic.from_rational(0))
+            if total != (order if i == j else 0):
+                return "row orthogonality fails for %s and %s" % (labels[i], labels[j])
+    return [tuple(v.rational_coords() for v in row) for row in rows]
+
+
+def _flip_chi_i_on_4a(data):
+    data["irreducibles"][1]["values"][1] = [0, -1, 0, 0]
+
+
+def _shorten_chi_i_on_4a(data):
+    data["irreducibles"][1]["values"][1] = [0, 1, 0]
+
+
+def _zeta12_on_an_involution(data):
+    # chi1 on g6, of element order 2, becomes zeta_12 in place of -1
+    data["irreducibles"][1]["values"][6] = [int(t == 1) for t in range(12)]
+
+
+def _misplace_zeta4(data):
+    for irr in data["irreducibles"]:
+        values = irr["values"]
+        values[1], values[2] = values[2], values[1]
+
+
+@pytest.mark.parametrize("source, edit", [
+    ("trivial", None), ("c2", None), ("c3", None), ("c4", None), ("s3", None),
+    ("c4", _misplace_zeta4), ("c4", _flip_chi_i_on_4a), ("c4", _shorten_chi_i_on_4a),
+    (12, None), (12, _zeta12_on_an_involution), (15, None),
+])
+def test_the_integer_checks_agree_with_the_cyclotomic_checks(tmp_path, source, edit):
+    # the loader's checks on integer coordinates against the same checks on
+    # Cyclotomic values: both accept, with the same coordinates, or both give
+    # the same message.  C12's file exponents reach 11, beyond the 2 phi(12)
+    # - 2 = 6 a product of reduced values reaches
+    if isinstance(source, int):
+        data = cyclic_payload(source)
+    else:
+        with open(table_path(source)) as handle:
+            data = json.load(handle)
+    if edit:
+        edit(data)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(data))
+    expected = reference_check(data, path)
+    try:
+        table = load_table(str(path))
+    except TableError as err:
+        assert str(err) == expected
+    else:
+        assert [chi.values for chi in table.characters] == expected
+        assert all(irr.values is chi.values
+                   for irr, chi in zip(table.irreducibles, table.characters))
+    assert edit is None or isinstance(expected, str)
+    if isinstance(source, int) and edit is None:
+        # the reduction both share, against sympy: chi_j(g^c) = x^(jc) mod Phi_m
+        x = sympy.Symbol("x")
+        powers = [sympy.Poly(sympy.rem(x ** e, sympy.cyclotomic_poly(source, x)), x)
+                  for e in range(source)]
+        width = euler_phi(source)
+        for j, chi in enumerate(table.characters):
+            assert chi.values == tuple(
+                tuple(int(powers[j * c % source].coeff_monomial(x ** s)) for s in range(width))
+                for c in range(source))
 
 
 @pytest.mark.parametrize("edit, message", [
@@ -243,7 +348,7 @@ def test_e_lattice_is_degree_one_of_the_constraint_builder(trivial_table, c2_tab
     for table in tables:
         for p in (2, 3, 5, 7):
             singular = [c for c, cls in enumerate(table.classes) if cls.element_order % p == 0]
-            rows = [[irr.values[c] for irr in table.irreducibles] for c in singular]
+            rows = [[table_value(table, j, c) for j in range(table.N)] for c in singular]
             lattice = e_lattice(table, p)
             assert IntMatrix(lattice.phi.rows[:lattice.M], table.N) == \
                 integer_kernel(rational_constraints(rows, table.N))
@@ -268,17 +373,17 @@ def test_characters_are_the_lifted_table_values(trivial_table, c2_table, c3_tabl
     for table in tables:
         m = table.conductor
         orders = tuple(cls.element_order for cls in table.classes)
-        for chi, irr in zip(table.characters, table.irreducibles):
+        for j, chi in enumerate(table.characters):
             assert chi.conductor == m and chi.element_orders == orders
-            for c, value in enumerate(irr.values):
-                assert chi.values[c] == coordinates(value, m)
+            for c in range(table.N):
+                assert chi.values[c] == coordinates(table_value(table, j, c), m)
                 assert all(type(v) is int for v in chi.values[c])
         for p in (2, 3):
             lattice = e_lattice(table, p)
             for k, row in enumerate(lattice.phi.rows, 1):
                 weight = cycle_weight(table.characters, row)
                 for c in range(table.N):
-                    total = sum((e * irr.values[c] for e, irr in zip(row, table.irreducibles)),
+                    total = sum((e * table_value(table, j, c) for j, e in enumerate(row)),
                                 Cyclotomic.from_rational(0))
                     assert weight.values[c] == coordinates(total, m), (table.name, p, k, c)
 
@@ -290,8 +395,8 @@ def test_e_lattice_rows_vanish_on_singular_classes(s3_table, c4_table):
             for idx, cls in enumerate(table.classes):
                 if cls.element_order % p == 0:
                     total = Cyclotomic.from_rational(0)
-                    for j, irr in enumerate(table.irreducibles):
-                        total = total + row[j] * irr.values[idx]
+                    for j in range(table.N):
+                        total = total + row[j] * table_value(table, j, idx)
                     assert total == 0
 
 
@@ -320,8 +425,9 @@ def test_xi_round_trip_general(c3_table, s3_table):
         for c_index in range(table.N):
             for n in (1, 2):
                 acc = WreathElement.zero(XI, n, table.N)
-                for j, irr in enumerate(table.irreducibles):
-                    acc = acc + irr.values[c_index].conjugate() * phi_c_in_xi(table, j, n)
+                for j in range(table.N):
+                    acc = acc + (table_value(table, j, c_index).conjugate()
+                                 * phi_c_in_xi(table, j, n))
                 assert acc == xi_mono(table.N, {c_index: (n,)})
 
 
