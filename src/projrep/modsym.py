@@ -394,7 +394,7 @@ class Run:
         for lam, coeff in self.y_explicit(n).coeffs.items():
             if type(coeff) is not int:
                 raise AssertionError("non-integral coordinate %s at %s" % (coeff, lam))
-            _key_product({0: coeff}, self.x_monomial(k, lam.parts), coeffs)
+            _key_product({0: coeff}, self.x_monomial(k, lam), coeffs)
         return {rho: value for rho, value in coeffs.items() if value}
 
     @_per_run
@@ -600,7 +600,7 @@ def worked_examples_check():
     for n in range(1, 7):
         values = class_values(y1 ** n)
         for mu in partitions(n):
-            expected = factorial(n) if len(mu.parts) == n else 0
+            expected = factorial(n) if len(mu) == n else 0
             if values[mu] != expected:
                 regular_ok = False
     checks.append(ExampleCheck(

@@ -6,78 +6,58 @@ from math import factorial
 from .exactlin import _integer
 
 
-class Partition:
-    """A partition as a weakly decreasing tuple of positive integers.
+class Partition(tuple):
+    """A partition: the tuple of its parts, weakly decreasing positive ints,
+    which it equals, hashes and orders as.
 
-    The constructor checks the parts; partitions(n) and merge build their
-    results by _trusted, which skips the checks because those parts are valid
-    by construction."""
+    The constructor checks the parts, and copy and pickle rebuild through it;
+    partitions(n) and merge build their results by _trusted, which skips the
+    checks because those parts are valid by construction."""
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(map(_integer, parts))
         if any(v < 1 for v in parts):
             raise ValueError("parts must be positive: %r" % (parts,))
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
     @classmethod
     def _trusted(cls, parts):
-        """The partition of a weakly decreasing tuple of positive ints, unchecked."""
-        partition = object.__new__(cls)
-        object.__setattr__(partition, "parts", parts)
-        return partition
+        """The partition of weakly decreasing positive ints, unchecked."""
+        return tuple.__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self):
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     @property
     def size(self):
-        return sum(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
+        return sum(self)
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
 
     def __str__(self):
-        return "[%s]" % ",".join(str(v) for v in self.parts)
+        return "[%s]" % ",".join(map(str, self))
 
     def multiplicities(self):
         """Map part value -> multiplicity."""
         mult = {}
-        for v in self.parts:
+        for v in self:
             mult[v] = mult.get(v, 0) + 1
         return mult
 
     def merge(self, other):
         """Multiset union of parts, i.e. the index of a product of monomials."""
-        return Partition._trusted(tuple(sorted(self.parts + other.parts, reverse=True)))
+        return Partition._trusted(sorted(self + other, reverse=True))
 
     def is_p_regular(self, p):
         """True iff no part is divisible by p."""
-        return all(v % p != 0 for v in self.parts)
+        return all(v % p != 0 for v in self)
 
 
 EMPTY = Partition(())
@@ -120,61 +100,43 @@ def z(lam):
     return result
 
 
-class MultiPartition:
-    """A fixed-length tuple of partitions, indexed by an external index set.
-    The constructor builds each component that is not yet a Partition
-    through Partition's checks; multipartitions and merge build their
-    results by _trusted."""
+class MultiPartition(tuple):
+    """A multipartition: the fixed-length tuple of its Partitions, indexed by
+    an external index set, which it equals, hashes and orders as.  The
+    constructor builds each component that is not yet a Partition through
+    Partition's checks; multipartitions and merge build their results by
+    _trusted."""
 
-    __slots__ = ("components",)
+    __slots__ = ()
 
-    def __init__(self, components):
-        comps = tuple(c if isinstance(c, Partition) else Partition(c) for c in components)
-        object.__setattr__(self, "components", comps)
+    def __new__(cls, components):
+        return tuple.__new__(cls, (c if isinstance(c, Partition) else Partition(c)
+                                   for c in components))
 
     @classmethod
     def _trusted(cls, components):
-        """The multipartition of a tuple of Partitions, unchecked."""
-        multipartition = object.__new__(cls)
-        object.__setattr__(multipartition, "components", components)
-        return multipartition
+        """The multipartition of Partitions, unchecked."""
+        return tuple.__new__(cls, components)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPartition is immutable")
+    @property
+    def components(self):
+        """The components as a plain tuple of Partitions."""
+        return tuple(self)
 
     @property
     def size(self):
-        return sum(c.size for c in self.components)
-
-    def __len__(self):
-        return len(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __eq__(self, other):
-        return isinstance(other, MultiPartition) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
-
-    def __lt__(self, other):
-        return tuple(c.parts for c in self.components) < tuple(c.parts for c in other.components)
+        return sum(c.size for c in self)
 
     def __repr__(self):
         return "MultiPartition(%r)" % (self.components,)
 
     def __str__(self):
-        return "[%s]" % ",".join(str(c) for c in self.components)
+        return "[%s]" % ",".join(map(str, self))
 
     def merge(self, other):
         if len(self) != len(other):
             raise ValueError("component counts differ")
-        return MultiPartition._trusted(tuple(map(Partition.merge, self.components,
-                                                 other.components)))
+        return MultiPartition._trusted(map(Partition.merge, self, other))
 
 
 def count_multipartitions(k, n, part_filter=None):
@@ -204,7 +166,7 @@ def multipartitions(k, n, part_filter=None):
         if part_filter is None:
             return partitions(size)
         return tuple(lam for lam in partitions(size)
-                     if all(part_filter(v) for v in lam.parts))
+                     if all(map(part_filter, lam)))
 
     out = []
 

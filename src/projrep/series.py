@@ -176,7 +176,7 @@ def y_explicit(n, p):
         raise ValueError("n must be positive")
     # built unchecked: each index is a partition by construction
     return SymElement.one(symfunc.X)._trusted(n, {
-        Partition._trusted(tuple(sorted((h, *(p * v for v in nu)), reverse=True))):
+        Partition._trusted(sorted((h, *(p * v for v in nu)), reverse=True)):
         power_coefficient(-1, nu) for h in range(n % p, n + 1, p) if h % p
         for nu in parts_at_most((n - h) // p, (n - h) // p, (n - h) // p)})
 
@@ -190,6 +190,6 @@ def y_from_quotient(max_degree, p):
 def y_monomial(lam, p):
     """Product of generators y_{lam_1} * ... * y_{lam_k} in the x-basis, as
     y_{lam_1} times the cached product over the remaining parts."""
-    if not lam.parts:
+    if not lam:
         return SymElement.one(symfunc.X)
-    return y_explicit(lam.parts[0], p) * y_monomial(Partition._trusted(lam.parts[1:]), p)
+    return y_explicit(lam[0], p) * y_monomial(Partition._trusted(lam[1:]), p)

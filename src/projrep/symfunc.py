@@ -218,7 +218,7 @@ def render_terms(terms):
 def _x_monomial_in_c(lam):
     """x_lam in the c-basis: product over parts of x_n = sum_{mu |- n} c_mu / z_mu."""
     result = SymElement.one(C)
-    for part in lam.parts:
+    for part in lam:
         gen = SymElement(C, part,
                          {mu: Fraction(1, z(mu)) for mu in partitions(part)})
         result = result * gen
@@ -239,7 +239,7 @@ def _c_generator_in_x(n):
 @lru_cache(maxsize=None)
 def _c_monomial_in_x(lam):
     result = SymElement.one(X)
-    for part in lam.parts:
+    for part in lam:
         result = result * _c_generator_in_x(part)
     return result
 
@@ -338,12 +338,12 @@ def perm_char_value(lam, mu):
     cache = {}
 
     def ways(part_index, avail):
-        if part_index == len(lam.parts):
+        if part_index == len(lam):
             return 1
         key = (part_index, avail)
         if key in cache:
             return cache[key]
-        target = lam.parts[part_index]
+        target = lam[part_index]
         total = 0
 
         def choose(i, remaining, factor, left):
@@ -421,12 +421,12 @@ def _perm_sign(sigma):
 
 def schur_in_x(lam):
     """Schur element via the Jacobi-Trudi determinant det(x_{lam_i - i + j})."""
-    ell = len(lam.parts)
+    ell = len(lam)
     if ell == 0:
         return SymElement.one(X)
     coeffs = {}
     for sigma in permutations(range(ell)):
-        indices = [lam.parts[i] - i + sigma[i] for i in range(ell)]
+        indices = [lam[i] - i + sigma[i] for i in range(ell)]
         if any(ix < 0 for ix in indices):
             continue
         key = Partition(sorted((ix for ix in indices if ix > 0), reverse=True))

@@ -280,7 +280,7 @@ def phi_x_in_xi(table, j, n):
 def _monomial_in_xi(table, mp):
     """The PHI monomial mp expanded over xi."""
     return reduce(mul, [phi_x_in_xi(table, j, part) for j, lam in enumerate(mp)
-                        for part in lam.parts], WreathElement.one(XI, table.N))
+                        for part in lam], WreathElement.one(XI, table.N))
 
 
 def xi_from_phi(element, table):

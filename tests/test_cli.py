@@ -247,7 +247,7 @@ from projrep.partitions import MultiPartition
 from projrep.wreath import WreathElement
 built = []
 new, init = fractions.Fraction.__new__, WreathElement.__init__
-mp_init, mp_trusted = MultiPartition.__init__, MultiPartition._trusted.__func__
+mp_new, mp_trusted = MultiPartition.__new__, MultiPartition._trusted.__func__
 
 def counted_new(cls, *args, **kwargs):
     built.append("Fraction")
@@ -257,9 +257,9 @@ def counted_init(self, *args, **kwargs):
     built.append("WreathElement")
     return init(self, *args, **kwargs)
 
-def counted_mp_init(self, *args, **kwargs):
+def counted_mp_new(cls, *args, **kwargs):
     built.append("MultiPartition")
-    return mp_init(self, *args, **kwargs)
+    return mp_new(cls, *args, **kwargs)
 
 def counted_mp_trusted(cls, *args, **kwargs):
     built.append("MultiPartition")
@@ -267,7 +267,7 @@ def counted_mp_trusted(cls, *args, **kwargs):
 
 fractions.Fraction.__new__ = counted_new
 WreathElement.__init__ = counted_init
-MultiPartition.__init__ = counted_mp_init
+MultiPartition.__new__ = counted_mp_new
 MultiPartition._trusted = classmethod(counted_mp_trusted)
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
@@ -324,9 +324,10 @@ def test_importing_the_cli_loads_no_hashlib():
 
 
 def test_importing_the_cli_without_site_loads_no_importlib_resources():
-    # only a bundled --table name needs it; without site (python3 -S), which
-    # otherwise may load it first, importing it costs start-up time
+    # not even a bundled --table name needs it; without site (python3 -S),
+    # which otherwise may load it first, importing it costs start-up time
     probe = ("import sys; sys.path.insert(0, %r); import projrep.cli; "
+             "projrep.cli.resolve_table('c2'); "
              "print('importlib.resources' in sys.modules)" % str(Path(cli.__file__).parent.parent))
     assert subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
                           check=True).stdout == "False\n"
@@ -350,6 +351,50 @@ def test_internal_invariant_failure_exits_3(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "internal invariant failure: non-integral coordinate\n"
+
+
+# each run raises a new instance: one kept across tests would keep the
+# traceback of its last raise, and with it that run's frames and Run
+@pytest.mark.parametrize("error", [MemoryError(), KeyError((1, 2))], ids=repr)
+def test_any_other_internal_error_exits_3_with_one_line_naming_it(monkeypatch, capsys, error):
+    from projrep import modsym
+
+    def broken(*args):
+        raise type(error)(*error.args)
+
+    monkeypatch.setattr(modsym, "monomial_matrix", broken)
+    code, out, err = run(capsys, "sym", "verify", "--p", "2", "--max-degree", "3")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: %r\n" % error
+
+
+def test_an_interrupt_passes_through(monkeypatch):
+    from projrep import modsym
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(modsym, "monomial_matrix", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sym", "verify", "--p", "2", "--max-degree", "3"])
+
+
+@pytest.mark.parametrize("spelling", ["./c4", "c4"])
+def test_a_table_file_is_never_replaced_by_the_bundled_table_of_its_name(
+        tmp_path, monkeypatch, capsys, spelling):
+    (tmp_path / "c4").write_text('{"name": "C4"}')
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "wreath", "verify", "--table", spelling,
+                         "--p", "3", "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "table error: malformed table file %s: 'order'\n" % spelling
+
+
+def test_a_bare_name_with_no_such_file_loads_the_bundled_table(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.resolve_table("c4").name == "C4"
 
 
 def test_verify_reports_the_method(capsys):

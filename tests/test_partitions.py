@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -125,3 +127,35 @@ def test_merge_equals_the_validated_partition(a, b):
     assert merged == expected
     assert type(merged.parts) is tuple
     assert hash(merged) == hash(expected)
+
+
+def test_the_index_types_are_the_tuples_of_their_parts():
+    classes = partitions(6)
+    assert sorted(classes) == sorted(classes, key=lambda lam: lam.parts)
+    mps = multipartitions(2, 4)
+    assert sorted(mps) == sorted(mps, key=lambda mp: tuple(c.parts for c in mp))
+    for lam in classes:
+        assert isinstance(lam, tuple) and lam == lam.parts and hash(lam) == hash(lam.parts)
+        assert type(lam.parts) is tuple
+    for mp in mps:
+        plain = tuple(c.parts for c in mp)
+        assert isinstance(mp, tuple) and mp == plain and hash(mp) == hash(plain)
+        assert type(mp.components) is tuple and mp.components == tuple(mp)
+    assert EMPTY == MultiPartition(()) == ()
+    for value in (EMPTY, Partition((3, 1, 1)), MultiPartition(((2, 1), ())),
+                  MultiPartition(())):
+        for twin in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert twin == value and type(twin) is type(value)
+            assert list(map(type, twin)) == list(map(type, value))
+
+
+def test_the_index_types_are_immutable_and_rebuild_through_their_checks():
+    lam, mp = Partition((2, 1)), MultiPartition(((2,), (1,)))
+    for value, name in ((lam, "parts"), (lam, "size"), (lam, "other"),
+                        (mp, "components"), (mp, "other")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+    with pytest.raises(ValueError, match=r"^parts must be weakly decreasing: \(1, 2\)$"):
+        pickle.loads(pickle.dumps(Partition._trusted((1, 2))))
+    with pytest.raises(ValueError, match=r"^parts must be positive: \(2, 0\)$"):
+        MultiPartition(((1,), (2, 0)))
